@@ -2,11 +2,11 @@
 
 Two workloads:
 
-* the sharded-engine benchmark's design-scale plane -- a seed-stable
+* the scenario benchmark's design-scale plane -- a seed-stable
   2000-instance random design swept over 64 scenarios under full ``(S, N)``
   effective element planes -- run through the complete backend matrix
-  (``numpy`` / ``contract`` / ``native`` serial / ``process`` / ``process``
-  x ``native``), the acceptance surface for the compiled tier;
+  (``numpy`` / ``contract`` / ``native``), the acceptance surface for the
+  compiled tier;
 * a shape matrix (balanced / chain / random-binary forests) pinning that
   the compiled kernels hold parity and pick the right inner strategy
   (fused level sweeps on shallow shapes, compiled contraction rounds on
@@ -17,8 +17,8 @@ against the serial numpy reference (the compiled kernels replay the same
 per-level, bucket-order accumulation, so only LLVM-level reassociation
 separates them -- far inside the budget).  The speedup assertion --
 **>= 2x over numpy for the 64-scenario, 2000-instance sweep** -- applies
-to the best native arm; composition with process sharding is measured in
-the same table.  An ECO check re-runs the matrix after ``replace_tree``
+to the native arm, whose ``prange`` loops spread each sweep across the
+usable cores.  An ECO check re-runs the matrix after ``replace_tree``
 so the compiled path survives structure invalidation.  The printed tables
 are the record for ``docs/performance.md``.
 
@@ -27,6 +27,7 @@ The whole module skips on machines without a working Numba JIT (the
 ``tests/parallel/test_native.py`` -- but there is nothing to measure).
 """
 
+import os
 import time
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.flat.native import native_ready, native_status  # noqa: E402
 from repro.generators import random_design  # noqa: E402
 from repro.generators.random_trees import random_flat_tree  # noqa: E402
 from repro.graph import TimingGraph  # noqa: E402
-from repro.parallel import default_job_count, last_selection  # noqa: E402
+from repro.parallel import last_selection  # noqa: E402
 from repro.utils.tables import format_table  # noqa: E402
 
 N_INSTANCES = 2_000
@@ -49,18 +50,13 @@ PERIOD = 2e-9
 THRESHOLD = 0.5
 INPUT_DRIVE = 120.0
 FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
-CORES = default_job_count()
-#: Same sharding policy as bench_parallel: at least two workers so the
-#: process x native composition is always exercised, capped at eight.
-JOBS = max(2, min(CORES, 8))
+CORES = len(os.sched_getaffinity(0))
 
-#: The full backend matrix: (row label, engine, jobs).
+#: The full backend matrix: (row label, engine).
 MATRIX = (
-    ("numpy (serial reference)", "numpy", None),
-    ("contract", "contract", None),
-    ("native, serial", "native", 1),
-    (f"process ({JOBS} workers)", "process", JOBS),
-    (f"native x process ({JOBS} workers)", "native", JOBS),
+    ("numpy (reference)", "numpy"),
+    ("contract", "contract"),
+    ("native", "native"),
 )
 
 pytestmark = pytest.mark.skipif(
@@ -147,37 +143,35 @@ def test_native_backend_matrix_speedup(benchmark, design_workload, report):
 
     results = {}
     times = {}
-    for label, engine, jobs in MATRIX:
-        # Warm every path once (JIT load, pool fork, shared blocks).
-        forest.solve_batch(**planes, count=N_SCENARIOS, engine=engine, jobs=jobs)
+    for label, engine in MATRIX:
+        # Warm every path once (JIT load, level buckets).
+        forest.solve_batch(**planes, count=N_SCENARIOS, engine=engine)
         times[label], results[label] = _best(
-            lambda engine=engine, jobs=jobs: forest.solve_batch(
-                **planes, count=N_SCENARIOS, engine=engine, jobs=jobs
+            lambda engine=engine: forest.solve_batch(
+                **planes, count=N_SCENARIOS, engine=engine
             )
         )
 
     reference_label = MATRIX[0][0]
     reference = results[reference_label]
     worst = 0.0
-    for label, _, _ in MATRIX[1:]:
+    for label, _ in MATRIX[1:]:
         worst = max(worst, _assert_parity(results[label], reference, label))
 
-    # The native arms must actually have run compiled kernels, not the
+    # The native arm must actually have run compiled kernels, not the
     # numpy fallback.
-    forest.solve_batch(**planes, count=N_SCENARIOS, engine="native", jobs=1)
+    forest.solve_batch(**planes, count=N_SCENARIOS, engine="native")
     selection = last_selection()
     assert selection["engine"] == "native" and not selection["reason"]
 
     benchmark(
-        lambda: forest.solve_batch(
-            **planes, count=N_SCENARIOS, engine="native", jobs=1
-        )
+        lambda: forest.solve_batch(**planes, count=N_SCENARIOS, engine="native")
     )
 
     serial_time = times[reference_label]
     rows = [
         (label, times[label] * 1e3, serial_time / times[label])
-        for label, _, _ in MATRIX
+        for label, _ in MATRIX
     ]
     report(
         "native backend matrix",
@@ -192,15 +186,11 @@ def test_native_backend_matrix_speedup(benchmark, design_workload, report):
         ),
     )
 
-    # Acceptance: the best native arm clears 2x over the serial numpy
-    # sweeps on the 64 x 2000 workload.
-    native_best = max(
-        serial_time / times[label]
-        for label, engine, _ in MATRIX
-        if engine == "native"
-    )
-    assert native_best >= 2.0, (
-        f"best native speedup {native_best:.2f}x < 2x on {CORES} cores"
+    # Acceptance: the native arm clears 2x over the numpy sweeps on the
+    # 64 x 2000 workload.
+    native_speedup = serial_time / times["native"]
+    assert native_speedup >= 2.0, (
+        f"native speedup {native_speedup:.2f}x < 2x on {CORES} cores"
     )
 
 
@@ -211,13 +201,11 @@ def test_native_shape_matrix_parity(report):
         reference = forest.solve_batch(
             **planes, count=N_SCENARIOS, engine="numpy"
         )
-        for label, engine, jobs in MATRIX[1:]:
-            forest.solve_batch(
-                **planes, count=N_SCENARIOS, engine=engine, jobs=jobs
-            )
+        for label, engine in MATRIX[1:]:
+            forest.solve_batch(**planes, count=N_SCENARIOS, engine=engine)
             elapsed, result = _best(
-                lambda engine=engine, jobs=jobs: forest.solve_batch(
-                    **planes, count=N_SCENARIOS, engine=engine, jobs=jobs
+                lambda engine=engine: forest.solve_batch(
+                    **planes, count=N_SCENARIOS, engine=engine
                 ),
                 repeats=3,
             )
@@ -245,10 +233,8 @@ def test_native_parity_survives_eco(design_workload, report):
     planes = _planes(eco, N_SCENARIOS, seed=13)
     reference = eco.solve_batch(**planes, count=N_SCENARIOS, engine="numpy")
     worst = 0.0
-    for label, engine, jobs in MATRIX[1:]:
-        result = eco.solve_batch(
-            **planes, count=N_SCENARIOS, engine=engine, jobs=jobs
-        )
+    for label, engine in MATRIX[1:]:
+        result = eco.solve_batch(**planes, count=N_SCENARIOS, engine=engine)
         worst = max(
             worst, _assert_parity(result, reference, f"post-ECO {label}")
         )

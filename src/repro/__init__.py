@@ -110,7 +110,6 @@ from repro.graph import (
 )
 from repro.parallel import (
     available_backends,
-    default_job_count,
     register_backend,
     solve_forest_batch,
 )
@@ -177,9 +176,8 @@ __all__ = [
     "ParameterPlane",
     "scaled_design",
     "scaled_parasitics",
-    # parallel execution (sharded multi-core solves)
+    # kernel backends
     "available_backends",
-    "default_job_count",
     "register_backend",
     "solve_forest_batch",
     # algebra

@@ -60,16 +60,15 @@ def corner_sweep(
     scenarios: ScenarioSet,
     *,
     engine: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[CornerRow]:
     """Summarize every corner of ``scenarios`` from one batched analysis.
 
-    ``engine`` / ``jobs`` select the :mod:`repro.parallel` backend the
-    underlying forest solve runs on (``None`` auto-selects by sweep size);
+    ``engine`` selects the :mod:`repro.parallel` backend the underlying
+    forest solve runs on (``None`` auto-selects by sweep size and depth);
     the rows are identical for every backend.
     """
     report = graph.analyze_scenarios(
-        scenarios, with_critical_paths=False, engine=engine, jobs=jobs
+        scenarios, with_critical_paths=False, engine=engine
     )
     rows: List[CornerRow] = []
     for index, name in enumerate(report.scenario_names):
@@ -96,10 +95,9 @@ def corner_sweep_table(
     scenarios: ScenarioSet,
     *,
     engine: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> str:
     """The corner sweep as a formatted report table (worst slack in ns)."""
-    rows = corner_sweep(graph, scenarios, engine=engine, jobs=jobs)
+    rows = corner_sweep(graph, scenarios, engine=engine)
     return format_table(
         ["corner", "slack upper (ns)", "slack elmore (ns)", "slack lower (ns)",
          "spread (ns)", "verdict"],

@@ -29,14 +29,12 @@ Subcommands
     ``--corners FILE.json`` additionally analyses a whole
     :class:`~repro.scenarios.ScenarioSet` (named corners with R/C/drive
     derates, per-net scales, threshold/period overrides) in one batched pass
-    and reports per-scenario results; ``--jobs N`` runs that sweep on the
-    sharded multi-core engine (:mod:`repro.parallel`) with ``N`` worker
-    processes (``--jobs 1`` forces the serial backend; the default
-    auto-selects by sweep size), and ``--engine NAME`` pins a registered
-    kernel backend outright (``auto``, ``numpy``, ``process``,
-    ``contract``, ``native`` -- the last is the Numba JIT-compiled kernel
-    path, degrading to ``numpy`` where Numba is unavailable), overriding
-    the ``--jobs``-derived choice.  ``--store DIR`` streams the stage
+    and reports per-scenario results; ``--engine NAME`` pins a registered
+    :mod:`repro.parallel` kernel backend for that sweep (``auto``,
+    ``numpy``, ``contract``, ``native`` -- the last is the Numba
+    JIT-compiled kernel path, degrading to ``numpy`` where Numba is
+    unavailable; the default auto-selects by sweep size and depth).
+    ``--store DIR`` streams the stage
     forest into a memory-mapped shard store (:mod:`repro.store`) and
     solves out of core, bounding resident memory by one shard instead of
     the design.  Exit status 1 when the (overall) verdict is FAIL, 2 when
@@ -47,7 +45,7 @@ Subcommands
     clients load designs into named warm sessions and issue ECO edits,
     slack/corner queries and coalesced what-if scoring over keep-alive
     connections.  ``--tick`` sets the what-if coalescing window,
-    ``--engine``/``--jobs`` the default kernel backend for session solves
+    ``--engine`` the default kernel backend for session solves
     (overridable per session at creation).
 """
 
@@ -160,16 +158,12 @@ def _cmd_timing(args: argparse.Namespace) -> int:
 
         with open(args.corners, "r", encoding="utf-8") as handle:
             scenarios = ScenarioSet.from_dict(json.load(handle))
-        # --engine pins a backend outright; --jobs alone pins the parallel
-        # backend; the default leaves engine auto-selection (by sweep size
-        # and depth pathology) to repro.parallel.
-        engine = None
-        if args.engine is not None and args.engine != "auto":
-            engine = args.engine
-        elif args.jobs is not None:
-            engine = "numpy" if args.jobs == 1 else "process"
+        # --engine pins a backend outright; the default leaves engine
+        # auto-selection (by sweep size and depth pathology) to
+        # repro.parallel.
+        engine = None if args.engine in (None, "auto") else args.engine
         scenario_report = graph.analyze_scenarios(
-            scenarios, path_model=model, engine=engine, jobs=args.jobs
+            scenarios, path_model=model, engine=engine
         )
         report["scenarios"] = scenario_report.to_dict()["scenarios"]
         verdict = scenario_report.overall_verdict
@@ -201,7 +195,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.port,
         tick=args.tick,
         engine=None if args.engine in (None, "auto") else args.engine,
-        jobs=args.jobs,
         executor_workers=args.executor_workers,
     )
     return 0
@@ -270,18 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON scenario-set file; analyse every corner in one batched pass",
     )
     timing.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the corner-sweep solve; requires "
-        "--corners (1 = serial; default: auto-select the sharded engine "
-        "by sweep size)",
-    )
-    timing.add_argument(
         "--engine", default=None,
-        choices=["auto", "numpy", "process", "contract", "native"],
+        choices=["auto", "numpy", "contract", "native"],
         help="kernel backend for the corner-sweep solve; requires --corners "
-        "(default: auto-select by sweep size and depth; overrides the "
-        "--jobs-derived choice; 'native' runs the JIT-compiled kernels and "
-        "falls back to 'numpy' without Numba)",
+        "(default: auto-select by sweep size and depth; 'native' runs the "
+        "JIT-compiled kernels and falls back to 'numpy' without Numba)",
     )
     timing.add_argument(
         "--model", default="upper_bound",
@@ -310,13 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         "coalesces requests that pile up during a solve but adds no latency)",
     )
     serve.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for session corner sweeps (default: "
-        "auto-select by sweep size)",
-    )
-    serve.add_argument(
         "--engine", default=None,
-        choices=["auto", "numpy", "process", "contract", "native"],
+        choices=["auto", "numpy", "contract", "native"],
         help="default kernel backend for session solves (sessions may "
         "override at creation; 'native' falls back to 'numpy' without Numba)",
     )
@@ -335,10 +316,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "command", None) == "expression" and args.threshold is None:
         args.threshold = [0.5, 0.9]
     if getattr(args, "command", None) == "timing":
-        if args.jobs is not None and args.corners is None:
-            # Silently running serial after the user asked for workers would be
-            # worse than refusing: --jobs parallelizes the corner sweep only.
-            parser.error("timing: --jobs requires --corners (it parallelizes the corner sweep)")
         if args.engine is not None and args.corners is None:
             parser.error("timing: --engine requires --corners (it selects the corner-sweep kernel)")
     return args.func(args)

@@ -253,7 +253,6 @@ class FlatForest:
         *,
         count: Optional[int] = None,
         engine: Optional[str] = None,
-        jobs: Optional[int] = None,
         scenario_chunk: Optional[int] = None,
     ) -> ScenarioForestTimes:
         """Characteristic times of every tree under ``S`` parameterizations.
@@ -267,11 +266,10 @@ class FlatForest:
         neither read nor invalidated.
 
         ``engine`` selects a :mod:`repro.parallel` backend by name
-        (``"numpy"`` serial, ``"process"`` sharded workers, ``"contract"``
-        pointer jumping, ``"native"`` Numba JIT-compiled kernels -- serial
-        or per shard, degrading to ``"numpy"`` without Numba; ``None``
-        auto-selects by sweep size and depth pathology), ``jobs`` caps the
-        worker count, and ``scenario_chunk`` overrides the bounded-memory
+        (``"numpy"`` level sweeps, ``"contract"`` pointer jumping,
+        ``"native"`` Numba JIT-compiled kernels, degrading to ``"numpy"``
+        without Numba; ``None`` auto-selects by sweep size and depth
+        pathology) and ``scenario_chunk`` overrides the bounded-memory
         chunk width.  Every backend returns numerically identical results
         (to 1e-12 for ``"contract"`` and ``"native"``).
         """
@@ -284,7 +282,6 @@ class FlatForest:
             (edge_r, edge_c, node_c),
             s,
             engine=engine,
-            jobs=jobs,
             scenario_chunk=scenario_chunk,
         )
 

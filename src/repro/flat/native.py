@@ -29,12 +29,11 @@ import; :func:`native_status` reports ``"ok"``, ``"numba-missing"``,
 :func:`repro.parallel.backends.last_selection`.
 
 The kernels declare ``cache=True`` so the machine-code artifact persists on
-disk: the compile cost is paid once per machine, and the forked shard
-workers of the ``"process"`` machinery load the same cache instead of
-recompiling (the parent additionally warms the kernels *before* any pool
-fork).  Unless ``NUMBA_THREADING_LAYER`` is set explicitly, the threading
-layer is pinned to ``"forksafe"`` -- the compiled sweeps run inside forked
-worker processes, where the GNU OpenMP layer would deadlock.
+disk: the compile cost is paid once per machine, and later processes load
+the same cache instead of recompiling.  Unless ``NUMBA_THREADING_LAYER`` is
+set explicitly, the threading layer is pinned to ``"threadsafe"`` -- solves
+run concurrently on several Python threads (the timing service's executor),
+which the ``workqueue`` layer does not support.
 """
 
 from __future__ import annotations
@@ -85,9 +84,9 @@ _JIT_OK: List[Optional[bool]] = [None]
 if _PROBE == "ok":  # pragma: no cover - exercised only where numba is installed
     try:
         if "NUMBA_THREADING_LAYER" not in os.environ:
-            # The kernels run inside forked pool workers; only the
-            # fork-safe layers (tbb/workqueue) survive that.
-            numba.config.THREADING_LAYER = "forksafe"
+            # Several Python threads may launch the kernels at once; only
+            # the thread-safe layers (tbb/omp) survive that.
+            numba.config.THREADING_LAYER = "threadsafe"
 
         @njit(parallel=True, cache=True)
         def _sweep_levels_kernel(
@@ -259,9 +258,6 @@ def native_ready() -> bool:
     The first call on a machine compiles the kernels on toy inputs
     (subsequent processes load the on-disk cache that ``cache=True``
     writes); any failure is remembered and reported as ``"jit-failed"``.
-    The parallel engine calls this before *forking* shard workers, so the
-    children inherit or cache-load the compiled code instead of racing to
-    compile it.
     """
     if not native_available():
         return False
@@ -423,7 +419,7 @@ def native_sweeps_for(
     levels: Sequence[np.ndarray],
     deep: bool,
 ) -> "_NativeSweep":
-    """A reusable compiled two-pass kernel for one node range.
+    """A reusable compiled two-pass kernel for one forest.
 
     ``deep`` selects the contraction rounds (the depth-robust choice the
     engine makes via :func:`repro.parallel.backends.should_contract`);
@@ -438,7 +434,7 @@ class _NativeSweep:
     """Callable with the engine's substitute-kernel signature.
 
     Precomputes the topology products at construction so chunked solves
-    (and the per-shard reuse inside the process machinery) pay them once.
+    pay them once.
     """
 
     def __init__(

@@ -47,7 +47,7 @@ def level_buckets(depth: np.ndarray) -> List[np.ndarray]:
 
     The stable sort keeps preorder (== attachment) order within each level;
     every level-sweep consumer -- :class:`~repro.flat.flattree.FlatTree`,
-    :class:`~repro.flat.forest.FlatForest` and the sharded workers of
+    :class:`~repro.flat.forest.FlatForest` and the backends of
     :mod:`repro.parallel.engine` -- builds its buckets through this one
     helper, which is what keeps their per-level scatter order (and thus
     bitwise results) identical.

@@ -466,7 +466,6 @@ class DesignDB:
         scenarios,
         *,
         engine: Optional[str] = None,
-        jobs: Optional[int] = None,
     ) -> ScenarioSinkTable:
         """Characteristic times of every sink pin under every scenario.
 
@@ -478,8 +477,8 @@ class DesignDB:
         once.  Row order matches :attr:`sinks`; results always reflect the
         database's *current* state (incremental edits included).
 
-        ``engine`` / ``jobs`` select the :mod:`repro.parallel` execution
-        backend for the forest solve (``None`` auto-selects by sweep size);
+        ``engine`` selects the :mod:`repro.parallel` kernel backend for the
+        forest solve (``None`` auto-selects by sweep size);
         results are identical for every backend.
         """
         sinks = self._sinks
@@ -541,13 +540,12 @@ class DesignDB:
                 )
 
             times = store.solve_batch(
-                count=s, engine=engine, jobs=jobs, planes_for=planes_for
+                count=s, engine=engine, planes_for=planes_for
             )
         else:
             # Factor planes are built node-major -- (N, S), the kernels' own
-            # orientation -- and passed as transposed views: the serial
-            # engine's contiguity pass and the process engine's shared-plane
-            # fill both then cost zero / one memcpy instead of an (S, N)
+            # orientation -- and passed as transposed views: the engine's
+            # contiguity pass then costs nothing instead of an (S, N)
             # transpose.
             node_scale = net_scale.T[forest._tree_id]  # (N, S)
             r_factor = node_scale * scenarios.r_derates[np.newaxis, :]
@@ -564,7 +562,6 @@ class DesignDB:
                 ).T,
                 count=s,
                 engine=engine,
-                jobs=jobs,
             )
         return ScenarioSinkTable(
             scenario_names=names,

@@ -701,7 +701,6 @@ class TimingGraph:
         path_model: DelayModel = DelayModel.UPPER_BOUND,
         with_critical_paths: bool = True,
         engine: Optional[str] = None,
-        jobs: Optional[int] = None,
     ) -> ScenarioTimingReport:
         """Propagate every scenario and every delay model in one levelized pass.
 
@@ -713,12 +712,11 @@ class TimingGraph:
         the critical path under ``path_model`` come out together.  The
         graph's cached single-scenario arrivals are untouched.
 
-        ``engine`` / ``jobs`` pick the :mod:`repro.parallel` backend for the
-        forest solve (``None`` auto-selects by sweep size; the levelized
-        propagation itself stays in-process) -- see the CLI's
-        ``timing --jobs``.  Results are backend-independent.
+        ``engine`` picks the :mod:`repro.parallel` kernel backend for the
+        forest solve (``None`` auto-selects by sweep size and depth) -- see
+        the CLI's ``timing --engine``.  Results are backend-independent.
         """
-        table = self._db.solve_scenarios(scenarios, engine=engine, jobs=jobs)
+        table = self._db.solve_scenarios(scenarios, engine=engine)
         s = table.scenario_count
         thresholds = scenarios.thresholds(self._threshold)
         periods = scenarios.clock_periods(self._clock_period)
@@ -789,16 +787,15 @@ class TimingGraph:
         model: DelayModel = DelayModel.UPPER_BOUND,
         *,
         engine: Optional[str] = None,
-        jobs: Optional[int] = None,
     ) -> Dict[str, np.ndarray]:
         """Per-pin slack vectors over the scenario axis, one delay model.
 
         Runs the forward *and* backward levelized sweeps over the scenario
         tensor and returns ``required - arrival`` per pin as an ``(S,)``
         array (``+inf`` off every endpoint cone), keyed by pin name.
-        ``engine`` / ``jobs`` select the forest-solve backend.
+        ``engine`` selects the forest-solve backend.
         """
-        table = self._db.solve_scenarios(scenarios, engine=engine, jobs=jobs)
+        table = self._db.solve_scenarios(scenarios, engine=engine)
         thresholds = scenarios.thresholds(self._threshold)
         periods = scenarios.clock_periods(self._clock_period)
         column = _MODEL_COLUMN[model]
@@ -820,7 +817,6 @@ class TimingGraph:
         model: DelayModel = DelayModel.UPPER_BOUND,
         *,
         engine: Optional[str] = None,
-        jobs: Optional[int] = None,
     ) -> np.ndarray:
         """Worst slack if cell swap ``s`` were applied -- all swaps batched.
 
@@ -831,8 +827,8 @@ class TimingGraph:
         produces every candidate's worst slack under ``model``.  Nothing is
         mutated -- this is the decision kernel of
         :func:`repro.opt.sizing.upsize_critical_path`, replacing its
-        per-candidate trial loop.  ``engine`` and ``jobs`` pin the batched
-        solve's kernel backend exactly as in :meth:`analyze_scenarios`.
+        per-candidate trial loop.  ``engine`` pins the batched solve's kernel
+        backend exactly as in :meth:`analyze_scenarios`.
         """
         if not swaps:
             return np.zeros(0)
@@ -840,7 +836,7 @@ class TimingGraph:
         edge_r, node_c = self._db.whatif_cell_elements(swaps)
         forest = self._db.forest
         times = forest.solve_batch(
-            edge_r=edge_r, node_c=node_c, count=len(swaps), engine=engine, jobs=jobs
+            edge_r=edge_r, node_c=node_c, count=len(swaps), engine=engine
         )
         layout = self._db._scenario_layout()
         tp = times.tp[:, layout.sink_tree]

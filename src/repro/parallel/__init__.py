@@ -1,39 +1,35 @@
-"""Sharded multi-core execution for the scenario-batched solvers.
+"""Kernel backends and the scenario-batched forest solve.
 
-The Penfield-Rubinstein passes are linear-time and embarrassingly parallel
-across trees and scenarios; this layer turns that into wall-clock speed:
+The Penfield-Rubinstein passes are linear-time; this layer picks the
+kernels that run them and bounds their working set:
 
-* :mod:`repro.parallel.sharding` -- pure planners: contiguous, node-balanced
-  tree shards and bounded scenario chunks;
+* :mod:`repro.parallel.sharding` -- the pure scenario-chunk planner that
+  caps each ``(N, S)`` working plane;
 * :mod:`repro.parallel.backends` -- the kernel-backend registry (``"numpy"``
-  serial reference, ``"process"`` sharded workers, ``"contract"``
-  pointer-jumping contraction for depth-pathological forests, ``"native"``
-  Numba JIT-compiled kernels that degrade to numpy without Numba) and the
-  size/depth auto-selection every ``engine=`` parameter funnels through,
-  observable via :func:`last_selection` and ``REPRO_ENGINE_LOG=1``;
-* :mod:`repro.parallel.engine` -- the execution engine itself:
-  ``multiprocessing.shared_memory``-backed element/result planes, cached
-  worker pools, and numerically identical results regardless of backend
-  (bitwise between ``"numpy"`` and ``"process"``, 1e-12 for
-  ``"contract"`` and ``"native"``).  ``engine="native"`` with ``jobs>=2``
-  reuses the process machinery with the compiled kernel per shard, so
-  worker count and JIT compose multiplicatively.
+  reference level sweeps, ``"contract"`` pointer-jumping contraction for
+  depth-pathological forests, ``"native"`` Numba JIT-compiled kernels that
+  degrade to numpy without Numba) and the size/depth auto-selection every
+  ``engine=`` parameter funnels through, observable via
+  :func:`last_selection` and ``REPRO_ENGINE_LOG=1``;
+* :mod:`repro.parallel.engine` -- :func:`solve_forest_batch`, which runs
+  the chosen backend chunk by chunk in the calling thread, with
+  numerically identical results (to 1e-12) regardless of backend.
 
-Callers never import this package directly for normal use -- they pass
-``engine=`` / ``jobs=`` to :meth:`repro.flat.FlatForest.solve_batch`,
+Every solve runs in-process; ``"native"`` spreads each sweep across cores
+with Numba's ``prange``.  Callers never import this package directly for
+normal use -- they pass ``engine=`` to
+:meth:`repro.flat.FlatForest.solve_batch`,
 :meth:`repro.graph.DesignDB.solve_scenarios`,
 :meth:`repro.graph.TimingGraph.analyze_scenarios`,
-:func:`repro.apps.corners.corner_sweep` or the CLI's ``timing --jobs``.
+:func:`repro.apps.corners.corner_sweep` or the CLI's ``timing --engine``.
 The layer map lives in ``docs/architecture.md``.
 """
 
 from repro.parallel.backends import (
     AUTO_NATIVE_CELLS,
-    AUTO_PROCESS_CELLS,
     CONTRACT_DEPTH_RATIO,
     KernelBackend,
     available_backends,
-    default_job_count,
     get_backend,
     last_selection,
     record_selection,
@@ -51,14 +47,11 @@ from repro.parallel.sharding import (
     DEFAULT_CHUNK_CELLS,
     MAX_CHUNK_CELLS,
     default_chunk_cells,
-    plan_shards,
     scenario_chunks,
-    shard_node_ranges,
 )
 
 __all__ = [
     "AUTO_NATIVE_CELLS",
-    "AUTO_PROCESS_CELLS",
     "CHUNK_BYTES_ENV",
     "CONTRACT_DEPTH_RATIO",
     "DEFAULT_CHUNK_CELLS",
@@ -67,15 +60,12 @@ __all__ = [
     "ForestStructure",
     "KernelBackend",
     "available_backends",
-    "default_job_count",
     "get_backend",
     "last_selection",
-    "plan_shards",
     "record_selection",
     "register_backend",
     "resolve_engine",
     "scenario_chunks",
-    "shard_node_ranges",
     "should_contract",
     "shutdown_pools",
     "solve_forest_batch",

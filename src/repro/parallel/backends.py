@@ -1,54 +1,43 @@
 """Kernel-backend registry: how a scenario-batched forest solve executes.
 
 A *backend* is a strategy for running the characteristic-time level sweeps
-over the ``(N, S)`` element planes of a forest:
+over the ``(N, S)`` element planes of a forest.  Every backend runs in the
+calling thread:
 
-* ``"numpy"`` -- the serial vectorized kernels, in-process.  Always
-  available, always the reference; small sweeps stay here because process
-  fan-out costs more than it saves.
-* ``"process"`` -- the sharded multi-core engine
-  (:mod:`repro.parallel.engine`): the forest is split into contiguous,
-  node-balanced shards (:func:`repro.parallel.sharding.plan_shards`) and
-  solved by worker processes over ``multiprocessing.shared_memory`` planes.
+* ``"numpy"`` -- the serial vectorized kernels.  Always available, always
+  the reference.
 * ``"contract"`` -- the pointer-jumping tree-contraction kernels
   (:mod:`repro.flat.contraction`): O(log N) rounds regardless of depth, the
   cure for chain-heavy forests where the level sweeps degenerate into one
   numpy call per level.
 * ``"native"`` -- the Numba JIT-compiled kernels
   (:mod:`repro.flat.native`): the same sweeps fused into compiled machine
-  code, run serially or per shard inside the process machinery (worker
-  count x JIT compose).  Numba is optional: when it is missing, disabled
-  (``REPRO_DISABLE_NATIVE=1``) or fails to compile, every ``"native"``
-  request degrades to ``"numpy"`` and the recorded selection says why.
+  code, spread across cores by Numba's ``prange``.  Numba is optional:
+  when it is missing, disabled (``REPRO_DISABLE_NATIVE=1``) or fails to
+  compile, every ``"native"`` request degrades to ``"numpy"`` and the
+  recorded selection says why.
 
 Callers normally pass ``engine=None`` (or ``"auto"``) and let
 :func:`resolve_engine` pick: depth-pathological forests
 (``depth / log2(nodes) >= CONTRACT_DEPTH_RATIO``) go to the contraction
 kernels (compiled rounds when the native kernels are warm), sweeps of at
 least ``AUTO_NATIVE_CELLS`` cells go to the compiled kernels when those
-are usable, and the multi-process escalation (``nodes x scenarios >=
-AUTO_PROCESS_CELLS`` with more than one usable worker) runs the compiled
-kernels per shard when available, plain ``"process"`` otherwise.  An
-*explicit* ``engine="process"`` / ``"contract"`` / ``"native"`` is always
-honoured (parallel backends with however many workers are available) so
-parity tests exercise every path even on one core.  Worker counts are
-affinity-aware: :func:`default_job_count` reads the scheduling mask
-(``os.sched_getaffinity``), not the raw CPU count, so cgroup-capped
-containers never auto-pay process fan-out they cannot use.
+are usable, and everything else stays on ``"numpy"``.  An *explicit*
+``engine="contract"`` / ``"native"`` is always honoured, so parity tests
+exercise every path.
 
 Every solve records which backend it chose (:func:`last_selection`), and
 setting ``REPRO_ENGINE_LOG=1`` additionally prints one line per solve to
 stderr -- the observability knob for "why was this sweep slow?".
 
 The registry is open: :func:`register_backend` lets an experiment register
-e.g. a thread-pool or GPU strategy under a new name without touching the
-call sites, which all go through ``engine="<name>"`` string selection.
+another strategy under a new name without touching the call sites, which
+all go through ``engine="<name>"`` string selection.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -58,11 +47,9 @@ from repro.core.exceptions import AnalysisError
 
 __all__ = [
     "AUTO_NATIVE_CELLS",
-    "AUTO_PROCESS_CELLS",
     "CONTRACT_DEPTH_RATIO",
     "KernelBackend",
     "available_backends",
-    "default_job_count",
     "get_backend",
     "last_selection",
     "record_selection",
@@ -71,25 +58,17 @@ __all__ = [
     "should_contract",
 ]
 
-#: Smallest ``nodes x scenarios`` plane for which ``engine=None`` escalates
-#: to the process backend: below this the serial kernels finish in a few
-#: milliseconds and worker dispatch would only add latency.
-AUTO_PROCESS_CELLS = 1 << 19
-
 #: Smallest ``nodes x scenarios`` plane for which ``engine=None`` prefers
-#: the JIT-compiled kernels when they are usable.  Lower than
-#: :data:`AUTO_PROCESS_CELLS` because a compiled in-process sweep has no
-#: fan-out cost to amortize -- only the (cached, one-time) warm-up -- but
-#: still high enough that sub-millisecond sweeps skip the readiness probe
-#: entirely.
+#: the JIT-compiled kernels when they are usable: high enough that
+#: sub-millisecond sweeps skip the readiness probe (and the one-time,
+#: cached warm-up) entirely.
 AUTO_NATIVE_CELLS = 1 << 16
 
 #: Depth-pathology threshold: ``engine=None`` picks the contraction kernels
 #: when ``depth / log2(nodes) >= CONTRACT_DEPTH_RATIO``.  Bushy forests sit
 #: near ratio 1-4 and stay on the level sweeps (fewer, cheaper rounds);
 #: chains and URC ladders reach ratios in the hundreds where O(log N)
-#: contraction rounds win outright.  The process backend's shard workers
-#: apply the same test per shard.  Tunable: benchmarks may lower it, and
+#: contraction rounds win outright.  Tunable: benchmarks may lower it, and
 #: tests monkeypatch it to force either side of the decision.
 CONTRACT_DEPTH_RATIO = 32.0
 
@@ -103,14 +82,12 @@ class KernelBackend:
     """One registered execution strategy for the scenario-batched solve.
 
     ``solver`` has the engine signature ``solver(structure, base, planes,
-    count, jobs, chunk)`` (see :func:`repro.parallel.engine.solve_forest_batch`,
-    which dispatches to it); ``parallel`` marks backends that fan out to
-    workers and therefore consume a ``jobs`` count.
+    count, chunk)`` (see :func:`repro.parallel.engine.solve_forest_batch`,
+    which dispatches to it).
     """
 
     name: str
     solver: Callable
-    parallel: bool
     description: str = ""
 
 
@@ -121,15 +98,12 @@ def register_backend(
     name: str,
     solver: Callable,
     *,
-    parallel: bool,
     description: str = "",
 ) -> KernelBackend:
     """Register (or replace) a named backend and return its record."""
     if not name or name == "auto":
         raise AnalysisError(f"backend name {name!r} is reserved")
-    backend = KernelBackend(
-        name=name, solver=solver, parallel=parallel, description=description
-    )
+    backend = KernelBackend(name=name, solver=solver, description=description)
     _REGISTRY[name] = backend
     return backend
 
@@ -147,19 +121,6 @@ def get_backend(name: str) -> KernelBackend:
 def available_backends() -> Tuple[str, ...]:
     """Registered backend names, in registration order."""
     return tuple(_REGISTRY)
-
-
-def default_job_count() -> int:
-    """Usable worker count: the CPU affinity mask when the OS exposes one."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux fallback
-        return max(1, os.cpu_count() or 1)
-
-
-def _in_daemon_worker() -> bool:
-    """True inside a daemonic (pool) worker, where children cannot be forked."""
-    return bool(multiprocessing.current_process().daemon)
 
 
 def _native_ready() -> bool:
@@ -204,7 +165,6 @@ def record_selection(
     nodes: int = 0,
     scenarios: int = 0,
     depth: int = 0,
-    jobs: int = 1,
     reason: str = "",
 ) -> None:
     """Note which backend a solve chose; print it when the log knob is on.
@@ -224,7 +184,6 @@ def record_selection(
         "nodes": int(nodes),
         "scenarios": int(scenarios),
         "depth": int(depth),
-        "jobs": int(jobs),
         "reason": reason,
     }
     _LAST_SELECTION[:] = [record]
@@ -232,7 +191,7 @@ def record_selection(
     if flag and flag != "0":
         line = (
             "repro.engine: engine={engine} (requested={requested}) "
-            "nodes={nodes} scenarios={scenarios} depth={depth} jobs={jobs}".format(
+            "nodes={nodes} scenarios={scenarios} depth={depth}".format(
                 **record
             )
         )
@@ -256,7 +215,7 @@ def last_selection() -> Optional[Dict[str, object]]:
 
     Keys: ``requested`` (the caller's ``engine=`` value, ``"auto"`` when it
     was left to the resolver), ``engine`` (the backend that actually ran),
-    ``nodes``, ``scenarios``, ``depth``, ``jobs`` and ``reason`` (empty
+    ``nodes``, ``scenarios``, ``depth`` and ``reason`` (empty
     unless the request was degraded for a capability reason -- e.g. why a
     ``"native"`` request ran on ``"numpy"``).  This is the programmatic
     face of the ``REPRO_ENGINE_LOG`` knob, used by the auto-selection and
@@ -269,11 +228,10 @@ def resolve_engine(
     engine: Optional[str] = None,
     *,
     cells: int = 0,
-    jobs: Optional[int] = None,
     nodes: int = 0,
     depth: int = 0,
-) -> Tuple[KernelBackend, int]:
-    """Pick the backend and worker count for a sweep of ``cells`` elements.
+) -> KernelBackend:
+    """Pick the backend for a sweep of ``cells`` elements.
 
     ``engine=None`` / ``"auto"`` first checks the depth pathology: a forest
     with ``depth / log2(nodes) >= CONTRACT_DEPTH_RATIO`` (see
@@ -281,28 +239,12 @@ def resolve_engine(
     contraction rounds of ``"native"`` when those are warm and the sweep
     clears :data:`AUTO_NATIVE_CELLS`, else for the ``"contract"`` kernels,
     whose round count is O(log N) instead of O(depth).  Otherwise a sweep
-    of at least :data:`AUTO_PROCESS_CELLS` cells with more than one usable
-    worker (``jobs`` when given, else the affinity-aware
-    :func:`default_job_count`) escalates -- to ``"native"`` (compiled
-    kernels per shard) when ready, else ``"process"`` -- and a sweep of at
-    least :data:`AUTO_NATIVE_CELLS` cells runs the compiled kernels
-    in-process (``jobs`` forced to 1: no fan-out cost below the process
-    threshold); the default remains ``"numpy"``.  Explicit names are
-    honoured as-is (except inside a daemonic worker, where nested pools
-    cannot exist: ``"process"`` silently degrades to serial numpy and
-    ``"native"`` runs its serial compiled path with one job).  Returns
-    ``(backend, jobs)`` with ``jobs`` meaningful only for parallel backends.
+    of at least :data:`AUTO_NATIVE_CELLS` cells runs the compiled kernels
+    when they are ready; the default remains ``"numpy"``.  Explicit names
+    are honoured as-is.
     """
-    if jobs is not None:
-        jobs = int(jobs)
-        if jobs < 1:
-            raise AnalysisError(f"jobs must be >= 1, got {jobs}")
     name = engine if engine is not None else "auto"
     if name == "auto":
-        workers = jobs if jobs is not None else default_job_count()
-        escalate = (
-            workers >= 2 and cells >= AUTO_PROCESS_CELLS and not _in_daemon_worker()
-        )
         native_ok = (
             "native" in _REGISTRY and cells >= AUTO_NATIVE_CELLS and _native_ready()
         )
@@ -310,21 +252,6 @@ def resolve_engine(
             name = "native" if native_ok else "contract"
         elif native_ok:
             name = "native"
-        elif escalate and "process" in _REGISTRY:
-            name = "process"
         else:
             name = "numpy"
-        if name == "native" and not escalate:
-            # Below the process threshold the compiled sweep runs
-            # in-process; sharding would only add dispatch overhead.
-            jobs = 1
-    backend = get_backend(name)
-    if not backend.parallel:
-        return backend, 1
-    if _in_daemon_worker():
-        if backend.name == "native":
-            # The serial compiled path needs no child processes, so an
-            # explicit "native" inside a pool worker still runs compiled.
-            return backend, 1
-        return get_backend("numpy"), 1
-    return backend, jobs if jobs is not None else default_job_count()
+    return get_backend(name)

@@ -1,52 +1,30 @@
-"""The sharded multi-core solve engine behind ``engine="process"``.
+"""The scenario-batched forest solve behind every ``engine=`` parameter.
 
 :func:`solve_forest_batch` is the single entry point every scenario-batched
 caller funnels through (:meth:`repro.flat.FlatForest.solve_batch` delegates
 here, which carries :meth:`repro.graph.DesignDB.solve_scenarios`,
 :meth:`repro.graph.TimingGraph.analyze_scenarios`,
-:func:`repro.apps.corners.corner_sweep` and the CLI's ``timing --jobs``
+:func:`repro.apps.corners.corner_sweep` and the CLI's ``timing --corners``
 along).  It normalizes the element planes, picks a backend through
 :func:`repro.parallel.backends.resolve_engine`, and runs the paper's two
 characteristic-time passes chunk by chunk over the scenario axis.
 
-Execution model of the process backend
---------------------------------------
-
-* The forest is partitioned into contiguous, node-balanced shards
-  (:func:`repro.parallel.sharding.plan_shards`).  Because every tree's nodes
-  are contiguous and no level sweep ever reads across tree boundaries, a
-  shard solve is **bitwise identical** to the same trees' rows of a
-  whole-forest solve -- the 1e-12 parity the tests pin is really exact
-  equality.
-* Two ``multiprocessing.shared_memory`` blocks carry everything the
-  workers touch, both node-major (the kernels' orientation): a transient
-  input block with the structure arrays (``parent``, ``depth``) and the
-  current chunk's element planes, and a result block whose five planes are
-  returned to the caller as zero-copy transposed views.  Workers attach by
-  name and read/write their ``[node_lo, node_hi)`` slice -- no element or
-  result data is ever pickled, and no transpose happens on the worker path.
-* The scenario axis is processed in bounded chunks
-  (:func:`repro.parallel.sharding.scenario_chunks`): the shared planes are
-  allocated at chunk width and refilled per chunk, so a 256-scenario sweep
-  of a large design never materializes more than a few
-  :data:`~repro.parallel.sharding.DEFAULT_CHUNK_CELLS`-sized planes at once.
-* Worker pools are cached per worker count and reused across solves (fork
-  cost is paid once, not per sweep); nothing about a *forest* is cached
-  anywhere in this module, so incremental edits
-  (:meth:`~repro.flat.FlatForest.replace_tree`,
-  :meth:`~repro.graph.DesignDB.update_net`) invalidate exactly as they do
-  for the serial path -- the next solve simply reads the forest's current
-  arrays.
+Every backend runs in the calling thread and keeps no state between
+solves, so concurrent solves on different forests are independent.  The
+scenario axis is processed in bounded chunks
+(:func:`repro.parallel.sharding.scenario_chunks`), so a 256-scenario sweep
+of a large design never materializes more than a few
+:data:`~repro.parallel.sharding.DEFAULT_CHUNK_CELLS`-sized planes at once.
+Nothing about a *forest* is cached anywhere in this module, so incremental
+edits (:meth:`~repro.flat.FlatForest.replace_tree`,
+:meth:`~repro.graph.DesignDB.update_net`) are reflected by the next solve,
+which simply reads the forest's current arrays.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
-import weakref
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +42,7 @@ from repro.parallel.backends import (
     resolve_engine,
     should_contract,
 )
-from repro.parallel.sharding import plan_shards, scenario_chunks, shard_node_ranges
+from repro.parallel.sharding import scenario_chunks
 
 __all__ = ["ForestStructure", "solve_forest_batch", "shutdown_pools"]
 
@@ -81,8 +59,6 @@ BasePlanes = Tuple[np.ndarray, np.ndarray, np.ndarray]
 ScenarioPlanes = Tuple[
     Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]
 ]
-#: Field name -> (byte offset, shape, dtype) inside one shared block.
-BlockLayout = Dict[str, Tuple[int, Tuple[int, ...], str]]
 
 
 @dataclass(frozen=True)
@@ -145,8 +121,7 @@ def _chunk_matrix(
     Copy-free when the caller's plane is already node-major underneath (an
     ``(S, N)`` array that is a transposed view of a C-contiguous ``(N, S)``
     matrix, the layout :meth:`repro.graph.DesignDB.solve_scenarios` builds);
-    otherwise one materialization, exactly like the pre-parallel
-    ``as_node_matrix`` path.
+    otherwise one materialization, exactly like ``as_node_matrix``.
     """
     w = hi - lo
     if values is None:
@@ -154,26 +129,6 @@ def _chunk_matrix(
     if values.ndim == 1:
         return np.ascontiguousarray(np.broadcast_to(values[np.newaxis, lo:hi], (n, w)))
     return np.ascontiguousarray(values[lo:hi].T)
-
-
-def _fill_node_chunk(
-    out: np.ndarray,
-    values: Optional[np.ndarray],
-    base: np.ndarray,
-    lo: int,
-    hi: int,
-) -> None:
-    """Write the node-major ``(N, hi-lo)`` element matrix into a shared plane.
-
-    For a plane that is a transposed node-major view this is one straight
-    memcpy; broadcast forms are cheap strided fills.
-    """
-    if values is None:
-        out[:] = base[:, np.newaxis]
-    elif values.ndim == 1:
-        out[:] = values[np.newaxis, lo:hi]
-    else:
-        np.copyto(out, values[lo:hi].T)
 
 
 def _solve_range(
@@ -185,18 +140,15 @@ def _solve_range(
     nc: np.ndarray,
     sweep: Optional[SweepFn] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The forest kernel over one contiguous node range.
+    """The forest kernel over one chunk of scenario columns.
 
-    ``parent`` must be range-local (roots ``-1``), ``starts`` the local
-    first-node index of each member tree.  Returns ``(ree, tde, tre, tp,
-    total)`` with the node-indexed arrays shaped like ``er`` and the
-    per-tree reductions shaped ``(trees, S)``.  With the default level
-    sweeps the arithmetic -- including the per-tree ``reduceat`` order --
-    is exactly the whole-forest kernel's, which is what makes shard results
-    bitwise identical to serial results; ``sweep`` substitutes an
-    alternative two-pass kernel with the :func:`sweep_scenarios` signature
-    minus ``levels`` (the contraction kernel), which keeps the documented
-    1e-12 parity instead.
+    ``parent`` marks roots ``-1``, ``starts`` is the first-node index of
+    each member tree.  Returns ``(ree, tde, tre, tp, total)`` with the
+    node-indexed arrays shaped like ``er`` and the per-tree reductions
+    shaped ``(trees, S)``.  ``sweep`` substitutes an alternative two-pass
+    kernel with the :func:`sweep_scenarios` signature minus ``levels`` (the
+    contraction and compiled kernels), which keeps the documented 1e-12
+    parity with the level sweeps.
     """
     if sweep is None:
         rkk, _, tde, tre = sweep_scenarios(levels, parent, er, ec, nc)
@@ -204,11 +156,9 @@ def _solve_range(
         rkk, _, tde, tre = sweep(parent, er, ec, nc)
     rkk_parent = rkk[np.maximum(parent, 0)]
     # A root has no parent edge: its gathered "parent" row above is whatever
-    # node sits at local index 0, which differs between a whole-forest solve
-    # and a shard solve.  Base forests keep root edge elements at zero so the
-    # term vanishes either way, but solve_batch accepts arbitrary planes --
-    # zero the root rows explicitly so every node range, sharded or not,
-    # computes the identical (and well-defined) T_P contribution.
+    # node sits at index 0.  Base forests keep root edge elements at zero so
+    # the term vanishes, but solve_batch accepts arbitrary planes -- zero the
+    # root rows explicitly so the T_P contribution is well-defined.
     rkk_parent[parent < 0] = 0.0
     tp_terms = rkk * nc + (rkk_parent + er / 2.0) * ec
     tp = np.add.reduceat(tp_terms, starts, axis=0)
@@ -217,7 +167,7 @@ def _solve_range(
 
 
 # ----------------------------------------------------------------------
-# Serial backends ("numpy" and "contract")
+# Backends ("numpy", "contract" and "native")
 # ----------------------------------------------------------------------
 def _solve_serial(
     structure: ForestStructure,
@@ -227,7 +177,7 @@ def _solve_serial(
     chunk: Optional[int],
     sweep: Optional[SweepFn] = None,
 ) -> ScenarioForestTimes:
-    """Chunked in-process execution of the forest kernel.
+    """Chunked execution of the forest kernel in the calling thread.
 
     ``sweep=None`` runs the level sweeps (the ``"numpy"`` reference path);
     a ``sweep`` callable substitutes another two-pass kernel -- the
@@ -288,7 +238,6 @@ def _solve_numpy(
     base: BasePlanes,
     planes: ScenarioPlanes,
     count: int,
-    jobs: int,
     chunk: Optional[int],
 ) -> ScenarioForestTimes:
     """Chunked serial execution of the level sweeps (the reference path)."""
@@ -299,7 +248,7 @@ def _contract_sweep(parent: np.ndarray) -> SweepFn:
     """The contraction kernel with its jump schedule precomputed.
 
     The schedule depends only on topology, so one pass serves every
-    scenario chunk of a solve (and every element plane of a shard).
+    scenario chunk of a solve.
     """
     schedule = jump_schedule(parent)
 
@@ -316,7 +265,6 @@ def _solve_contract(
     base: BasePlanes,
     planes: ScenarioPlanes,
     count: int,
-    jobs: int,
     chunk: Optional[int],
 ) -> ScenarioForestTimes:
     """Chunked serial execution of the pointer-jumping contraction kernels."""
@@ -325,21 +273,16 @@ def _solve_contract(
     )
 
 
-# ----------------------------------------------------------------------
-# Compiled backend ("native")
-# ----------------------------------------------------------------------
 def _native_sweep_for(
     parent: np.ndarray, levels: Sequence[np.ndarray]
 ) -> Optional[SweepFn]:
-    """A compiled two-pass kernel for one node range, or ``None``.
+    """A compiled two-pass kernel for one forest, or ``None``.
 
     ``None`` means the compiled kernels are unusable here (Numba missing,
     disabled via ``REPRO_DISABLE_NATIVE``, or a JIT failure) and the caller
-    should fall through to the numpy kernels.  Deep ranges (per
+    should fall through to the numpy kernels.  Deep forests (per
     :func:`repro.parallel.backends.should_contract`) get the compiled
-    contraction rounds, everything else the fused compiled level sweep --
-    the same per-range decision the process shards make for the numpy
-    kernels.
+    contraction rounds, everything else the fused compiled level sweep.
     """
     from repro.flat import native
 
@@ -354,18 +297,13 @@ def _solve_native(
     base: BasePlanes,
     planes: ScenarioPlanes,
     count: int,
-    jobs: int,
     chunk: Optional[int],
 ) -> ScenarioForestTimes:
-    """Chunked execution of the JIT-compiled kernels, sharded when ``jobs>=2``.
+    """Chunked execution of the JIT-compiled kernels.
 
-    With one worker the compiled sweep runs in-process through the same
-    chunked driver as every serial backend.  With two or more, the solve
-    reuses the entire ``"process"`` shared-memory machinery with a
-    per-shard ``kernel="native"`` hint, so worker count and compiled
-    kernels compose multiplicatively; the kernels are warmed *before* the
-    pool fork so children load the ``cache=True`` artifact instead of
-    compiling.  If the kernels turn out unusable the numpy path runs --
+    The compiled sweep runs through the same chunked driver as every other
+    backend; Numba's ``prange`` spreads each sweep across cores.  If the
+    kernels turn out unusable the numpy path runs --
     :func:`solve_forest_batch` normally swaps the backend (and records the
     reason) before ever dispatching here, so this is a second belt.
     """
@@ -374,397 +312,34 @@ def _solve_native(
         levels = level_buckets(structure.depth)
     sweep = _native_sweep_for(structure.parent, levels)
     if sweep is None:
-        return _solve_numpy(structure, base, planes, count, 1, chunk)
-    if jobs >= 2:
-        offsets = np.asarray(structure.offsets, dtype=np.int64)
-        if len(plan_shards(offsets, jobs)) > 1:
-            return _solve_process_impl(
-                structure, base, planes, count, jobs, chunk, kernel="native"
-            )
+        return _solve_numpy(structure, base, planes, count, chunk)
     return _solve_serial(structure, base, planes, count, chunk, sweep=sweep)
 
 
-# ----------------------------------------------------------------------
-# Sharded process backend ("process")
-# ----------------------------------------------------------------------
-#: Transient input block: structure arrays plus the current chunk's element
-#: planes.  Everything is **node-major** ``(N, width)`` -- the kernel's own
-#: orientation -- so workers operate on direct slices with no transposes,
-#: and a caller plane that is node-major underneath refills as one memcpy.
-_IN_FIELDS = ("parent", "depth", "er", "ec", "nc")
-#: Result block: full-sweep, node-major; returned zero-copy as the ``.T``
-#: views of the :class:`~repro.flat.scenarios.ScenarioForestTimes` (the
-#: serial path returns transposed views of its working arrays too).
-_OUT_FIELDS = ("ree", "tde", "tre", "tp", "total")
-
-
-def _block_layout(
-    fields: Sequence[str], shapes: Dict[str, Tuple[Tuple[int, ...], str]]
-) -> BlockLayout:
-    """Byte offset, shape and dtype of each field inside one shared block."""
-    layout: Dict[str, Tuple[int, Tuple[int, ...], str]] = {}
-    offset = 0
-    for field in fields:
-        shape, dtype = shapes[field]
-        layout[field] = (offset, shape, dtype)
-        offset += int(np.prod(shape)) * np.dtype(dtype).itemsize
-    layout["__size__"] = (offset, (), "")
-    return layout
-
-
-def _in_layout(n: int, width: int) -> BlockLayout:
-    return _block_layout(
-        _IN_FIELDS,
-        {
-            "parent": ((n,), "int64"),
-            "depth": ((n,), "int64"),
-            "er": ((n, width), "float64"),
-            "ec": ((n, width), "float64"),
-            "nc": ((n, width), "float64"),
-        },
-    )
-
-
-def _out_layout(n: int, trees: int, count: int) -> BlockLayout:
-    return _block_layout(
-        _OUT_FIELDS,
-        {
-            "ree": ((n, count), "float64"),
-            "tde": ((n, count), "float64"),
-            "tre": ((n, count), "float64"),
-            "tp": ((trees, count), "float64"),
-            "total": ((trees, count), "float64"),
-        },
-    )
-
-
-def _views(
-    buffer: memoryview, layout: BlockLayout, fields: Sequence[str]
-) -> Dict[str, np.ndarray]:
-    """Numpy views of every field of a shared block.
-
-    Built with :func:`np.frombuffer` deliberately: unlike
-    ``np.ndarray(buffer=...)`` (whose ``base`` bypasses the memoryview and
-    holds no PEP-3118 export), a ``frombuffer`` view keeps a real buffer
-    export open, so a premature ``SharedMemory.close()`` raises
-    ``BufferError`` instead of unmapping pages a live array still reads.
-    """
-    views: Dict[str, np.ndarray] = {}
-    for field in fields:
-        offset, shape, dtype = layout[field]
-        count = int(np.prod(shape)) if shape else 0
-        views[field] = np.frombuffer(
-            buffer, dtype=dtype, count=count, offset=offset
-        ).reshape(shape)
-    return views
-
-
-def _release_block(shm: shared_memory.SharedMemory) -> None:
-    """Release a block we created, tolerating still-live numpy views.
-
-    If views still export the buffer, ``close()`` raises ``BufferError``;
-    the mapping then lives exactly as long as the last view (the memoryview
-    keeps the mmap alive, the OS frees the pages on its collection), and
-    the ``SharedMemory`` destructor is disarmed so it cannot retry.  The
-    name is unlinked either way, so nothing persists past the process.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        shm._buf = None
-        shm._mmap = None
-    try:
-        shm.unlink()
-    except Exception:
-        pass
-
-
-class _ResultBlock:
-    """Owns the result shared-memory block for its numpy views' lifetime.
-
-    The views handed back to the caller hold buffer exports that keep the
-    mapping alive; when the holder (stashed on the returned record) is
-    collected -- or at interpreter exit, whichever comes first -- the block
-    is released via :func:`_release_block`.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.shm = shared_memory.SharedMemory(create=True, size=size)
-        self._finalizer = weakref.finalize(self, _release_block, self.shm)
-
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without adopting cleanup responsibility.
-
-    Before Python 3.13 every attach registers the segment with a
-    ``resource_tracker``.  Under the ``fork`` start method the worker shares
-    the creator's tracker, so the duplicate registration is a harmless
-    set-dedupe and must be left alone (unregistering here would break the
-    creator's own unlink).  Under ``spawn``/``forkserver`` the worker has its
-    *own* tracker, which would warn about -- and eventually unlink -- a
-    segment the creator still owns, so there the registration is undone.
-    """
-    block = shared_memory.SharedMemory(name=name)
-    if multiprocessing.get_start_method() != "fork":
-        try:  # pragma: no cover - non-fork platforms, version-dependent
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(block._name, "shared_memory")
-        except Exception:
-            pass
-    return block
-
-
-def _solve_shard_into(
-    in_buf: memoryview,
-    out_buf: memoryview,
-    n: int,
-    trees: int,
-    count: int,
-    width: int,
-    w: int,
-    lo: int,
-    t_lo: int,
-    t_hi: int,
-    n_lo: int,
-    n_hi: int,
-    offsets_local: Sequence[int],
-    kernel: str = "auto",
-) -> None:
-    """Solve one shard's node range for one chunk; views scoped to this frame.
-
-    Both blocks are node-major, so the kernel runs on direct slices of the
-    input planes and writes straight into columns ``[lo, lo+w)`` of the
-    result block -- no transposes anywhere on this path.  Each shard picks
-    its own kernel: a depth-pathological shard (per
-    :func:`repro.parallel.backends.should_contract`) runs the contraction
-    sweeps -- 1e-12-equal to, but not bitwise-identical with, the level
-    sweeps -- so one deep chain inside an otherwise bushy design cannot
-    serialize its worker.  ``kernel="native"`` (the hint
-    :func:`_solve_native` sends) makes the shard run the JIT-compiled
-    kernels instead, with the same per-shard deep/shallow decision; a
-    worker where the compiled kernels are unusable falls back to the numpy
-    choice above, so a heterogeneous pool still completes correctly.
-    """
-    ins = _views(in_buf, _in_layout(n, width), _IN_FIELDS)
-    outs = _views(out_buf, _out_layout(n, trees, count), _OUT_FIELDS)
-    parent = ins["parent"][n_lo:n_hi].copy()
-    parent[parent >= 0] -= n_lo
-    levels = level_buckets(ins["depth"][n_lo:n_hi])
-    starts = np.asarray(offsets_local, dtype=np.int64) - n_lo
-    er = ins["er"][n_lo:n_hi, :w]
-    ec = ins["ec"][n_lo:n_hi, :w]
-    nc = ins["nc"][n_lo:n_hi, :w]
-    sweep = None
-    if kernel == "native":
-        sweep = _native_sweep_for(parent, levels)
-    if sweep is None and should_contract(len(levels) - 1, n_hi - n_lo):
-        sweep = _contract_sweep(parent)
-    ree, tde, tre, tp, total = _solve_range(
-        parent, levels, starts, er, ec, nc, sweep=sweep
-    )
-    outs["ree"][n_lo:n_hi, lo : lo + w] = ree
-    outs["tde"][n_lo:n_hi, lo : lo + w] = tde
-    outs["tre"][n_lo:n_hi, lo : lo + w] = tre
-    outs["tp"][t_lo:t_hi, lo : lo + w] = tp
-    outs["total"][t_lo:t_hi, lo : lo + w] = total
-
-
-#: Worker-side single-slot attachment cache for the parent's (cached,
-#: stable-named) input block: re-attaching per task would re-mmap the same
-#: segment over and over.  Result blocks are fresh-named per solve and are
-#: attached/closed per task instead.
-_WORKER_IN: List[Tuple[str, shared_memory.SharedMemory]] = []
-
-
-def _attach_input(name: str) -> shared_memory.SharedMemory:
-    """Attach the input block, reusing the mapping while the name is stable."""
-    if _WORKER_IN and _WORKER_IN[0][0] == name:
-        return _WORKER_IN[0][1]
-    while _WORKER_IN:
-        _, old = _WORKER_IN.pop()
-        try:
-            old.close()
-        except BufferError:  # pragma: no cover - views die with the task
-            pass
-    block = _attach(name)
-    _WORKER_IN.append((name, block))
-    return block
-
-
-def _solve_shard_task(args: Tuple[Any, ...]) -> None:
-    """Worker body: attach the shared blocks and solve one shard inside them."""
-    in_name, out_name = args[0], args[1]
-    in_block = _attach_input(in_name)
-    out_block = _attach(out_name)
-    try:
-        _solve_shard_into(in_block.buf, out_block.buf, *args[2:])
-    finally:
-        try:
-            # The happy path has dropped every numpy view by now; on an
-            # error path the in-flight traceback may still pin buffer
-            # exports -- let the real error propagate instead of masking
-            # it, the mapping dies with the task anyway.
-            out_block.close()
-        except BufferError:  # pragma: no cover - error path only
-            pass
-
-
-#: Parent-side single-slot cache for the transient input block: reused
-#: across solves while big enough, so steady-state sweeps skip segment
-#: creation and first-touch page faults.  (The solve path is not
-#: re-entrant -- one in-flight sharded solve per process, which nesting
-#: prevention in ``resolve_engine`` already guarantees.)
-_IN_CACHE: List[shared_memory.SharedMemory] = []
-
-
-def _input_block(size: int) -> shared_memory.SharedMemory:
-    """Get-or-create the cached input block with at least ``size`` bytes."""
-    if _IN_CACHE and _IN_CACHE[0].size >= size:
-        return _IN_CACHE[0]
-    while _IN_CACHE:
-        _release_block(_IN_CACHE.pop())
-    block = shared_memory.SharedMemory(create=True, size=size)
-    _IN_CACHE.append(block)
-    return block
-
-
-def _release_input_cache() -> None:
-    """Unlink the cached input block (registered with :mod:`atexit`)."""
-    while _IN_CACHE:
-        _release_block(_IN_CACHE.pop())
-
-
-atexit.register(_release_input_cache)
-
-_POOLS: Dict[int, "multiprocessing.pool.Pool"] = {}
-
-
-def _pool(jobs: int) -> "multiprocessing.pool.Pool":
-    """A cached worker pool of the given size (fork cost paid once)."""
-    pool = _POOLS.get(jobs)
-    if pool is None:
-        pool = multiprocessing.get_context().Pool(processes=jobs)
-        _POOLS[jobs] = pool
-    return pool
-
-
 def shutdown_pools() -> None:
-    """Terminate every cached worker pool (registered with :mod:`atexit`)."""
-    for pool in _POOLS.values():
-        pool.terminate()
-        pool.join()
-    _POOLS.clear()
+    """Kept for callers that release execution resources; a no-op.
 
-
-atexit.register(shutdown_pools)
-
-
-def _solve_process(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    jobs: int,
-    chunk: Optional[int],
-) -> ScenarioForestTimes:
-    """Sharded execution over shared-memory planes (see the module docstring)."""
-    return _solve_process_impl(structure, base, planes, count, jobs, chunk)
-
-
-def _solve_process_impl(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    jobs: int,
-    chunk: Optional[int],
-    kernel: str = "auto",
-) -> ScenarioForestTimes:
-    """Shared body of ``"process"`` and sharded ``"native"`` solves.
-
-    ``kernel`` is forwarded to every shard task: ``"auto"`` keeps the
-    numpy level/contraction choice (the plain process backend, bitwise on
-    shallow shards), ``"native"`` runs the JIT-compiled kernels per shard.
+    Every backend runs in the calling thread, so there are no worker pools
+    or shared-memory blocks to release.
     """
-    n = structure.node_count
-    trees = structure.tree_count
-    offsets = np.asarray(structure.offsets, dtype=np.int64)
-    shards = plan_shards(offsets, jobs)
-    if len(shards) == 1:
-        return _solve_numpy(structure, base, planes, count, 1, chunk)
-    ranges = shard_node_ranges(offsets, shards)
-    chunks = scenario_chunks(count, n, chunk=chunk)
-    width = chunks[0][1] - chunks[0][0]
-    base_er, base_ec, base_nc = base
-    plane_er, plane_ec, plane_nc = planes
-
-    out_layout = _out_layout(n, trees, count)
-    holder = _ResultBlock(out_layout["__size__"][0])
-    outs = _views(holder.shm.buf, out_layout, _OUT_FIELDS)
-
-    in_layout = _in_layout(n, width)
-    block = _input_block(in_layout["__size__"][0])
-    ins = _views(block.buf, in_layout, _IN_FIELDS)
-    ins["parent"][:] = structure.parent
-    ins["depth"][:] = structure.depth
-    pool = _pool(len(shards))
-    for lo, hi in chunks:
-        w = hi - lo
-        _fill_node_chunk(ins["er"][:, :w], plane_er, base_er, lo, hi)
-        _fill_node_chunk(ins["ec"][:, :w], plane_ec, base_ec, lo, hi)
-        _fill_node_chunk(ins["nc"][:, :w], plane_nc, base_nc, lo, hi)
-        tasks = [
-            (
-                block.name, holder.shm.name, n, trees, count, width, w, lo,
-                t_lo, t_hi, n_lo, n_hi,
-                # Task payloads must be picklable plain objects; this is
-                # O(trees/shard) packing, not a per-node hot path.
-                offsets[t_lo:t_hi].tolist(),  # reprolint: disable=RL002
-                kernel,
-            )
-            for (t_lo, t_hi), (n_lo, n_hi) in zip(shards, ranges)
-        ]
-        pool.map(_solve_shard_task, tasks, chunksize=1)
-    times = ScenarioForestTimes(
-        tp=outs["tp"].T,
-        tde=outs["tde"].T,
-        tre=outs["tre"].T,
-        ree=outs["ree"].T,
-        total_capacitance=outs["total"].T,
-    )
-    # The arrays are zero-copy views into the result block; pin its owner to
-    # the record so the mapping lives exactly as long as the results do.
-    object.__setattr__(times, "_shared_block", holder)
-    return times
 
 
 register_backend(
     "numpy",
     _solve_numpy,
-    parallel=False,
-    description="serial vectorized kernels, in-process (the reference path)",
-)
-register_backend(
-    "process",
-    _solve_process,
-    parallel=True,
-    description="node-balanced shards solved by worker processes over "
-    "shared-memory element/result planes",
+    description="vectorized level sweeps, in-process (the reference path)",
 )
 register_backend(
     "contract",
     _solve_contract,
-    parallel=False,
     description="pointer-jumping tree contraction: O(log N) rounds "
     "regardless of depth, for chain-heavy forests",
 )
 register_backend(
     "native",
     _solve_native,
-    parallel=True,
-    description="Numba JIT-compiled fused sweeps, serial or per-shard "
-    "inside the process machinery; degrades to numpy without Numba",
+    description="Numba JIT-compiled fused sweeps, prange-parallel across "
+    "cores; degrades to numpy without Numba",
 )
 
 
@@ -778,7 +353,6 @@ def solve_forest_batch(
     count: int,
     *,
     engine: Optional[str] = None,
-    jobs: Optional[int] = None,
     scenario_chunk: Optional[int] = None,
 ) -> ScenarioForestTimes:
     """Solve every tree of a forest under ``count`` scenarios.
@@ -787,11 +361,9 @@ def solve_forest_batch(
     arrays; ``planes`` the caller's overrides in
     :meth:`~repro.flat.FlatTree.solve_batch` form (``None`` / ``(S,)`` /
     ``(S, N)`` each).  ``engine`` selects a registered backend by name
-    (``None`` auto-selects by sweep size and depth pathology), ``jobs``
-    caps the worker count of parallel backends, and ``scenario_chunk``
-    overrides the bounded-memory chunk width.  Every backend returns
-    numerically identical (to 1e-12; bitwise between ``"numpy"`` and
-    ``"process"`` on shallow shards)
+    (``None`` auto-selects by sweep size and depth pathology) and
+    ``scenario_chunk`` overrides the bounded-memory chunk width.  Every
+    backend returns numerically identical (to 1e-12)
     :class:`~repro.flat.scenarios.ScenarioForestTimes` -- backend choice is
     an execution detail, never a semantics change.  The selection is
     recorded (:func:`repro.parallel.backends.last_selection`) and reported
@@ -806,9 +378,7 @@ def solve_forest_batch(
         depth = len(structure.levels) - 1
     else:
         depth = int(structure.depth.max()) if n else 0
-    backend, jobs = resolve_engine(
-        engine, cells=n * count, jobs=jobs, nodes=n, depth=depth
-    )
+    backend = resolve_engine(engine, cells=n * count, nodes=n, depth=depth)
     reason = ""
     if backend.name == "native":
         from repro.flat import native
@@ -819,14 +389,8 @@ def solve_forest_batch(
             # the solve with the reference kernels and record why, instead
             # of failing a pipeline over an optional accelerator.
             reason = f"native kernels unavailable ({native.native_status()})"
-            backend, jobs = resolve_engine("numpy")
+            backend = resolve_engine("numpy")
     record_selection(
-        engine,
-        backend.name,
-        nodes=n,
-        scenarios=count,
-        depth=depth,
-        jobs=jobs,
-        reason=reason,
+        engine, backend.name, nodes=n, scenarios=count, depth=depth, reason=reason
     )
-    return backend.solver(structure, base, planes, count, jobs, scenario_chunk)
+    return backend.solver(structure, base, planes, count, scenario_chunk)

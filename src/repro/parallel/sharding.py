@@ -1,33 +1,21 @@
-"""Shard and chunk planning for the parallel solve engine.
+"""Scenario-chunk planning for the forest solve engine.
 
-Two axes get partitioned:
+The scenario-batched kernels materialize ``(N, S)`` working planes;
+chunking the scenario axis (:func:`scenario_chunks`) caps that working set
+at roughly :func:`default_chunk_cells` elements per plane, so a
+(2k-instance x 256-scenario) sweep runs as a few bounded passes instead of
+one allocation proportional to ``N x S``.
 
-* **trees -> shards** (:func:`plan_shards`): a :class:`~repro.flat.FlatForest`
-  stores its member trees contiguously, so a shard is a *contiguous run of
-  whole trees* -- equivalently one ``[node_lo, node_hi)`` slice of every
-  concatenated element array.  Shards are balanced by **total node count**
-  (the solve is linear in nodes), not by tree count: one 500-node clock tree
-  costs as much as 100 five-node signal nets.  Contiguity is what makes the
-  shared-memory handoff a pair of slice bounds instead of an index list.
-
-* **scenarios -> chunks** (:func:`scenario_chunks`): the scenario-batched
-  kernels materialize ``(N, S)`` working planes; chunking the scenario axis
-  caps that working set at roughly :data:`DEFAULT_CHUNK_CELLS` elements per
-  plane, so a (2k-instance x 256-scenario) sweep runs as a few bounded
-  passes instead of one allocation proportional to ``N x S``.
-
-Both planners are pure functions of sizes -- they hold no state, so they are
+The planner is a pure function of sizes -- it holds no state, so it is
 always consistent with the forest's *current* layout (after
 :meth:`~repro.flat.FlatForest.replace_tree` splices, the next call simply
-sees the new offsets).
+sees the new node count).
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.core.exceptions import AnalysisError
 
@@ -36,9 +24,7 @@ __all__ = [
     "DEFAULT_CHUNK_CELLS",
     "MAX_CHUNK_CELLS",
     "default_chunk_cells",
-    "plan_shards",
     "scenario_chunks",
-    "shard_node_ranges",
 ]
 
 #: Floor on the per-plane cell budget (nodes x scenarios) when the scenario
@@ -106,45 +92,6 @@ def default_chunk_cells() -> int:
         return DEFAULT_CHUNK_CELLS
     derived = available // _MEM_FRACTION // 8
     return int(min(MAX_CHUNK_CELLS, max(DEFAULT_CHUNK_CELLS, derived)))
-
-
-def plan_shards(offsets: Sequence[int], jobs: int) -> List[Tuple[int, int]]:
-    """Partition a forest's trees into ``<= jobs`` contiguous, balanced shards.
-
-    ``offsets`` is the forest's cumulative node-count array (``offsets[t]`` is
-    the global index of tree ``t``'s first node, ``offsets[-1]`` the total
-    node count).  Returns ``[(tree_lo, tree_hi), ...]`` half-open tree-index
-    ranges whose node counts are as even as contiguity allows: cut ``k`` is
-    placed at the tree boundary nearest ``total_nodes * k / jobs``.  Every
-    shard is non-empty; fewer than ``jobs`` shards come back only when there
-    are fewer trees than jobs.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    trees = len(offsets) - 1
-    if trees < 1:
-        raise AnalysisError("cannot shard an empty forest")
-    if jobs < 1:
-        raise AnalysisError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, trees)
-    total = int(offsets[-1])
-    bounds = [0]
-    for cut in range(1, jobs):
-        target = total * cut / jobs
-        boundary = int(np.searchsorted(offsets, target, side="left"))
-        # Keep every shard non-empty: at least one tree behind this cut and
-        # enough trees ahead for the remaining shards.
-        boundary = max(bounds[-1] + 1, min(boundary, trees - (jobs - cut)))
-        bounds.append(boundary)
-    bounds.append(trees)
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-
-def shard_node_ranges(
-    offsets: Sequence[int], shards: Sequence[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """The global ``[node_lo, node_hi)`` slice of each tree shard."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    return [(int(offsets[lo]), int(offsets[hi])) for lo, hi in shards]
 
 
 def scenario_chunks(

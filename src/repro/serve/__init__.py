@@ -15,7 +15,7 @@ solve through :meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`,
 so sixty-four concurrent clients cost one batched forest sweep instead of
 sixty-four serial ones.  All solve work runs in a thread-pool executor --
 handler coroutines never touch a kernel directly (enforced by reprolint
-RL009) -- and engine/jobs selection flows through the
+RL009) -- and engine selection flows through the
 :mod:`repro.parallel` backend registry unchanged.
 
 Everything is stdlib (``asyncio`` + hand-rolled HTTP/1.1): the server adds

@@ -37,6 +37,7 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.tree import RCTree
+from repro.parallel import available_backends
 from repro.sta.cells import Cell, standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import Design, design_from_dict
@@ -46,6 +47,7 @@ __all__ = [
     "ServeError",
     "cell_from_payload",
     "design_from_payload",
+    "engine_from_payload",
     "model_from_payload",
     "parasitics_from_payload",
     "parasitics_to_payload",
@@ -281,6 +283,23 @@ def swaps_from_payload(
             raise ServeError("swap instance must be a non-empty string")
         swaps.append((instance, cell_from_payload(spec, library)))
     return swaps
+
+
+def engine_from_payload(payload: Mapping, default: Optional[str]) -> Optional[str]:
+    """The optional ``engine`` field, checked against the backend registry.
+
+    ``None`` and ``"auto"`` leave the choice to auto-selection; any other
+    value must name a registered backend, so a misspelt engine is refused
+    when the session loads instead of failing every later solve.
+    """
+    value = payload.get("engine", default)
+    if value is None or value == "auto" or value in available_backends():
+        return value
+    choices = ", ".join(("auto",) + available_backends())
+    raise ServeError(
+        f"unknown engine {value!r}; choose one of: {choices}",
+        code="unknown_engine",
+    )
 
 
 def model_from_payload(payload: Mapping, default: DelayModel) -> DelayModel:

@@ -45,6 +45,7 @@ from repro.serve.schema import (
     ServeError,
     cell_from_payload,
     design_from_payload,
+    engine_from_payload,
     model_from_payload,
     parasitics_from_payload,
     parse_json_body,
@@ -82,14 +83,12 @@ class TimingServer:
         *,
         tick: float = 0.002,
         engine: Optional[str] = None,
-        jobs: Optional[int] = None,
         executor_workers: int = 4,
     ):
         self._host = host
         self._port = port
         self._tick = tick
         self._engine = engine
-        self._jobs = jobs
         self.registry = SessionRegistry()
         self._batchers: Dict[str, WhatIfBatcher] = {}
         self._executor = ThreadPoolExecutor(
@@ -289,8 +288,7 @@ class TimingServer:
         store_dir = payload.get("store_dir")
         if store_dir is not None and not isinstance(store_dir, str):
             raise ServeError("'store_dir' must be a directory path string")
-        engine = payload.get("engine", self._engine)
-        jobs = payload.get("jobs", self._jobs)
+        engine = engine_from_payload(payload, self._engine)
 
         def build() -> Session:
             return Session(
@@ -307,7 +305,6 @@ class TimingServer:
                 ),
                 store_dir=store_dir,
                 engine=engine,
-                jobs=jobs,
             )
 
         loop = asyncio.get_running_loop()
@@ -337,7 +334,6 @@ class TimingServer:
             "version": session.version,
             "store_backed": session.store_backed,
             "engine": session.engine,
-            "jobs": session.jobs,
             "batching": batcher.stats.to_payload() if batcher else None,
         }
 
@@ -478,7 +474,6 @@ def run_server(
     *,
     tick: float = 0.002,
     engine: Optional[str] = None,
-    jobs: Optional[int] = None,
     executor_workers: int = 4,
 ) -> None:
     """Blocking entry point: start a :class:`TimingServer` and serve forever."""
@@ -487,7 +482,6 @@ def run_server(
         port,
         tick=tick,
         engine=engine,
-        jobs=jobs,
         executor_workers=executor_workers,
     )
 

@@ -50,7 +50,6 @@ class Session:
         default_wire_capacitance: float = 0.0,
         store_dir: Optional[str] = None,
         engine: Optional[str] = None,
-        jobs: Optional[int] = None,
     ):
         self.name = name
         self.db = DesignDB(
@@ -69,7 +68,6 @@ class Session:
         self._versions = itertools.count(1)
         self.version = 0
         self.engine = engine
-        self.jobs = jobs
         self.store_backed = store_dir is not None
         self.library = standard_cell_library()
         self.closed = False
@@ -114,7 +112,6 @@ class Session:
             path_model=model,
             with_critical_paths=with_paths,
             engine=self.engine,
-            jobs=self.jobs,
         )
         return report.to_dict()
 
@@ -123,7 +120,7 @@ class Session:
     ) -> List[float]:
         """Batched what-if worst slacks -- the coalescer's solve kernel."""
         scores = self.graph.whatif_resize_worst_slack(
-            swaps, model, engine=self.engine, jobs=self.jobs
+            swaps, model, engine=self.engine
         )
         return [float(score) for score in scores]
 

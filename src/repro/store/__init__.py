@@ -1,7 +1,7 @@
 """Out-of-core storage tier: memory-mapped shard store for FlatForest.
 
-The package promotes :func:`repro.parallel.plan_shards` ranges to the
-persistence unit.  A store directory holds node-major ``np.memmap`` shard
+The persistence unit is the shard: a contiguous run of whole trees.  A
+store directory holds node-major ``np.memmap`` shard
 files plus a small JSON manifest (:mod:`repro.store.format`); ingest
 streams trees into shards with O(shard) peak RSS
 (:class:`~repro.store.ShardStoreWriter`, :mod:`repro.store.ingest`); and

@@ -6,11 +6,10 @@ shard file holds the node-major planes of a contiguous run of whole
 trees; a solve walks the shards, materializes one at a time (through a
 bounded hot-shard LRU), hands its arrays to the ordinary
 :func:`repro.parallel.solve_forest_batch` engine registry -- numpy,
-contract or native per shard, worker processes mapping the same files
-for ``jobs=N`` -- and streams the results into a memory-mapped result
-file.  The resident set is O(shard + scenario_chunk) no matter how large
-the design is, because every mapping is released as soon as its window
-has been consumed (see :func:`repro.store.format.release_memmap`).
+contract or native per shard -- and streams the results into a
+memory-mapped result file.  The resident set is O(shard +
+scenario_chunk) no matter how large the design is, because every mapping
+is released as soon as its window has been consumed (see :func:`repro.store.format.release_memmap`).
 
 Incremental ECO: :meth:`replace_tree` rewrites only the owning shard and
 bumps its generation; :meth:`solve` then re-runs exactly the shards whose
@@ -24,7 +23,7 @@ import os
 import tempfile
 import weakref
 from collections import OrderedDict
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -65,6 +64,22 @@ HOT_SHARDS_ENV = "REPRO_STORE_HOT_SHARDS"
 #: hammering a locality cluster never re-reads, small enough to leave the
 #: laptop-RAM budget to the solve temporaries.
 DEFAULT_HOT_SHARDS = 4
+
+
+def _hot_shards_from_env() -> int:
+    """The LRU capacity from ``REPRO_STORE_HOT_SHARDS``, or the default."""
+    raw = os.environ.get(HOT_SHARDS_ENV, "")
+    if not raw:
+        return DEFAULT_HOT_SHARDS
+    try:
+        hot_shards = int(raw)
+    except ValueError:
+        raise AnalysisError(
+            f"{HOT_SHARDS_ENV} must be an integer shard count, got {raw!r}"
+        )
+    if hot_shards < 1:
+        raise AnalysisError(f"{HOT_SHARDS_ENV} must be >= 1, got {hot_shards}")
+    return hot_shards
 
 #: A per-shard plane factory: ``(shard_index, node_lo, node_hi)`` ->
 #: ``(edge_r, edge_c, node_c)`` in :func:`normalize_plane`-accepted shapes
@@ -189,51 +204,6 @@ def _write_batch_windows(
         release_memmap(*maps)
 
 
-#: One store-pool work item (everything a worker needs to map the files).
-_ShardTask = Tuple[
-    str, str, int, int, int, str, int, int, Tuple, Optional[str], Optional[int]
-]
-
-
-def _solve_stored_shard(task: _ShardTask) -> Tuple[np.ndarray, np.ndarray]:
-    """Worker-side shard solve: map the shard file, write the result file.
-
-    Runs in a :mod:`repro.parallel` pool process.  Nothing heavy crosses
-    the pickle boundary -- the worker maps the shard's planes straight
-    from disk and writes its result windows straight back, returning only
-    the small per-tree reductions.
-    """
-    (
-        directory,
-        file_name,
-        nodes,
-        trees,
-        node_lo,
-        result_path,
-        total_nodes,
-        count,
-        planes,
-        engine,
-        scenario_chunk,
-    ) = task
-    hot = _load_hot_shard(os.path.join(directory, file_name), ShardRecord(
-        file_name=file_name, nodes=nodes, trees=trees, depth=0, level_counts=[]
-    ))
-    times = solve_forest_batch(
-        hot.structure,
-        (hot.edge_r, hot.edge_c, hot.node_c),
-        planes,
-        count,
-        engine=engine,
-        jobs=1,
-        scenario_chunk=scenario_chunk,
-    )
-    _write_batch_windows(result_path, total_nodes, count, node_lo, times)
-    tp = np.ascontiguousarray(times.tp.T)
-    total = np.ascontiguousarray(times.total_capacitance.T)
-    return tp, total
-
-
 class StoredForest:
     """A forest whose planes live in memory-mapped shard files.
 
@@ -252,7 +222,7 @@ class StoredForest:
         # through replace_tree -> _invalidate_shard (RL004 contract).
         self._shards: List[ShardRecord] = self._manifest.shards
         if hot_shards is None:
-            hot_shards = int(os.environ.get(HOT_SHARDS_ENV, DEFAULT_HOT_SHARDS))
+            hot_shards = _hot_shards_from_env()
         if hot_shards < 1:
             raise AnalysisError(f"hot_shards must be >= 1, got {hot_shards}")
         self._hot_limit = hot_shards
@@ -483,7 +453,6 @@ class StoredForest:
         *,
         count: Optional[int] = None,
         engine: Optional[str] = None,
-        jobs: Optional[int] = None,
         scenario_chunk: Optional[int] = None,
         planes_for: Optional[PlaneFactory] = None,
     ) -> ScenarioForestTimes:
@@ -492,9 +461,7 @@ class StoredForest:
         Planes follow :meth:`repro.flat.FlatForest.solve_batch` (``None``
         / ``(S,)`` / ``(S, N)``); ``planes_for`` instead fabricates each
         shard's planes on demand (see :data:`PlaneFactory`) so the sweep
-        never holds an ``(S, N)`` matrix.  With ``jobs >= 2`` and
-        broadcast-style planes the shards go to worker processes that map
-        the same files -- no shared-memory copies.  Node-indexed results
+        never holds an ``(S, N)`` matrix.  Node-indexed results
         come back as memmap views over a scratch file that is deleted
         when the result object is garbage collected.
         """
@@ -523,38 +490,28 @@ class StoredForest:
         _allocate_file(scratch_path, result_nbytes(total_nodes, 0, s))
         tp = np.empty((total_trees, s), dtype=np.float64)
         total = np.empty((total_trees, s), dtype=np.float64)
-        node_offsets = self.shard_node_offsets
-        broadcast_only = planes_for is None and all(
-            plane is None or plane.ndim == 1 for plane in planes
-        )
-        if jobs is not None and jobs >= 2 and broadcast_only:
-            self._solve_batch_pool(
-                scratch_path, s, planes, engine, jobs, scenario_chunk, tp, total
-            )
-        else:
-            for shard in range(self.shard_count):
-                node_lo, node_hi, tree_lo, tree_hi = self.shard_bounds(shard)
-                if planes_for is not None:
-                    shard_planes = planes_for(shard, node_lo, node_hi)
-                else:
-                    shard_planes = tuple(
-                        plane if plane is None or plane.ndim == 1
-                        else plane[:, node_lo:node_hi]
-                        for plane in planes
-                    )
-                hot = self.materialize(shard)
-                times = solve_forest_batch(
-                    hot.structure,
-                    (hot.edge_r, hot.edge_c, hot.node_c),
-                    shard_planes,
-                    s,
-                    engine=engine,
-                    jobs=jobs,
-                    scenario_chunk=scenario_chunk,
+        for shard in range(self.shard_count):
+            node_lo, node_hi, tree_lo, tree_hi = self.shard_bounds(shard)
+            if planes_for is not None:
+                shard_planes = planes_for(shard, node_lo, node_hi)
+            else:
+                shard_planes = tuple(
+                    plane if plane is None or plane.ndim == 1
+                    else plane[:, node_lo:node_hi]
+                    for plane in planes
                 )
-                _write_batch_windows(scratch_path, total_nodes, s, node_lo, times)
-                tp[tree_lo:tree_hi] = times.tp.T
-                total[tree_lo:tree_hi] = times.total_capacitance.T
+            hot = self.materialize(shard)
+            times = solve_forest_batch(
+                hot.structure,
+                (hot.edge_r, hot.edge_c, hot.node_c),
+                shard_planes,
+                s,
+                engine=engine,
+                scenario_chunk=scenario_chunk,
+            )
+            _write_batch_windows(scratch_path, total_nodes, s, node_lo, times)
+            tp[tree_lo:tree_hi] = times.tp.T
+            total[tree_lo:tree_hi] = times.total_capacitance.T
         layout = result_layout(total_nodes, 0, s)
         node_maps = [
             map_field(scratch_path, layout[name], slice(0, total_nodes), "r")
@@ -572,47 +529,6 @@ class StoredForest:
         object.__setattr__(times_out, "_store_scratch", scratch)
         weakref.finalize(times_out, release_memmap, *node_maps)
         return times_out
-
-    def _solve_batch_pool(
-        self,
-        scratch_path: str,
-        count: int,
-        planes: Tuple[Optional[np.ndarray], ...],
-        engine: Optional[str],
-        jobs: int,
-        scenario_chunk: Optional[int],
-        tp: np.ndarray,
-        total: np.ndarray,
-    ) -> None:
-        """Fan shards out to worker processes that map the same files."""
-        from repro.parallel.engine import _pool
-
-        worker_engine = None if engine == "process" else engine
-        tasks: List[_ShardTask] = []
-        for shard, record in enumerate(self._shards):
-            node_lo, _, _, _ = self.shard_bounds(shard)
-            tasks.append(
-                (
-                    self._directory,
-                    record.file_name,
-                    record.nodes,
-                    record.trees,
-                    node_lo,
-                    scratch_path,
-                    self.node_count,
-                    count,
-                    planes,
-                    worker_engine,
-                    scenario_chunk,
-                )
-            )
-        pool = _pool(jobs)
-        for shard, (tp_shard, total_shard) in enumerate(
-            pool.map(_solve_stored_shard, tasks)
-        ):
-            _, _, tree_lo, tree_hi = self.shard_bounds(shard)
-            tp[tree_lo:tree_hi] = tp_shard
-            total[tree_lo:tree_hi] = total_shard
 
     # ------------------------------------------------------------------
     # Incremental ECO

@@ -1,8 +1,8 @@
 """On-disk format of the memory-mapped shard store.
 
 A store directory holds one small JSON manifest plus one binary file per
-shard.  The shard is the :func:`repro.parallel.plan_shards` range promoted
-to the persistence unit: a contiguous run of whole trees whose node-major
+shard.  The shard is the persistence unit: a contiguous run of whole
+trees whose node-major
 planes live back to back in a single file, byte-compatible with the
 in-memory arrays the kernels consume (``np.int64`` topology, ``np.float64``
 elements).  Because every field is eight bytes wide and laid out

@@ -4,9 +4,8 @@
 blocks) and flushes a shard file whenever the buffered node count reaches
 the shard target, so ingesting a million-instance design keeps peak RSS at
 O(shard) instead of O(design).  Trees are never split across shards --
-the shard is a contiguous run of whole trees, exactly the unit
-:func:`repro.parallel.plan_shards` hands to worker processes -- so every
-downstream kernel consumes shard files unchanged.
+the shard is a contiguous run of whole trees, which is a forest in its
+own right -- so every downstream kernel consumes shard files unchanged.
 
 The writer is a context manager with transactional semantics: leaving the
 ``with`` block on an exception calls :meth:`abort`, which deletes every

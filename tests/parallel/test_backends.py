@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.exceptions import AnalysisError
 from repro.parallel import (
-    AUTO_PROCESS_CELLS,
+    AUTO_NATIVE_CELLS,
     available_backends,
     get_backend,
     register_backend,
@@ -15,15 +15,11 @@ from repro.parallel import backends as backends_module
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "process" in names
-        assert "contract" in names
-        assert "native" in names
+        assert available_backends() == ("numpy", "contract", "native")
 
-    def test_get_backend_flags(self):
-        assert get_backend("numpy").parallel is False
-        assert get_backend("process").parallel is True
+    def test_process_backend_is_gone(self):
+        with pytest.raises(AnalysisError, match="unknown engine 'process'"):
+            get_backend("process")
 
     def test_unknown_backend_lists_alternatives(self):
         with pytest.raises(AnalysisError, match="numpy"):
@@ -34,94 +30,51 @@ class TestRegistry:
             raise AssertionError
 
         try:
-            backend = register_backend(
-                "unit-test", never_called, parallel=False, description="x"
-            )
+            backend = register_backend("unit-test", never_called, description="x")
             assert get_backend("unit-test") is backend
-            resolved, jobs = resolve_engine("unit-test", cells=10)
-            assert resolved is backend and jobs == 1
+            assert resolve_engine("unit-test", cells=10) is backend
         finally:
             backends_module._REGISTRY.pop("unit-test", None)
 
     def test_reserved_names_rejected(self):
         with pytest.raises(AnalysisError):
-            register_backend("auto", lambda: None, parallel=False)
+            register_backend("auto", lambda: None)
         with pytest.raises(AnalysisError):
-            register_backend("", lambda: None, parallel=False)
+            register_backend("", lambda: None)
 
 
 class TestResolveEngine:
     @pytest.fixture(autouse=True)
     def _without_native(self, monkeypatch):
-        """Pin the compiled kernels 'not ready' so the legacy
-        numpy/process/contract selection lattice is what's under test --
-        deterministic whether or not Numba is installed."""
+        """Pin the compiled kernels 'not ready' so the numpy/contract
+        selection is what's under test -- deterministic whether or not
+        Numba is installed."""
         monkeypatch.setattr(backends_module, "_native_ready", lambda: False)
 
     def test_small_sweep_stays_serial(self):
-        backend, jobs = resolve_engine(None, cells=100, jobs=8)
-        assert backend.name == "numpy" and jobs == 1
+        assert resolve_engine(None, cells=100).name == "numpy"
 
-    def test_big_sweep_escalates_with_workers(self):
-        backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS, jobs=4)
-        assert backend.name == "process" and jobs == 4
-
-    def test_jobs_one_forces_serial_even_when_big(self):
-        backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS * 8, jobs=1)
-        assert backend.name == "numpy" and jobs == 1
+    def test_big_sweep_stays_in_process(self):
+        # No sweep size escalates past the in-process kernels.
+        assert resolve_engine(None, cells=1 << 30).name == "numpy"
 
     def test_auto_alias_matches_none(self):
-        for cells in (10, AUTO_PROCESS_CELLS * 2):
-            assert (
-                resolve_engine(None, cells=cells, jobs=3)[0].name
-                == resolve_engine("auto", cells=cells, jobs=3)[0].name
+        for cells in (10, 1 << 22):
+            assert resolve_engine(None, cells=cells) is resolve_engine(
+                "auto", cells=cells
             )
 
-    def test_explicit_process_honoured_regardless_of_size(self):
-        backend, jobs = resolve_engine("process", cells=1, jobs=2)
-        assert backend.name == "process" and jobs == 2
-
-    def test_process_defaults_jobs_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "default_job_count", lambda: 6)
-        backend, jobs = resolve_engine("process", cells=1)
-        assert backend.name == "process" and jobs == 6
-
-    def test_auto_uses_default_job_count(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "default_job_count", lambda: 1)
-        backend, _ = resolve_engine(None, cells=AUTO_PROCESS_CELLS * 8)
-        assert backend.name == "numpy"
-        monkeypatch.setattr(backends_module, "default_job_count", lambda: 4)
-        backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS * 8)
-        assert backend.name == "process" and jobs == 4
-
-    def test_daemonic_worker_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "_in_daemon_worker", lambda: True)
-        backend, jobs = resolve_engine("process", cells=AUTO_PROCESS_CELLS, jobs=4)
-        assert backend.name == "numpy" and jobs == 1
-
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(AnalysisError):
-            resolve_engine(None, cells=10, jobs=0)
-
     def test_depth_pathology_picks_contract(self):
-        backend, jobs = resolve_engine(None, cells=4000, nodes=4000, depth=3999)
-        assert backend.name == "contract" and jobs == 1
-
-    def test_contract_beats_process_escalation(self, monkeypatch):
-        # A huge *and* deep sweep: the depth pathology wins the auto pick.
-        monkeypatch.setattr(backends_module, "default_job_count", lambda: 4)
-        backend, _ = resolve_engine(
-            None, cells=AUTO_PROCESS_CELLS * 8, nodes=100_000, depth=99_999
-        )
+        backend = resolve_engine(None, cells=4000, nodes=4000, depth=3999)
         assert backend.name == "contract"
 
     def test_shallow_forest_never_contracts(self):
-        backend, _ = resolve_engine(None, cells=4000, nodes=4000, depth=20)
+        backend = resolve_engine(None, cells=4000, nodes=4000, depth=20)
         assert backend.name == "numpy"
 
     def test_explicit_contract_honoured(self):
-        backend, jobs = resolve_engine("contract", cells=1, nodes=4, depth=1)
-        assert backend.name == "contract" and jobs == 1
+        backend = resolve_engine("contract", cells=1, nodes=4, depth=1)
+        assert backend.name == "contract"
 
 
 class TestNativeSelection:
@@ -135,81 +88,27 @@ class TestNativeSelection:
     def _with_native(self, monkeypatch):
         monkeypatch.setattr(backends_module, "_native_ready", lambda: True)
 
-    def test_big_sweep_escalation_prefers_native_shards(self):
-        backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS, jobs=4)
-        assert backend.name == "native" and jobs == 4
-
     def test_medium_sweep_runs_native_in_process(self):
-        # Above AUTO_NATIVE_CELLS but below the process threshold: compiled
-        # serial sweep, no fan-out even though workers were offered.
-        backend, jobs = resolve_engine(
-            None, cells=backends_module.AUTO_NATIVE_CELLS, jobs=4
-        )
-        assert backend.name == "native" and jobs == 1
+        assert resolve_engine(None, cells=AUTO_NATIVE_CELLS).name == "native"
+
+    def test_big_sweep_runs_native(self):
+        assert resolve_engine(None, cells=1 << 30).name == "native"
 
     def test_small_sweep_skips_native(self):
-        backend, jobs = resolve_engine(
-            None, cells=backends_module.AUTO_NATIVE_CELLS - 1, jobs=4
-        )
-        assert backend.name == "numpy" and jobs == 1
+        assert resolve_engine(None, cells=AUTO_NATIVE_CELLS - 1).name == "numpy"
 
     def test_depth_pathology_runs_compiled_contraction(self):
-        cells = backends_module.AUTO_NATIVE_CELLS * 2
-        backend, jobs = resolve_engine(None, cells=cells, nodes=cells, depth=cells - 1)
+        cells = AUTO_NATIVE_CELLS * 2
+        backend = resolve_engine(None, cells=cells, nodes=cells, depth=cells - 1)
         assert backend.name == "native"
 
     def test_depth_pathology_below_native_floor_stays_contract(self):
-        backend, jobs = resolve_engine(None, cells=4000, nodes=4000, depth=3999)
-        assert backend.name == "contract" and jobs == 1
+        backend = resolve_engine(None, cells=4000, nodes=4000, depth=3999)
+        assert backend.name == "contract"
 
     def test_small_sweep_never_probes_readiness(self, monkeypatch):
         def boom():  # pragma: no cover - failing is the assertion
             raise AssertionError("readiness probed for a tiny sweep")
 
         monkeypatch.setattr(backends_module, "_native_ready", boom)
-        backend, _ = resolve_engine(None, cells=100, jobs=8)
-        assert backend.name == "numpy"
-
-    def test_explicit_native_in_daemon_stays_native_serial(self, monkeypatch):
-        # Unlike "process" (which must degrade to numpy -- nested pools
-        # cannot exist), the compiled serial path is legal in a worker.
-        monkeypatch.setattr(backends_module, "_in_daemon_worker", lambda: True)
-        backend, jobs = resolve_engine("native", cells=AUTO_PROCESS_CELLS, jobs=4)
-        assert backend.name == "native" and jobs == 1
-
-
-class TestAffinityAwareJobs:
-    """default_job_count() must follow the scheduling mask, not cpu_count.
-
-    A cgroup-capped container advertises every host core through
-    ``os.cpu_count()`` but only the granted ones through
-    ``os.sched_getaffinity(0)``; auto-selection keying off the former made
-    1-core containers pay process fan-out for nothing (ROADMAP item 1).
-    """
-
-    def test_default_job_count_reads_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(
-            backends_module.os, "sched_getaffinity", lambda pid: {0}, raising=False
-        )
-        monkeypatch.setattr(backends_module.os, "cpu_count", lambda: 64)
-        assert backends_module.default_job_count() == 1
-
-    def test_one_core_mask_never_auto_escalates(self, monkeypatch):
-        monkeypatch.setattr(
-            backends_module.os, "sched_getaffinity", lambda pid: {0}, raising=False
-        )
-        monkeypatch.setattr(backends_module.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(backends_module, "_native_ready", lambda: False)
-        backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS * 8)
-        assert backend.name == "numpy" and jobs == 1
-
-    def test_four_core_mask_escalates(self, monkeypatch):
-        monkeypatch.setattr(
-            backends_module.os,
-            "sched_getaffinity",
-            lambda pid: {0, 1, 2, 3},
-            raising=False,
-        )
-        monkeypatch.setattr(backends_module, "_native_ready", lambda: False)
-        backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS * 8)
-        assert backend.name == "process" and jobs == 4
+        assert resolve_engine(None, cells=100).name == "numpy"

@@ -11,7 +11,7 @@ Three tiers, so the suite is meaningful on any machine:
   order, snapshot semantics -- executes as pure Python and is pinned
   against the numpy reference even on machines without Numba.
 * **Real-Numba tests** (``pytest.importorskip``) compile for real and
-  re-check parity, including the sharded ``jobs>=2`` composition.
+  re-check parity.
 """
 
 import importlib
@@ -25,8 +25,7 @@ from repro.flat import native as native_module
 from repro.flat.contraction import jump_schedule, path_sums, subtree_sums
 from repro.flat.scenarios import level_buckets, sweep_scenarios
 from repro.generators import random_forest
-from repro.parallel import AUTO_PROCESS_CELLS, last_selection, resolve_engine
-from repro.parallel import engine as engine_module
+from repro.parallel import AUTO_NATIVE_CELLS, last_selection, resolve_engine
 
 FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 
@@ -73,14 +72,11 @@ def stub_native(monkeypatch):
     monkeypatch.setitem(sys.modules, "numba", fake)
     monkeypatch.delenv(native_module.NATIVE_DISABLE_ENV, raising=False)
     module = importlib.reload(native_module)
-    # Fresh pools, so sharded solves fork workers that inherit the stub.
-    engine_module.shutdown_pools()
     try:
         yield module
     finally:
         sys.modules.pop("numba", None)
         importlib.reload(module)
-        engine_module.shutdown_pools()
 
 
 class TestFallback:
@@ -125,14 +121,6 @@ class TestFallback:
         assert err.count("repro.engine:") == 1
         assert "reason=" in err
 
-    def test_native_with_jobs_still_degrades(self):
-        forest = random_forest(10, seed=12)
-        er, ec, nc = _planes(forest, 3, seed=2)
-        reference = forest.solve_batch(er, ec, nc, engine="numpy")
-        result = forest.solve_batch(er, ec, nc, engine="native", jobs=3)
-        _assert_same(result, reference, exact=True)
-        assert last_selection()["engine"] == "numpy"
-
     def test_status_is_dynamic(self, monkeypatch):
         assert native_module.native_status() == "disabled"
         assert not native_module.native_available()
@@ -142,8 +130,7 @@ class TestFallback:
         assert native_module.native_status() != "disabled"
 
     def test_auto_selection_never_picks_unready_native(self):
-        backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS, jobs=1)
-        assert backend.name == "numpy"
+        assert resolve_engine(None, cells=AUTO_NATIVE_CELLS * 8).name == "numpy"
 
     def test_unready_kernel_calls_raise(self):
         parent = np.array([-1, 0], dtype=np.int64)
@@ -238,15 +225,6 @@ class TestStubKernels:
         result = forest.solve_batch(er, ec, nc, engine="native")
         _assert_same(result, reference, exact=True)
 
-    def test_engine_native_sharded_jobs(self, stub_native):
-        forest = random_forest(16, seed=25)
-        er, ec, nc = _planes(forest, 4, seed=6)
-        reference = forest.solve_batch(er, ec, nc, engine="numpy")
-        result = forest.solve_batch(er, ec, nc, engine="native", jobs=2)
-        _assert_same(result, reference)
-        assert last_selection()["engine"] == "native"
-        assert last_selection()["jobs"] == 2
-
     def test_deep_forest_uses_compiled_contraction(self, stub_native, monkeypatch):
         from repro.flat.forest import FlatForest
         from repro.flat import contraction
@@ -261,7 +239,7 @@ class TestStubKernels:
         reference = forest.solve_batch(er, engine="numpy")
         result = forest.solve_batch(er, engine="native")
         _assert_same(result, reference)
-        # The deep range really took the contraction branch.
+        # The deep forest really took the contraction branch.
         assert contraction.last_round_count() >= 1
 
 
@@ -299,10 +277,9 @@ class TestRealNumba:
         forest = random_forest(16, seed=32)
         er, ec, nc = _planes(forest, 8, seed=13)
         reference = forest.solve_batch(er, ec, nc, engine="numpy")
-        for jobs in (None, 2):
-            result = forest.solve_batch(er, ec, nc, engine="native", jobs=jobs)
-            _assert_same(result, reference)
-            assert last_selection()["engine"] == "native"
+        result = forest.solve_batch(er, ec, nc, engine="native")
+        _assert_same(result, reference)
+        assert last_selection()["engine"] == "native"
 
     def test_compiled_survives_eco_edit(self):
         from repro.generators import random_flat_tree
@@ -311,5 +288,5 @@ class TestRealNumba:
         forest.replace_tree(2, random_flat_tree(23, seed=7))
         er, ec, nc = _planes(forest, 4, seed=14)
         reference = forest.solve_batch(er, ec, nc, engine="numpy")
-        result = forest.solve_batch(er, ec, nc, engine="native", jobs=2)
+        result = forest.solve_batch(er, ec, nc, engine="native")
         _assert_same(result, reference)

@@ -1,83 +1,14 @@
-"""Shard and chunk planners: coverage, contiguity, balance, edge cases."""
+"""Scenario-chunk planner: coverage, balance, memory budget, edge cases."""
 
-import numpy as np
 import pytest
 
 from repro.core.exceptions import AnalysisError
-from repro.parallel import (
-    DEFAULT_CHUNK_CELLS,
-    plan_shards,
-    scenario_chunks,
-    shard_node_ranges,
-)
+from repro.parallel import DEFAULT_CHUNK_CELLS, scenario_chunks
 from repro.parallel.sharding import (
     CHUNK_BYTES_ENV,
     MAX_CHUNK_CELLS,
     default_chunk_cells,
 )
-
-
-def _offsets(sizes):
-    return np.concatenate([[0], np.cumsum(sizes)])
-
-
-class TestPlanShards:
-    def test_covers_every_tree_exactly_once(self):
-        offsets = _offsets([5, 1, 9, 2, 2, 7, 3, 1])
-        shards = plan_shards(offsets, 3)
-        covered = [t for lo, hi in shards for t in range(lo, hi)]
-        assert covered == list(range(8))
-
-    def test_shards_are_contiguous_and_ordered(self):
-        offsets = _offsets([4] * 10)
-        shards = plan_shards(offsets, 4)
-        for (a_lo, a_hi), (b_lo, b_hi) in zip(shards, shards[1:]):
-            assert a_hi == b_lo
-            assert a_lo < a_hi
-        assert shards[0][0] == 0 and shards[-1][1] == 10
-
-    def test_balances_by_node_count_not_tree_count(self):
-        # One huge tree plus many tiny ones: the huge tree gets its own shard.
-        offsets = _offsets([100] + [1] * 100)
-        shards = plan_shards(offsets, 2)
-        assert shards[0] == (0, 1)
-        assert shards[1] == (1, 101)
-
-    def test_uniform_sizes_split_evenly(self):
-        offsets = _offsets([3] * 12)
-        shards = plan_shards(offsets, 4)
-        assert [hi - lo for lo, hi in shards] == [3, 3, 3, 3]
-
-    def test_jobs_clamped_to_tree_count(self):
-        offsets = _offsets([2, 2])
-        shards = plan_shards(offsets, 8)
-        assert len(shards) == 2
-        assert all(hi - lo == 1 for lo, hi in shards)
-
-    def test_single_job_single_shard(self):
-        offsets = _offsets([1, 2, 3])
-        assert plan_shards(offsets, 1) == [(0, 3)]
-
-    def test_every_shard_nonempty_even_when_skewed(self):
-        offsets = _offsets([1, 1, 1, 97])
-        shards = plan_shards(offsets, 4)
-        assert len(shards) == 4
-        assert all(hi > lo for lo, hi in shards)
-
-    def test_rejects_empty_forest_and_bad_jobs(self):
-        with pytest.raises(AnalysisError):
-            plan_shards(np.asarray([0]), 2)
-        with pytest.raises(AnalysisError):
-            plan_shards(_offsets([1, 2]), 0)
-
-    def test_node_ranges_follow_offsets(self):
-        offsets = _offsets([5, 1, 9, 2])
-        shards = plan_shards(offsets, 2)
-        ranges = shard_node_ranges(offsets, shards)
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == 17
-        for (lo, hi), (t_lo, t_hi) in zip(ranges, shards):
-            assert lo == offsets[t_lo] and hi == offsets[t_hi]
 
 
 class TestScenarioChunks:

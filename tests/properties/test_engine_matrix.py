@@ -1,17 +1,15 @@
 """The cross-engine parity matrix: every backend, every shape, every chunking.
 
-One parametrized sweep asserting that ``numpy`` x ``process`` x ``contract``
-x ``native`` (x worker counts x the scenario-chunk edge cases S=1, chunk=1,
-chunk>S) agree at 1e-12 relative tolerance on every topology class of
+One parametrized sweep asserting that ``numpy`` x ``contract`` x ``native``
+(x the scenario-chunk edge cases S=1, chunk=1, chunk>S) agree at 1e-12
+relative tolerance on every topology class of
 ``tests.properties.topologies`` -- and keep agreeing after forest-level
-``replace_tree`` splices.  The ``native`` arms are graceful by design:
-where Numba is not installed (or ``REPRO_DISABLE_NATIVE=1``) they degrade
-to the numpy kernels -- still a matrix cell worth pinning, since the
-degradation itself is part of the engine contract -- and with Numba they
-run the JIT-compiled kernels, serial and sharded (``process`` x ``native``
-composition).  (The design-level ECO axis -- ``update_net`` /
-``resize_instance`` between parity checks -- is covered by
-``test_parallel_parity.test_every_engine_agrees_on_pathological_topologies``.)
+``replace_tree`` splices, after design-level ECOs (``update_net`` /
+``resize_instance``) and when several threads solve at once.  The
+``native`` arms are graceful by design: where Numba is not installed (or
+``REPRO_DISABLE_NATIVE=1``) they degrade to the numpy kernels -- still a
+matrix cell worth pinning, since the degradation itself is part of the
+engine contract -- and with Numba they run the JIT-compiled kernels.
 
 The ``numpy`` level sweeps are the reference; disagreement anywhere in the
 matrix means a backend changed *semantics*, which the engine contract
@@ -19,32 +17,33 @@ forbids regardless of how it schedules the arithmetic.
 """
 
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.tree import RCTree
 from repro.flat import FlatForest
+from repro.generators import random_design, random_scenarios
+from repro.graph import TimingGraph
+from repro.parallel import available_backends
+from repro.sta.cells import standard_cell_library
+from repro.sta.parasitics import lumped, rc_tree_parasitics
 
 from tests.properties.topologies import (
     TOPOLOGY_KINDS,
+    pathological_net,
     topology_flat_tree,
     topology_forests,
 )
 
 FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 
-#: The engine x jobs arms compared against the ``numpy`` reference.  The
-#: ``native`` arms compile where Numba exists and degrade to numpy where it
-#: does not; ``("native", 2)`` is the process x native composition (compiled
-#: kernel per shard).
-ENGINE_ARMS = (
-    ("contract", None),
-    ("process", 2),
-    ("process", 3),
-    ("native", 1),
-    ("native", 2),
-)
+#: The engines compared against the ``numpy`` reference.  The ``native``
+#: arm compiles where Numba exists and degrades to numpy where it does not.
+ENGINE_ARMS = ("contract", "native")
 
 
 def _planes(forest, count, rng):
@@ -66,23 +65,23 @@ def _chunk_cases(count):
 def _assert_matrix(forest, count, rng):
     er, ec, nc = _planes(forest, count, rng)
     want = forest.solve_batch(er, ec, nc, engine="numpy")
-    for engine, jobs in ENGINE_ARMS:
+    for engine in ENGINE_ARMS:
         for chunk in _chunk_cases(count):
-            got = forest.solve_batch(
-                er, ec, nc, engine=engine, jobs=jobs, scenario_chunk=chunk
-            )
-            for name in FIELDS:
-                a = getattr(want, name)
-                b = getattr(got, name)
-                assert a.shape == b.shape, (engine, chunk, name)
-                scale = np.maximum(np.abs(a), 1e-30)
-                assert np.all(np.abs(b - a) <= 1e-12 * scale), (
-                    engine,
-                    jobs,
-                    chunk,
-                    name,
-                    float(np.max(np.abs(b - a) / scale)),
-                )
+            got = forest.solve_batch(er, ec, nc, engine=engine, scenario_chunk=chunk)
+            _assert_times_close(got, want, (engine, chunk))
+
+
+def _assert_times_close(got, want, label, fields=FIELDS, floor=1e-30):
+    for name in fields:
+        a = getattr(want, name)
+        b = getattr(got, name)
+        assert a.shape == b.shape, (label, name)
+        scale = np.maximum(np.abs(a), floor)
+        assert np.all(np.abs(b - a) <= 1e-12 * scale), (
+            label,
+            name,
+            float(np.max(np.abs(b - a) / scale)),
+        )
 
 
 @settings(max_examples=8, deadline=None)
@@ -92,7 +91,7 @@ def _assert_matrix(forest, count, rng):
     seed=st.integers(0, 2**20),
 )
 def test_engine_matrix_agrees_on_every_topology(forest, count, seed):
-    """All engine/jobs/chunk arms equal the level sweeps on mixed-shape forests.
+    """All engine/chunk arms equal the level sweeps on mixed-shape forests.
 
     ``count=1`` pins the S=1 edge, and ``_chunk_cases`` sweeps chunk=1 /
     chunk>S / chunk=S for every arm, so the bounded-memory chunking loop is
@@ -121,6 +120,141 @@ def test_engine_matrix_survives_replace_tree(forest, seed):
     )
     forest.replace_tree(index, replacement)
     _assert_matrix(forest, 3, rng)
+
+
+# ----------------------------------------------------------------------
+# Threaded arm: concurrent solves on distinct forests
+# ----------------------------------------------------------------------
+THREADS = 4
+ROUNDS = 3
+
+
+def test_threaded_solves_match_serial_numpy():
+    """4 threads x every backend x distinct forests, each at 1e-12.
+
+    The timing service runs solves on a thread-pool executor, so a solve
+    must not share mutable state with a concurrent solve of another forest.
+    Each thread owns one forest (a different topology mix per thread) and
+    solves it under every registered backend, several rounds, all threads
+    released together; every result must equal that forest's serial
+    ``numpy`` solve.
+    """
+    forests, planes, want = [], [], []
+    for index in range(THREADS):
+        kind = TOPOLOGY_KINDS[index % len(TOPOLOGY_KINDS)]
+        shapes = (kind, "random_binary")
+        forest = FlatForest(
+            [
+                topology_flat_tree(shapes[t % 2], 40 + 7 * t, seed=index * 50 + t)
+                for t in range(30 + 5 * index)
+            ]
+        )
+        forest_planes = _planes(forest, 6 + index, random.Random(index))
+        forests.append(forest)
+        planes.append(forest_planes)
+        want.append(forest.solve_batch(*forest_planes, engine="numpy"))
+    start = threading.Barrier(THREADS)
+
+    def worker(index):
+        start.wait()
+        for _ in range(ROUNDS):
+            for engine in available_backends():
+                got = forests[index].solve_batch(*planes[index], engine=engine)
+                _assert_times_close(got, want[index], (index, engine))
+        return index
+
+    with ThreadPoolExecutor(max_workers=THREADS) as pool:
+        assert sorted(pool.map(worker, range(THREADS))) == list(range(THREADS))
+
+
+# ----------------------------------------------------------------------
+# Design-level arm: parity across ECO edits on pathological parasitics
+# ----------------------------------------------------------------------
+LIBRARY = standard_cell_library()
+SINK_FIELDS = ("tp", "tde", "tre", "total_capacitance")
+
+
+def _assert_engine_parity(db, scenarios, engine):
+    serial = db.solve_scenarios(scenarios, engine="numpy")
+    other = db.solve_scenarios(scenarios, engine=engine)
+    _assert_times_close(other, serial, engine, fields=SINK_FIELDS, floor=1e-18)
+
+
+def _random_edit(rng, graph):
+    nets = graph.db.timed_nets()
+    kind = rng.randrange(3)
+    if kind == 0:
+        net = rng.choice(nets)
+        graph.update_net(net, lumped(net, rng.uniform(1e-16, 8e-14)))
+    elif kind == 1:
+        net = rng.choice(nets)
+        loads = [str(load) for load in graph.db.nets[net].loads]
+        tree = RCTree("root")
+        previous = "root"
+        for index in range(rng.randint(1, 3)):
+            name = f"w{index}"
+            tree.add_line(
+                previous, name, rng.uniform(30.0, 600.0), rng.uniform(1e-15, 2e-14)
+            )
+            previous = name
+        pin_nodes = {}
+        for pin in loads:
+            tree.add_resistor(previous, pin, rng.uniform(10.0, 100.0))
+            tree.mark_output(pin)
+            pin_nodes[pin] = pin
+        graph.update_net(net, rc_tree_parasitics(net, tree, pin_nodes))
+    else:
+        instances = sorted(graph.db.instances)
+        name = rng.choice(instances)
+        cell = graph.db.instances[name].cell
+        prefix, _, _ = cell.name.rpartition("_X")
+        strength = (
+            rng.choice([1, 2, 4]) if not cell.is_sequential else rng.choice([1, 2])
+        )
+        replacement = LIBRARY.get(f"{prefix}_X{strength}")
+        if replacement is not None:
+            graph.resize_instance(name, replacement)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**20), st.integers(0, 2**20))
+def test_every_engine_agrees_on_pathological_topologies(design_seed, sweep_seed):
+    """Every backend agrees with numpy on adversarial-shape parasitics.
+
+    Nets are respliced to chains, stars, ladders etc.
+    (``tests.properties.topologies``) before and between parity checks, so
+    the explicit ``engine="contract"`` and ``engine="native"`` paths face
+    depth extremes with live ECO state.
+    """
+    design, parasitics = random_design(24, seed=design_seed, sequential_fraction=0.2)
+    rng = random.Random(sweep_seed)
+    graph = TimingGraph(
+        design,
+        dict(parasitics),
+        clock_period=1.4e-9,
+        input_drive_resistance=140.0,
+    )
+    graph.arrivals_matrix  # make the edits exercise the incremental path
+    nets = graph.db.timed_nets()
+    for net in rng.sample(nets, min(4, len(nets))):
+        loads = [str(load) for load in graph.db.nets[net].loads]
+        graph.update_net(
+            net,
+            pathological_net(
+                net,
+                loads,
+                kind=rng.choice(TOPOLOGY_KINDS),
+                nodes=rng.randint(2, 60),
+                seed=rng.randrange(2**20),
+            ),
+        )
+    scenarios = random_scenarios(1 + rng.randrange(6), seed=rng.randrange(2**20))
+    for engine in ENGINE_ARMS:
+        _assert_engine_parity(graph.db, scenarios, engine)
+    for _ in range(3):
+        _random_edit(rng, graph)
+    for engine in ENGINE_ARMS:
+        _assert_engine_parity(graph.db, scenarios, engine)
 
 
 # ----------------------------------------------------------------------

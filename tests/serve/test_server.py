@@ -209,6 +209,27 @@ def test_error_mapping(workload, serve_harness):
         assert status == want, f"{path}: got {status}, wanted {want}"
 
 
+@pytest.mark.parametrize("engine", ["process", "nunpy"])
+def test_unknown_engine_is_refused_at_load(workload, serve_harness, engine):
+    async def scenario(server, client):
+        with pytest.raises(ServeError) as excinfo:
+            await client.create_session(
+                workload.session_payload("d", engine=engine)
+            )
+        assert await client.sessions() == []
+        created = await client.create_session(
+            workload.session_payload("d", engine="contract")
+        )
+        info = await client.session_info("d")
+        return excinfo.value, created, info
+
+    error, created, info = serve_harness(scenario)
+    assert error.status == 400
+    assert error.code == "unknown_engine"
+    assert repr(engine) in str(error)
+    assert created["ok"] and info["engine"] == "contract"
+
+
 def test_malformed_http_body_is_a_400(workload, serve_harness):
     async def scenario(server, client):
         reader, writer = await asyncio.open_connection("127.0.0.1", server.port)

@@ -1,6 +1,6 @@
 """Tests for the out-of-core StoredForest: parity with the in-RAM
 FlatForest, the hot-shard LRU, persisted incremental solves, ECO
-re-solves of one shard, the worker-pool path and scratch-file hygiene."""
+re-solves of one shard and scratch-file hygiene."""
 
 import gc
 import glob
@@ -124,18 +124,6 @@ class TestSolveParity:
                 rtol=RTOL,
             )
 
-    def test_pool_path_matches_serial(self, workload):
-        _, stored = workload
-        derate = np.asarray([0.9, 1.1])
-        serial = stored.solve_batch(node_c=derate, count=2)
-        pooled = stored.solve_batch(node_c=derate, count=2, jobs=2)
-        for name in ("tp", "tde", "tre", "total_capacitance"):
-            np.testing.assert_allclose(
-                np.asarray(getattr(pooled, name)),
-                np.asarray(getattr(serial, name)),
-                rtol=RTOL,
-            )
-
     def test_batch_validates_inputs(self, workload):
         _, stored = workload
         with pytest.raises(AnalysisError):
@@ -155,6 +143,12 @@ class TestHotShardLru:
         for shard in range(stored.shard_count):
             stored.materialize(shard)
             assert stored.hot_shard_count <= 2
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_malformed_env_names_the_variable(self, workload, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_STORE_HOT_SHARDS", raw)
+        with pytest.raises(AnalysisError, match="REPRO_STORE_HOT_SHARDS"):
+            StoredForest(workload[1].directory)
 
     def test_materialize_is_cached(self, workload):
         _, stored = workload

@@ -1,7 +1,7 @@
 """Framework-level tests: suppressions, baseline, CLI, and the two
-acceptance gates -- the current tree lints clean, and reverting the
-process backend's ``np.frombuffer`` view to ``np.ndarray(buffer=...)``
-(the PR 5 segfault class) is caught as RL003.
+acceptance gates -- the current tree lints clean, and reverting a
+shared-block ``np.frombuffer`` view to ``np.ndarray(buffer=...)`` (a
+segfault class: the view outlives an unmapped buffer) is caught as RL003.
 """
 
 import json
@@ -50,16 +50,31 @@ def test_current_tree_is_clean():
     assert result.exit_code == 0
 
 
-def test_reverting_frombuffer_view_to_ndarray_is_caught(tmp_path):
-    """The PR 5 segfault class cannot be silently reintroduced.
+#: A shared-block view helper in its safe form: a ``frombuffer`` view holds
+#: a real buffer export, so closing the block under a live view raises
+#: ``BufferError`` instead of unmapping pages the view still reads.
+SHARED_VIEWS = """
+import numpy as np
 
-    Take the real process-backend source and revert its ``_views``
-    helper to the ``np.ndarray(buffer=...)`` form the docstring warns
-    about; reprolint must flag it as RL003.
+
+def _views(buffer, layout, fields):
+    views = {}
+    for field in fields:
+        offset, shape, dtype = layout[field]
+        count = int(np.prod(shape)) if shape else 0
+        views[field] = np.frombuffer(
+            buffer, dtype=dtype, count=count, offset=offset
+        ).reshape(shape)
+    return views
+"""
+
+
+def test_reverting_frombuffer_view_to_ndarray_is_caught(tmp_path):
+    """The ``np.ndarray(buffer=...)`` segfault class cannot come back.
+
+    Revert a shared-block view helper to the ``np.ndarray(buffer=...)``
+    form; reprolint must flag it as RL003.
     """
-    engine_src = (REPO_ROOT / "src/repro/parallel/engine.py").read_text(
-        encoding="utf-8"
-    )
     good = (
         "views[field] = np.frombuffer(\n"
         "            buffer, dtype=dtype, count=count, offset=offset\n"
@@ -70,8 +85,8 @@ def test_reverting_frombuffer_view_to_ndarray_is_caught(tmp_path):
         "            shape, dtype=dtype, buffer=buffer, offset=offset\n"
         "        )"
     )
-    assert good in engine_src, "engine.py _views no longer matches; update test"
-    reverted = engine_src.replace(good, bad)
+    assert good in SHARED_VIEWS
+    reverted = SHARED_VIEWS.replace(good, bad)
     path = write_module(tmp_path, "repro/parallel/engine.py", reverted)
     result = run_paths([path], config=LintConfig())
     rl003 = [f for f in result.findings if f.rule == "RL003"]
@@ -79,7 +94,7 @@ def test_reverting_frombuffer_view_to_ndarray_is_caught(tmp_path):
     assert any("frombuffer" in f.message for f in rl003)
     # And the unmodified source stays clean, so the catch is the revert.
     clean = run_paths(
-        [write_module(tmp_path, "clean/repro/parallel/engine.py", engine_src)],
+        [write_module(tmp_path, "clean/repro/parallel/engine.py", SHARED_VIEWS)],
         config=LintConfig(),
     )
     assert [f for f in clean.findings if f.rule == "RL003"] == []

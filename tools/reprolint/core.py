@@ -94,9 +94,6 @@ class LintConfig:
         "_solve_numpy",
         "_solve_contract",
         "_solve_native",
-        "_solve_process",
-        "_solve_process_impl",
-        "_solve_shard_into",
         "solve_forest_batch",
         "sweep_scenarios_native",
         "sweep_scenarios_contract_native",
@@ -109,16 +106,13 @@ class LintConfig:
         "_subtree_round_kernel",
     )
     #: Identifier names that mark a loop as iterating one of the *allowed*
-    #: axes (depth levels, bounded scenario chunks, shard plans, jump
-    #: schedules) rather than the node/scenario axes.
+    #: axes (depth levels, bounded scenario chunks, jump schedules) rather
+    #: than the node/scenario axes.
     allowed_loop_names: Tuple[str, ...] = (
         "levels",
         "_levels",
         "chunks",
         "schedule",
-        "shards",
-        "ranges",
-        "tasks",
     )
     #: numpy allocators that must carry an explicit ``dtype=`` (RL002).
     alloc_functions: Tuple[str, ...] = ("empty", "zeros", "ones", "full")

@@ -15,9 +15,9 @@ Inside a kernel function:
   Python axis; the contraction engine's rounds are precomputed into a
   ``schedule``).
 * ``for`` loops are flagged unless the iterable expression mentions one
-  of the *allowed axis* names (``levels``, ``chunks``, ``schedule``,
-  ``shards``, ``ranges``, ``tasks``): those iterate O(depth) /
-  O(N/chunk) bounded plans, not the node or scenario axis itself.
+  of the *allowed axis* names (``levels``, ``chunks``, ``schedule``):
+  those iterate O(depth) / O(N/chunk) bounded plans, not the node or
+  scenario axis itself.
 
 Comprehensions are not flagged -- kernels use them only for small
 metadata packing, and flagging them would force awkward rewrites with
