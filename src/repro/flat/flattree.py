@@ -19,11 +19,15 @@ reverse (deep-to-shallow) accumulation of downstream capacitance and a
 forward (shallow-to-deep) accumulation of the path recurrences for ``T_De``
 and ``T_Re R_ee``, including the closed-form distributed-URC line
 contributions -- but each level is processed as one numpy gather/scatter
-instead of a Python loop over dict-keyed nodes.  The arithmetic per node is
-kept *identical* to the dict-based reference (same operations, same
-association, same child order), so the two engines agree to the last ulp on
-the per-output recurrences and to rounding order on the global sums; the
-parity property tests pin this at a relative tolerance of 1e-12.
+instead of a Python loop over dict-keyed nodes.  :meth:`FlatTree.solve` and
+:meth:`FlatTree.solve_batch` both hand the tree to
+:func:`repro.parallel.solve_forest_batch` as a one-tree forest (a single
+solve is a scenario plane of width one), so the backend auto-selection of
+that engine applies to every solve.  The arithmetic per node is kept
+*identical* to the dict-based reference (same operations, same association,
+same child order), so the two engines agree to the last ulp on the
+per-output recurrences and to rounding order on the global sums; the parity
+property tests pin this at a relative tolerance of 1e-12.
 
 Incremental updates
 -------------------
@@ -41,7 +45,7 @@ tests rely on):
   with the compile-time recurrence.
 
 The moment arrays (``T_P``, ``T_De``, ``T_Re R_ee``) are invalidated and
-recomputed lazily: a full :meth:`solve` re-runs the vectorized sweeps, while
+recomputed lazily: a full :meth:`solve` re-runs the engine, while
 :meth:`characteristic_times` of a *single* output recomputes just that
 output's path recurrence from the cached aggregates in O(depth), which is
 what lets the optimization loops (:mod:`repro.opt.sizing`,
@@ -51,8 +55,8 @@ rebuilding a tree.
 Complexity: compilation is one O(N) walk; a solve is O(N) work spread over
 O(depth) numpy calls.  Bushy trees (clock trees, signal nets, the random
 trees used in the benchmarks) have depth << N and run at numpy speed; a
-pathological 10k-node *chain* degenerates to 10k tiny numpy calls and gains
-much less -- see ``docs/performance.md``.
+pathological 10k-node *chain* is auto-routed to the O(log N)-round
+contraction kernels -- see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -73,10 +77,10 @@ from repro.core.tree import RCTree
 from repro.flat.batchbounds import delay_bounds_batch, voltage_bounds_batch
 from repro.flat.scenarios import (
     PlaneInput,
+    ScenarioForestTimes,
     ScenarioTimes,
-    as_node_matrix,
     level_buckets,
-    sweep_scenarios,
+    sweep_aggregates,
 )
 
 __all__ = ["FlatTree", "FlatTimes"]
@@ -123,6 +127,17 @@ class FlatTimes:
     def tr_num(self) -> np.ndarray:
         """The product ``T_Re * R_ee`` carried by the paper's APL programs."""
         return self.tre * self.ree
+
+
+def _flat_times(times: ScenarioForestTimes) -> FlatTimes:
+    """The :class:`FlatTimes` record of a one-tree, one-scenario solve."""
+    return FlatTimes(
+        tp=float(times.tp[0, 0]),
+        tde=times.tde[0],
+        tre=times.tre[0],
+        ree=times.ree[0],
+        total_capacitance=float(times.total_capacitance[0, 0]),
+    )
 
 
 def _require_value(name: str, value: float) -> float:
@@ -264,14 +279,9 @@ class FlatTree:
 
     def _build_aggregates(self) -> None:
         """Cached aggregates: path resistance and downstream capacitance."""
-        rkk = self._edge_r.copy()  # root entry is 0
-        for level in self._levels[1:]:
-            rkk[level] += rkk[self._parent[level]]
-        self._rkk_cache = rkk
-        c_down = self._node_c.copy()
-        for level in reversed(self._levels[1:]):
-            np.add.at(c_down, self._parent[level], c_down[level] + self._edge_c[level])
-        self._c_down_cache = c_down
+        self._rkk_cache, self._c_down_cache = sweep_aggregates(
+            self._levels, self._parent, self._edge_r, self._edge_c, self._node_c
+        )
 
     @property
     def _rkk(self) -> np.ndarray:
@@ -597,36 +607,29 @@ class FlatTree:
         distributed = np.dot(rkk_parent + self._edge_r / 2.0, self._edge_c)
         return float(lumped + distributed)
 
+    def _solve_planes(
+        self, planes: Tuple[PlaneInput, ...], count: int
+    ) -> ScenarioForestTimes:
+        """This tree as a one-tree forest through the engine entry point."""
+        from repro.parallel import ForestStructure, solve_forest_batch
+
+        structure = ForestStructure(
+            parent=self._parent,
+            depth=self._depth,
+            offsets=np.asarray([0, self._n], dtype=np.int64),
+            levels=self._levels,
+        )
+        return solve_forest_batch(
+            structure,
+            (self._edge_r, self._edge_c, self._node_c),
+            planes,
+            count,
+        )
+
     def solve(self) -> FlatTimes:
         """Characteristic times of every node, recomputing only when stale."""
         if self._times is None:
-            n = self._n
-            parent = self._parent
-            edge_r = self._edge_r
-            edge_c = self._edge_c
-            c_down = self._c_down
-            rkk = self._rkk
-            tde = np.zeros(n, dtype=np.float64)
-            tr_num = np.zeros(n, dtype=np.float64)
-            for level in self._levels[1:]:
-                p = parent[level]
-                r = edge_r[level]
-                lc = edge_c[level]
-                below = c_down[level]
-                rk = rkk[level]
-                rp = rkk[p]
-                tde[level] = tde[p] + r * (below + lc / 2.0)
-                tr_num[level] = tr_num[p] + (rk * rk - rp * rp) * below + (rp * r + r * r / 3.0) * lc
-            tre = np.divide(
-                tr_num, rkk, out=np.zeros(n, dtype=np.float64), where=rkk > 0.0
-            )
-            self._times = FlatTimes(
-                tp=self._compute_tp(),
-                tde=tde,
-                tre=tre,
-                ree=rkk.copy(),
-                total_capacitance=self.total_capacitance,
-            )
+            self._times = _flat_times(self._solve_planes((None, None, None), 1))
         return self._times
 
     def solve_batch(
@@ -642,27 +645,21 @@ class FlatTree:
         Each plane is ``None`` (the tree's own values for every scenario), a
         ``(S,)`` vector of per-scenario *effective* values broadcast over the
         nodes, or a full ``(S, N)`` matrix of effective element values.  The
-        level sweeps run over ``(N, S)`` matrices -- the per-node arithmetic
-        is the single-scenario :meth:`solve` verbatim -- and the result
-        carries a leading scenario axis.  The single-scenario solve cache is
-        untouched: batched solves neither read nor invalidate it, and
-        incremental updates to the tree are reflected by the *next* batched
-        solve because the base arrays are re-read per call.
+        solve is :meth:`solve`'s engine call at width ``S`` (auto-selected
+        backend, bounded scenario chunks), and the result carries a leading
+        scenario axis.  The single-scenario solve cache is untouched:
+        batched solves neither read nor invalidate it, and incremental
+        updates to the tree are reflected by the *next* batched solve
+        because the base arrays are re-read per call.
         """
         s = _scenario_count(count, edge_r, edge_c, node_c)
-        er = as_node_matrix(edge_r, self._edge_r, s)
-        ec = as_node_matrix(edge_c, self._edge_c, s)
-        nc = as_node_matrix(node_c, self._node_c, s)
-        rkk, c_down, tde, tre = sweep_scenarios(self._levels, self._parent, er, ec, nc)
-        rkk_parent = rkk[np.maximum(self._parent, 0)]
-        # The root has no parent edge; zero its gathered row so a plane that
-        # puts elements on the root edge (only reachable through trusted
-        # from_arrays construction) stays consistent with the forest kernel.
-        rkk_parent[self._parent < 0] = 0.0
-        tp = (rkk * nc + (rkk_parent + er / 2.0) * ec).sum(axis=0)
-        total = nc.sum(axis=0) + ec.sum(axis=0)
+        times = self._solve_planes((edge_r, edge_c, node_c), s)
         return ScenarioTimes(
-            tp=tp, tde=tde.T, tre=tre.T, ree=rkk.T, total_capacitance=total
+            tp=times.tp[:, 0],
+            tde=times.tde,
+            tre=times.tre,
+            ree=times.ree,
+            total_capacitance=times.total_capacitance[:, 0],
         )
 
     def solve_scenarios(self, scenarios: Any) -> ScenarioTimes:

@@ -3,10 +3,11 @@
 A :class:`FlatForest` concatenates the arrays of many :class:`~repro.flat.flattree.FlatTree`
 instances into one set of vectors (each tree's nodes stay contiguous, each
 root keeps parent ``-1``) and runs the two characteristic-time passes over
-**all trees simultaneously**.  Because the per-depth sweeps operate on global
-level buckets, the number of numpy calls is set by the *deepest* tree in the
-batch rather than by the number of trees -- analysing 1000 shallow nets costs
-barely more than analysing one.
+**all trees simultaneously** through :func:`repro.parallel.solve_forest_batch`
+(:meth:`FlatForest.solve` is that call at one scenario).  Because the
+per-depth sweeps operate on global level buckets, the number of numpy calls
+is set by the *deepest* tree in the batch rather than by the number of trees
+-- analysing 1000 shallow nets costs barely more than analysing one.
 
 This is the workhorse for sweep-style workloads: Monte-Carlo parasitic
 sampling, net-topology comparisons (:func:`repro.apps.nets.compare_nets`),
@@ -185,45 +186,19 @@ class FlatForest:
     # Analysis
     # ------------------------------------------------------------------
     def solve(self) -> ForestTimes:
-        """Characteristic times of every node of every tree, batched."""
+        """Characteristic times of every node of every tree, batched.
+
+        One-scenario :meth:`solve_batch` with base values, cached until the
+        next :meth:`replace_tree`.
+        """
         if self._times is None:
-            n = self._n
-            parent = self._parent
-            edge_r = self._edge_r
-            edge_c = self._edge_c
-            node_c = self._node_c
-            # Aggregates (same sweeps as FlatTree, over global levels).
-            rkk = edge_r.copy()
-            for level in self._levels[1:]:
-                rkk[level] += rkk[parent[level]]
-            c_down = node_c.copy()
-            for level in reversed(self._levels[1:]):
-                np.add.at(c_down, parent[level], c_down[level] + edge_c[level])
-            # Moments.
-            tde = np.zeros(n, dtype=np.float64)
-            tr_num = np.zeros(n, dtype=np.float64)
-            for level in self._levels[1:]:
-                p = parent[level]
-                r = edge_r[level]
-                lc = edge_c[level]
-                below = c_down[level]
-                rk = rkk[level]
-                rp = rkk[p]
-                tde[level] = tde[p] + r * (below + lc / 2.0)
-                tr_num[level] = tr_num[p] + (rk * rk - rp * rp) * below + (rp * r + r * r / 3.0) * lc
-            tre = np.divide(
-                tr_num, rkk, out=np.zeros(n, dtype=np.float64), where=rkk > 0.0
-            )
-            # Per-tree T_P and total capacitance via segmented sums.
-            rkk_parent = rkk[np.maximum(parent, 0)]
-            tp_terms = rkk * node_c + (rkk_parent + edge_r / 2.0) * edge_c
-            bins = self._tree_id
-            tp = np.bincount(bins, weights=tp_terms, minlength=self._tree_count)
-            total = np.bincount(
-                bins, weights=node_c + edge_c, minlength=self._tree_count
-            )
+            times = self.solve_batch(count=1)
             self._times = ForestTimes(
-                tp=tp, tde=tde, tre=tre, ree=rkk, total_capacitance=total
+                tp=times.tp[0],
+                tde=times.tde[0],
+                tre=times.tre[0],
+                ree=times.ree[0],
+                total_capacitance=times.total_capacitance[0],
             )
         return self._times
 

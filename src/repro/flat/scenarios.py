@@ -1,14 +1,14 @@
 """Scenario-batched characteristic-time sweeps.
 
-The single-scenario engine evaluates the paper's two tree passes over
-``(N,)`` element arrays, one vectorized gather/scatter per depth level.  The
-kernel here runs the *same* recurrences over ``(N, S)`` matrices -- ``S``
-scenarios side by side -- so a 64-corner sweep costs a handful of slightly
-wider numpy calls instead of 64 re-runs of the whole pipeline.  The per-node
-arithmetic (operations, association, child order) is kept identical to the
-single-scenario sweeps, which is what lets the parity tests pin the batched
-axis against a per-scenario loop of the reference engine at 1e-12 relative
-tolerance.
+The paper's two tree passes run here over ``(N, S)`` element matrices --
+``S`` scenarios side by side, one vectorized gather/scatter per depth
+level -- so a 64-corner sweep costs a handful of slightly wider numpy calls
+instead of 64 re-runs of the whole pipeline.  A single-scenario solve is
+the same kernel at ``S = 1``: every flat solve reaches it through
+:func:`repro.parallel.solve_forest_batch`.  The per-node arithmetic
+(operations, association, child order) follows the dict-based reference
+engine, which is what lets the parity tests pin the batched axis against a
+per-scenario loop of that engine at 1e-12 relative tolerance.
 
 Callers hand in *effective* element values per scenario -- derates and
 overrides are applied by the layer that understands them
@@ -25,19 +25,17 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.exceptions import AnalysisError
-
-#: Scenario element planes accepted by the batch solvers and
-#: :func:`as_node_matrix`: ``None`` (use the base array for every scenario),
-#: a scalar, an ``(S,)`` per-scenario vector, or a full ``(S, N)`` matrix of
-#: effective element values.
+#: Scenario element planes accepted by the batch solvers: ``None`` (use the
+#: base array for every scenario), an ``(S,)`` per-scenario vector, or a full
+#: ``(S, N)`` matrix of effective element values (validated by
+#: :func:`repro.parallel.engine.normalize_plane`).
 PlaneInput = Optional[Union[float, Sequence[float], np.ndarray]]
 
 __all__ = [
     "ScenarioTimes",
     "ScenarioForestTimes",
+    "sweep_aggregates",
     "sweep_scenarios",
-    "as_node_matrix",
     "level_buckets",
 ]
 
@@ -97,28 +95,28 @@ class ScenarioForestTimes:
         return self.tde.shape[0]
 
 
-def as_node_matrix(values: PlaneInput, base: np.ndarray, count: int) -> np.ndarray:
-    """Normalize a scenario plane to a contiguous ``(N, S)`` matrix.
+def sweep_aggregates(
+    levels: Sequence[np.ndarray],
+    parent: np.ndarray,
+    edge_r: np.ndarray,
+    edge_c: np.ndarray,
+    node_c: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Path resistance and downstream capacitance, one level at a time.
 
-    ``values`` may be ``None`` (use the base array for every scenario), a
-    ``(S,)`` vector of per-scenario values to broadcast over nodes, or a full
-    ``(S, N)`` matrix of effective element values.
+    Returns ``(rkk, c_down)`` shaped like the element arrays: ``(N,)`` for
+    one tree's aggregate caches (:class:`~repro.flat.flattree.FlatTree`) or
+    ``(N, S)`` for :func:`sweep_scenarios`.  The forward pass accumulates
+    ``R_kk`` shallow to deep; the reverse pass scatters each child's
+    ``c_down + edge_c`` onto its parent, deep to shallow.
     """
-    n = base.shape[0]
-    if values is None:
-        return np.ascontiguousarray(np.broadcast_to(base[:, np.newaxis], (n, count)))
-    array = np.asarray(values, dtype=float)
-    if array.ndim == 1:
-        if array.shape[0] != count:
-            raise AnalysisError(
-                f"scenario vector has {array.shape[0]} entries, expected {count}"
-            )
-        return np.ascontiguousarray(np.broadcast_to(array[np.newaxis, :], (n, count)))
-    if array.shape != (count, n):
-        raise AnalysisError(
-            f"scenario plane has shape {array.shape}, expected ({count}, {n})"
-        )
-    return np.ascontiguousarray(array.T)
+    rkk = edge_r.copy()
+    for level in levels[1:]:
+        rkk[level] += rkk[parent[level]]
+    c_down = node_c.copy()
+    for level in reversed(levels[1:]):
+        np.add.at(c_down, parent[level], c_down[level] + edge_c[level])
+    return rkk, c_down
 
 
 def sweep_scenarios(
@@ -130,16 +128,12 @@ def sweep_scenarios(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The two characteristic-time passes over ``(N, S)`` element matrices.
 
-    Returns ``(rkk, c_down, tde, tre)``, all ``(N, S)``.  The recurrences are
-    the single-scenario sweeps verbatim; numpy broadcasting carries the
-    trailing scenario axis through every gather/scatter.
+    Returns ``(rkk, c_down, tde, tre)``, all ``(N, S)``.  The aggregates
+    come from :func:`sweep_aggregates`; the moment recurrences then run one
+    level at a time, and numpy broadcasting carries the trailing scenario
+    axis through every gather/scatter.
     """
-    rkk = edge_r.copy()
-    for level in levels[1:]:
-        rkk[level] += rkk[parent[level]]
-    c_down = node_c.copy()
-    for level in reversed(levels[1:]):
-        np.add.at(c_down, parent[level], c_down[level] + edge_c[level])
+    rkk, c_down = sweep_aggregates(levels, parent, edge_r, edge_c, node_c)
     tde = np.zeros_like(rkk)
     tr_num = np.zeros_like(rkk)
     for level in levels[1:]:

@@ -1,13 +1,18 @@
-"""The scenario-batched forest solve behind every ``engine=`` parameter.
+"""The forest solve behind every flat solve and every ``engine=`` parameter.
 
-:func:`solve_forest_batch` is the single entry point every scenario-batched
-caller funnels through (:meth:`repro.flat.FlatForest.solve_batch` delegates
-here, which carries :meth:`repro.graph.DesignDB.solve_scenarios`,
+:func:`solve_forest_batch` is the single entry point every array solve
+funnels through.  A single-scenario solve is the same call at ``count=1``:
+:meth:`repro.flat.FlatTree.solve`, :meth:`repro.flat.FlatForest.solve` and
+:meth:`repro.store.StoredForest.solve` (per dirty shard) come here, and so
+do the scenario-batched callers (:meth:`repro.flat.FlatForest.solve_batch`,
+which carries :meth:`repro.graph.DesignDB.solve_scenarios`,
 :meth:`repro.graph.TimingGraph.analyze_scenarios`,
 :func:`repro.apps.corners.corner_sweep` and the CLI's ``timing --corners``
 along).  It normalizes the element planes, picks a backend through
 :func:`repro.parallel.backends.resolve_engine`, and runs the paper's two
-characteristic-time passes chunk by chunk over the scenario axis.
+characteristic-time passes chunk by chunk over the scenario axis.  Outside
+the backends registered here, the only other implementation of the passes
+is the dict engine of :mod:`repro.core`, kept as the independent oracle.
 
 Every backend runs in the calling thread and keeps no state between
 solves, so concurrent solves on different forests are independent.  The
@@ -93,9 +98,8 @@ def normalize_plane(values: PlaneInput, n: int, count: int) -> Optional[np.ndarr
     """Validate one scenario plane without materializing the ``(N, S)`` matrix.
 
     Returns ``None`` (use base values), a ``(S,)`` per-scenario vector, or a
-    ``(S, N)`` matrix -- the same shapes
-    :func:`repro.flat.scenarios.as_node_matrix` accepts, but kept in their
-    compact form so chunked execution can slice scenarios lazily.
+    ``(S, N)`` matrix, kept in its compact form so chunked execution can
+    slice scenarios lazily (:func:`_chunk_matrix`).
     """
     if values is None:
         return None
@@ -121,7 +125,7 @@ def _chunk_matrix(
     Copy-free when the caller's plane is already node-major underneath (an
     ``(S, N)`` array that is a transposed view of a C-contiguous ``(N, S)``
     matrix, the layout :meth:`repro.graph.DesignDB.solve_scenarios` builds);
-    otherwise one materialization, exactly like ``as_node_matrix``.
+    otherwise one materialization.
     """
     w = hi - lo
     if values is None:

@@ -106,10 +106,19 @@ def scenario_chunks(
     (tests pin small chunks to exercise the loop).  The requested width is
     an upper bound -- the actual widths are balanced (``ceil(count /
     pieces)``) so the last chunk is never a sliver.
+
+    A sweep of at most :data:`DEFAULT_CHUNK_CELLS` cells is one chunk
+    without probing available memory (the derived budget never falls
+    below that floor), unless ``REPRO_CHUNK_BYTES`` pins the budget.
     """
     if count < 1:
         raise AnalysisError(f"scenario count must be >= 1, got {count}")
     if chunk is None:
+        if (
+            count * max(int(node_count), 1) <= DEFAULT_CHUNK_CELLS
+            and not os.environ.get(CHUNK_BYTES_ENV)
+        ):
+            return [(0, count)]
         width = max(1, default_chunk_cells() // max(int(node_count), 1))
     else:
         width = int(chunk)

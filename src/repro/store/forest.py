@@ -33,7 +33,6 @@ from repro.flat.forest import ForestTimes
 from repro.flat.scenarios import PlaneInput, ScenarioForestTimes, level_buckets
 from repro.parallel.engine import (
     ForestStructure,
-    _solve_range,
     normalize_plane,
     solve_forest_batch,
 )
@@ -365,8 +364,10 @@ class StoredForest:
         """Single-scenario times, persisted and incrementally maintained.
 
         Results live in ``results.bin``; only shards whose generation
-        moved past their solved generation are re-run, so the cost of a
-        solve after :meth:`replace_tree` is one shard, not the design.
+        moved past their solved generation are re-run -- each through
+        :func:`~repro.parallel.solve_forest_batch` at one scenario -- so
+        the cost of a solve after :meth:`replace_tree` is one shard, not
+        the design.
         The returned node-indexed arrays are read-mode memmap views --
         reductions over them stream from disk.
         """
@@ -394,13 +395,11 @@ class StoredForest:
         ]
         for shard in dirty:
             hot = self.materialize(shard)
-            ree, tde, tre, tp, total = _solve_range(
-                hot.parent,
-                hot.levels,
-                hot.starts[:-1],
-                hot.edge_r[:, None],
-                hot.edge_c[:, None],
-                hot.node_c[:, None],
+            times = solve_forest_batch(
+                hot.structure,
+                (hot.edge_r, hot.edge_c, hot.node_c),
+                (None, None, None),
+                1,
             )
             node_lo, node_hi, tree_lo, tree_hi = self.shard_bounds(shard)
             node_window = slice(node_lo, node_hi)
@@ -412,9 +411,12 @@ class StoredForest:
                 map_field(path, layout["tp"], tree_window, "r+"),
                 map_field(path, layout["total"], tree_window, "r+"),
             ]
+            values = (
+                times.tde, times.tre, times.ree, times.tp, times.total_capacitance
+            )
             try:
-                for mapping, values in zip(maps, (tde, tre, ree, tp, total)):
-                    mapping[...] = values
+                for mapping, value in zip(maps, values):
+                    mapping[...] = value.T
             finally:
                 release_memmap(*maps)
             results.solved[shard] = self._shards[shard].generation

@@ -22,7 +22,7 @@ from repro.flat.contraction import (
     sweep_scenarios_contract,
 )
 from repro.parallel import backends as backends_module
-from repro.parallel import last_selection, should_contract
+from repro.parallel import last_selection, should_contract, solve_forest_batch
 
 from tests.properties.topologies import (
     TOPOLOGY_KINDS,
@@ -146,6 +146,33 @@ class TestAutoSelection:
         assert record["engine"] == "contract"
         assert record["requested"] == "auto"
         assert record["nodes"] == 4000 and record["depth"] == 3999
+
+    def test_single_scenario_solves_honour_selection(self):
+        """``FlatTree.solve`` / ``FlatForest.solve`` go through the engine.
+
+        A single solve is the S = 1 plane of the same entry point, so a
+        10k-node chain auto-selects the contraction kernels there too and
+        agrees with the numpy-pinned level sweeps at 1e-12.
+        """
+        tree = topology_flat_tree("chain", 10_000, seed=4)
+        forest = FlatForest([tree])
+        want = solve_forest_batch(
+            forest.structure,
+            (forest._edge_r, forest._edge_c, forest._node_c),
+            (None, None, None),
+            1,
+            engine="numpy",
+        )
+        for solve in (tree.solve, forest.solve):
+            got = solve()
+            record = last_selection()
+            assert record["engine"] == "contract", solve
+            assert record["scenarios"] == 1 and record["nodes"] == 10_000
+            for name in FIELDS:
+                a = getattr(want, name)[0]
+                b = np.ravel(getattr(got, name))
+                scale = np.maximum(np.abs(a), 1e-30)
+                assert np.all(np.abs(b - a) <= 1e-12 * scale), (solve, name)
 
     def test_shallow_forest_stays_on_level_sweeps(self):
         forest = FlatForest(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.exceptions import AnalysisError
 from repro.parallel import DEFAULT_CHUNK_CELLS, scenario_chunks
+from repro.parallel import sharding
 from repro.parallel.sharding import (
     CHUNK_BYTES_ENV,
     MAX_CHUNK_CELLS,
@@ -40,6 +41,34 @@ class TestScenarioChunks:
             scenario_chunks(4, 5, chunk=0)
 
 
+class TestMemoryProbe:
+    """Sweeps under the budget floor are one chunk without a memory probe."""
+
+    def test_small_sweep_skips_the_probe(self, monkeypatch):
+        monkeypatch.delenv(CHUNK_BYTES_ENV, raising=False)
+
+        def probe():
+            raise AssertionError("memory probed for a sweep under the floor")
+
+        monkeypatch.setattr(sharding, "_available_memory_bytes", probe)
+        assert scenario_chunks(1, 20_000) == [(0, 1)]
+        assert scenario_chunks(4, DEFAULT_CHUNK_CELLS // 4) == [(0, 4)]
+
+    def test_probe_still_sizes_sweeps_above_the_floor(self, monkeypatch):
+        monkeypatch.delenv(CHUNK_BYTES_ENV, raising=False)
+        calls = []
+        node_count = DEFAULT_CHUNK_CELLS // 4
+
+        def probe():
+            calls.append(1)
+            # Room for a budget of 8 scenarios of this forest per plane.
+            return 8 * node_count * 8 * sharding._MEM_FRACTION
+
+        monkeypatch.setattr(sharding, "_available_memory_bytes", probe)
+        assert scenario_chunks(16, node_count) == [(0, 8), (8, 16)]
+        assert calls
+
+
 class TestDefaultChunkCells:
     def test_env_override_is_exact_bytes(self, monkeypatch):
         monkeypatch.setenv(CHUNK_BYTES_ENV, str(256 * 1024))
@@ -48,7 +77,13 @@ class TestDefaultChunkCells:
         assert default_chunk_cells() == 1
 
     def test_env_override_drives_chunk_width(self, monkeypatch):
+        # Exact even for sweeps under the default floor, without a probe.
         monkeypatch.setenv(CHUNK_BYTES_ENV, str(8 * 40))  # 40-cell budget
+        monkeypatch.setattr(
+            sharding,
+            "_available_memory_bytes",
+            lambda: pytest.fail("probe used despite REPRO_CHUNK_BYTES"),
+        )
         chunks = scenario_chunks(16, 10)  # width 40 // 10 == 4
         assert chunks == [(0, 4), (4, 8), (8, 12), (12, 16)]
 

@@ -13,14 +13,20 @@ engine contract -- and with Numba they run the JIT-compiled kernels.
 
 The ``numpy`` level sweeps are the reference; disagreement anywhere in the
 matrix means a backend changed *semantics*, which the engine contract
-forbids regardless of how it schedules the arithmetic.
+forbids regardless of how it schedules the arithmetic.  The single-solve
+entry points (``FlatForest.solve``, ``FlatTree.solve`` /
+``FlatTree.solve_batch`` per member, ``StoredForest.solve``) are one more
+input of the matrix: each is the engine at S = 1 and must reproduce the
+numpy-pinned solve.
 """
 
 import random
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +34,7 @@ from repro.core.tree import RCTree
 from repro.flat import FlatForest
 from repro.generators import random_design, random_scenarios
 from repro.graph import TimingGraph
-from repro.parallel import available_backends
+from repro.parallel import available_backends, solve_forest_batch
 from repro.sta.cells import standard_cell_library
 from repro.sta.parasitics import lumped, rc_tree_parasitics
 
@@ -120,6 +126,96 @@ def test_engine_matrix_survives_replace_tree(forest, seed):
     )
     forest.replace_tree(index, replacement)
     _assert_matrix(forest, 3, rng)
+
+
+# ----------------------------------------------------------------------
+# Single-solve arm: every S = 1 entry point is the engine at width one
+# ----------------------------------------------------------------------
+NODE_FIELDS = ("tde", "tre", "ree")
+TREE_FIELDS = ("tp", "total_capacitance")
+
+
+def _forest_solve(forest):
+    times = forest.solve()
+    return {name: getattr(times, name) for name in FIELDS}
+
+
+def _member_rows(forest, solve):
+    rows = [solve(tree) for tree in forest.trees]
+    return {
+        name: np.concatenate([np.ravel(row[name]) for row in rows])
+        for name in FIELDS
+    }
+
+
+def _tree_solve(forest):
+    return _member_rows(
+        forest,
+        lambda tree: {name: getattr(tree.solve(), name) for name in FIELDS},
+    )
+
+
+def _tree_solve_batch(forest):
+    return _member_rows(
+        forest,
+        lambda tree: {
+            name: getattr(tree.solve_batch(count=1), name)[0] for name in FIELDS
+        },
+    )
+
+
+def _stored_solve(forest):
+    from repro.store import ShardStoreWriter, StoredForest
+
+    with tempfile.TemporaryDirectory() as directory:
+        # Small shards, so multi-tree forests span several of them.
+        with ShardStoreWriter(directory, shard_nodes=48) as writer:
+            for tree in forest.trees:
+                writer.add_flat_tree(tree)
+            writer.close()
+        with StoredForest(directory) as stored:
+            times = stored.solve()
+            return {name: np.array(getattr(times, name)) for name in FIELDS}
+
+
+SINGLE_SOLVES = {
+    "FlatForest.solve": _forest_solve,
+    "FlatTree.solve": _tree_solve,
+    "FlatTree.solve_batch": _tree_solve_batch,
+    "StoredForest.solve": _stored_solve,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SINGLE_SOLVES))
+@settings(max_examples=8, deadline=None)
+@given(forest=topology_forests(min_trees=1, max_trees=4, max_nodes=60))
+def test_single_solves_match_the_numpy_engine(entry, forest):
+    """Each S = 1 entry point equals ``solve_forest_batch(count=1, "numpy")``.
+
+    Node fields bitwise: every entry point runs the same level sweeps (these
+    forests are shallow enough that auto-selection keeps ``"numpy"``).  The
+    per-tree ``T_P`` / ``C_T`` reductions at 1e-15: a member solved alone is
+    summed over its own one-tree segment instead of its forest window.
+    """
+    want = solve_forest_batch(
+        forest.structure,
+        (forest._edge_r, forest._edge_c, forest._node_c),
+        (None, None, None),
+        1,
+        engine="numpy",
+    )
+    got = SINGLE_SOLVES[entry](forest)
+    for name in NODE_FIELDS:
+        np.testing.assert_array_equal(got[name], getattr(want, name)[0], err_msg=name)
+    for name in TREE_FIELDS:
+        a = getattr(want, name)[0]
+        b = np.asarray(got[name])
+        assert a.shape == b.shape, (entry, name)
+        assert np.all(np.abs(b - a) <= 1e-15 * np.abs(a)), (
+            entry,
+            name,
+            float(np.max(np.abs(b - a) / np.maximum(np.abs(a), 1e-300))),
+        )
 
 
 # ----------------------------------------------------------------------

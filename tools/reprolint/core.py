@@ -84,6 +84,7 @@ class LintConfig:
     kernel_functions: Tuple[str, ...] = (
         "solve",
         "solve_batch",
+        "sweep_aggregates",
         "sweep_scenarios",
         "sweep_scenarios_contract",
         "path_sums",
