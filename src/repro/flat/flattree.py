@@ -168,9 +168,11 @@ class FlatTree:
         is_output: np.ndarray,
         _depth: Optional[Sequence[int]] = None,
         _trusted: bool = False,
+        _index: Optional[Dict[str, int]] = None,
     ) -> None:
         self._names: List[str] = list(names)
-        self._index_cache: Optional[Dict[str, int]] = None
+        # A caller that already holds the name -> index map hands it over.
+        self._index_cache: Optional[Dict[str, int]] = _index
         self._extent_cache: Optional[np.ndarray] = None
         self._children_cache: Optional[List[List[int]]] = None
         if _trusted:

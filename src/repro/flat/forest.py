@@ -59,37 +59,103 @@ class ForestTimes:
 
 
 class FlatForest:
-    """A batch of flat trees analysed with shared vectorized passes."""
+    """A batch of flat trees analysed with shared vectorized passes.
+
+    ``FlatForest(trees)`` concatenates compiled member trees;
+    :meth:`from_block` adopts arrays that are already concatenated (the
+    bulk path of :class:`repro.graph.DesignDB`), building member
+    :class:`~repro.flat.flattree.FlatTree` objects only when asked for one.
+    """
 
     def __init__(self, trees: Sequence[FlatTree]) -> None:
         if not trees:
             raise ValueError("a forest needs at least one tree")
-        self._trees: List[FlatTree] = list(trees)
-        sizes = np.asarray([len(t) for t in self._trees], dtype=np.int64)
-        self._offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self._n = int(self._offsets[-1])
-        self._tree_count = len(self._trees)
+        members = list(trees)
+        sizes = np.asarray([len(t) for t in members], dtype=np.int64)
+        starts = np.zeros(len(members) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        # Member parents are tree-local; shift every non-root to the block.
+        parent = np.concatenate([t._parent for t in members])
+        shift = np.repeat(starts[:-1], sizes)
+        np.add(parent, shift, out=parent, where=parent >= 0)
+        self._adopt(
+            starts,
+            parent,
+            np.concatenate([t._depth for t in members]),
+            np.concatenate([t._edge_r for t in members]),
+            np.concatenate([t._edge_c for t in members]),
+            np.concatenate([t._node_c for t in members]),
+            np.concatenate([t._is_output for t in members]),
+            None,  # every member is present and names its own nodes
+        )
+        self._trees: List[Optional[FlatTree]] = list(members)
 
-        parent = np.empty(self._n, dtype=np.int64)
-        depth = np.empty(self._n, dtype=np.int64)
-        self._edge_r = np.empty(self._n, dtype=np.float64)
-        self._edge_c = np.empty(self._n, dtype=np.float64)
-        self._node_c = np.empty(self._n, dtype=np.float64)
-        self._is_output = np.empty(self._n, dtype=bool)
-        self._tree_id = np.empty(self._n, dtype=np.int64)
-        for t, tree in enumerate(self._trees):
-            lo, hi = self._offsets[t], self._offsets[t + 1]
-            shifted = tree._parent.copy()
-            shifted[1:] += lo
-            parent[lo:hi] = shifted
-            depth[lo:hi] = tree._depth
-            self._edge_r[lo:hi] = tree._edge_r
-            self._edge_c[lo:hi] = tree._edge_c
-            self._node_c[lo:hi] = tree._node_c
-            self._is_output[lo:hi] = tree._is_output
-            self._tree_id[lo:hi] = t
+    @classmethod
+    def from_block(
+        cls,
+        starts: np.ndarray,
+        parent: np.ndarray,
+        edge_r: np.ndarray,
+        edge_c: np.ndarray,
+        node_c: np.ndarray,
+        *,
+        depth: np.ndarray,
+        is_output: np.ndarray,
+        names: List[str],
+    ) -> "FlatForest":
+        """Adopt a pre-concatenated block of trees; the forest owns the arrays.
+
+        The layout is the one :meth:`repro.store.ShardStoreWriter.add_block`
+        takes: ``starts`` holds each tree's first node plus the node-count
+        sentinel, ``parent`` is block-local with ``-1`` at every tree start,
+        every tree is in topological order, ``depth`` is the per-node depth
+        within its own tree and ``names`` holds one name per node.  Nothing
+        is copied or validated: block compilers emit valid arrays by
+        construction.  Member trees (:meth:`tree`) are built from the
+        forest's slices on first access.
+        """
+        if len(starts) < 2:
+            raise ValueError("a forest needs at least one tree")
+        forest = cls.__new__(cls)
+        forest._adopt(
+            np.asarray(starts, dtype=np.int64),
+            parent,
+            depth,
+            edge_r,
+            edge_c,
+            node_c,
+            is_output,
+            names,
+        )
+        forest._trees = [None] * forest._tree_count
+        return forest
+
+    def _adopt(
+        self,
+        starts: np.ndarray,
+        parent: np.ndarray,
+        depth: np.ndarray,
+        edge_r: np.ndarray,
+        edge_c: np.ndarray,
+        node_c: np.ndarray,
+        is_output: np.ndarray,
+        names: Optional[List[str]],
+    ) -> None:
+        self._offsets = starts
+        self._n = int(starts[-1])
+        self._tree_count = len(starts) - 1
         self._parent = parent
         self._depth = depth
+        self._edge_r = edge_r
+        self._edge_c = edge_c
+        self._node_c = node_c
+        self._is_output = is_output
+        self._tree_id = np.repeat(
+            np.arange(self._tree_count, dtype=np.int64), np.diff(starts)
+        )
+        #: Node names over the concatenated numbering (``None``: the member
+        #: trees, all present, name their own nodes).
+        self._names = names
         self._rebucket()
         self._times: Optional[ForestTimes] = None
 
@@ -115,8 +181,29 @@ class FlatForest:
 
     @property
     def trees(self) -> List[FlatTree]:
-        """The member flat trees (views share no solve state with the forest)."""
-        return list(self._trees)
+        """The member flat trees (sharing no arrays or solve state with the forest)."""
+        return [self.tree(t) for t in range(self._tree_count)]
+
+    def tree(self, tree_index: int) -> FlatTree:
+        """One member flat tree, built from its forest slice on first access."""
+        member = self._trees[tree_index]
+        if member is None:
+            window = self.tree_slice(tree_index)
+            parent = self._parent[window] - window.start
+            parent[0] = -1
+            assert self._names is not None  # list-built forests keep members
+            member = FlatTree(
+                self._names[window],
+                parent,
+                self._edge_r[window].copy(),
+                self._edge_c[window].copy(),
+                self._node_c[window].copy(),
+                self._is_output[window].copy(),
+                _depth=self._depth[window].copy(),
+                _trusted=True,
+            )
+            self._trees[tree_index] = member
+        return member
 
     def tree_slice(self, tree_index: int) -> slice:
         """Global node-index range of one member tree."""
@@ -124,8 +211,7 @@ class FlatForest:
 
     def global_index(self, tree_index: int, node: Union[str, int]) -> int:
         """Global node index of ``node`` within tree ``tree_index``."""
-        tree = self._trees[tree_index]
-        local = node if isinstance(node, int) else tree.index(node)
+        local = node if isinstance(node, int) else self.tree(tree_index).index(node)
         return int(self._offsets[tree_index]) + local
 
     @property
@@ -135,11 +221,9 @@ class FlatForest:
 
     def output_labels(self) -> List[Tuple[int, str]]:
         """``(tree_index, node_name)`` for every marked output, in global order."""
-        labels = []
-        for i in self.output_indices:
-            t = int(self._tree_id[i])
-            labels.append((t, self._trees[t].name_of(int(i - self._offsets[t]))))
-        return labels
+        return [
+            (int(self._tree_id[i]), self._name_at(int(i))) for i in self.output_indices
+        ]
 
     # ------------------------------------------------------------------
     # Incremental membership
@@ -178,6 +262,8 @@ class FlatForest:
         )
         self._offsets[tree_index + 1 :] += delta
         self._n += delta
+        if self._names is not None:
+            self._names[lo:hi] = tree._names
         self._trees[tree_index] = tree
         self._rebucket()
         self._times = None
@@ -278,10 +364,8 @@ class FlatForest:
         """The scalar record for one output of one member tree."""
         times = self.solve()
         i = self.global_index(tree_index, output)
-        tree = self._trees[tree_index]
-        local = i - int(self._offsets[tree_index])
         return CharacteristicTimes(
-            output=tree.name_of(local),
+            output=self._name_at(i),
             tp=float(times.tp[tree_index]),
             tde=float(times.tde[i]),
             tre=float(times.tre[i]),
@@ -342,8 +426,10 @@ class FlatForest:
         return labels, vmin, vmax
 
     def _name_at(self, global_index: int) -> str:
+        if self._names is not None:
+            return self._names[global_index]
         t = int(self._tree_id[global_index])
-        return self._trees[t].name_of(global_index - int(self._offsets[t]))
+        return self.tree(t).name_of(global_index - int(self._offsets[t]))
 
     def elmore_delays(self) -> Dict[Tuple[int, str], float]:
         """Elmore delay of every marked output, keyed by ``(tree_index, name)``."""

@@ -20,28 +20,39 @@ changed, and its input nets, whose sink capacitance changed).  Both splice the
 shared forest via :meth:`~repro.flat.FlatForest.replace_tree` so batch
 consumers (e.g. :func:`repro.apps.nets.design_net_summaries`) stay coherent.
 
-With ``store_dir=`` the shared forest goes out of core: stage trees stream
-straight into a :class:`repro.store.ShardStoreWriter` as they compile (one
-resident stage at a time, never a concatenated forest) and every solve runs
-shard-by-shard through :class:`repro.store.StoredForest` -- the same sink
-table, the same incremental updates, with working RSS bounded by one shard
-plus one scenario chunk instead of the design.
+Bulk builds compile every stage in one vectorized pass
+(:func:`~repro.sta.delaycalc.compile_stage_block`): a per-net loop only
+gathers each net's base arrays, drive resistance and sink pins, and the
+stage forest comes out as one block -- the layout
+:meth:`~repro.flat.FlatForest.from_block` adopts whole.  The per-net
+:func:`~repro.sta.delaycalc.compile_stage` remains the single-net ECO path
+and the parity oracle the block is held to, bit for bit.
+
+With ``store_dir=`` the shared forest goes out of core: the block is cut at
+about one shard of nodes and each piece goes straight into a
+:class:`repro.store.ShardStoreWriter` (never a concatenated forest), and
+every solve runs shard-by-shard through :class:`repro.store.StoredForest`
+-- the same sink table, the same incremental updates, with working RSS
+bounded by one shard plus one scenario chunk instead of the design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.flat import FlatForest, FlatTree
 from repro.sta.cells import Cell
-from repro.sta.delaycalc import compile_stage
+from repro.sta.delaycalc import StageBlock, compile_stage, compile_stage_block
 from repro.sta.netlist import Design, Net
 from repro.sta.parasitics import NetParasitics
-from repro.store import ShardStoreWriter, StoredForest
+from repro.store import DEFAULT_SHARD_NODES, ShardStoreWriter, StoredForest
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.spef.reader import SpefNet
 
 __all__ = ["DesignDB", "NetModel", "SinkTable", "ScenarioSinkTable"]
 
@@ -151,16 +162,146 @@ class _ScenarioLayout:
 class _StageEntry:
     """Bookkeeping for one timed net's compiled stage tree."""
 
-    __slots__ = ("net", "tree_index", "row_slice", "pin_index", "flat", "wire_c")
+    __slots__ = ("net", "tree_index", "row_slice", "pin_index", "wire_c")
 
     def __init__(self, net: str, tree_index: int, row_slice: slice):
         self.net = net
         self.tree_index = tree_index
         self.row_slice = row_slice
         self.pin_index: Dict[str, int] = {}
-        self.flat: Optional[FlatTree] = None
-        #: Wire-only node capacitance (pin loads excluded), from compile_stage.
+        #: Wire-only node capacitance (pin loads excluded) of the stage.
         self.wire_c: Optional[np.ndarray] = None
+
+
+#: A lumped net's one-node base tree; only its node capacitance varies.
+_LUMPED_PARENT = np.asarray([-1], dtype=np.int64)
+_LUMPED_DEPTH = np.zeros(1, dtype=np.int64)
+_LUMPED_ZERO = np.zeros(1, dtype=np.float64)
+
+
+class _StageGather:
+    """Per-net inputs of one :func:`compile_stage_block` call.
+
+    The per-net Python work is bookkeeping only -- base arrays are
+    collected by reference, sink pins bound to stage-local nodes -- and the
+    stage layout is computed in one vectorized pass when the block is
+    compiled.
+    """
+
+    def __init__(self, keep_names: bool):
+        self.entries: List[_StageEntry] = []
+        self.parent: List[np.ndarray] = []
+        self.edge_r: List[np.ndarray] = []
+        self.edge_c: List[np.ndarray] = []
+        self.node_c: List[np.ndarray] = []
+        self.depth: List[np.ndarray] = []
+        self.lumped_tree: List[int] = []
+        self.lumped_c: List[float] = []
+        self.drive: List[float] = []
+        self.sink_counts: List[int] = []
+        self.sink_local: List[int] = []
+        self.sink_c: List[float] = []
+        #: Stage node names, kept for in-RAM forests only (a store has none).
+        self.keep_names = keep_names
+        self.names: List[str] = []
+        self.nodes = 0
+
+    def add(
+        self,
+        entry: _StageEntry,
+        model: NetModel,
+        drive_resistance: float,
+        sinks: Dict[str, float],
+    ) -> None:
+        tree = len(self.entries)
+        self.entries.append(entry)
+        base = model.base
+        if base is None:
+            size = 1
+            self.parent.append(_LUMPED_PARENT)
+            self.edge_r.append(_LUMPED_ZERO)
+            self.edge_c.append(_LUMPED_ZERO)
+            self.node_c.append(_LUMPED_ZERO)
+            self.depth.append(_LUMPED_DEPTH)
+            self.lumped_tree.append(tree)
+            self.lumped_c.append(model.lumped_capacitance)
+            pin_index = dict.fromkeys(sinks, 1)
+            if self.keep_names:
+                self.names += ("src", "net")
+        else:
+            size = len(base)
+            self.parent.append(base._parent)
+            self.edge_r.append(base._edge_r)
+            self.edge_c.append(base._edge_c)
+            self.node_c.append(base._node_c)
+            self.depth.append(base._depth)
+            # Unbound pins take the base's last node: nothing can follow
+            # it as a child, so it is the last preorder leaf.
+            pin_nodes = model.pin_nodes
+            pin_index = {}
+            for pin in sinks:
+                node = pin_nodes.get(pin)
+                pin_index[pin] = size if node is None else base.index(node) + 1
+            if self.keep_names:
+                first = len(self.names)
+                self.names.append("src")
+                self.names += base._names
+                self.names[first + 1] = "drv"
+        entry.pin_index = pin_index
+        self.drive.append(drive_resistance)
+        self.sink_counts.append(len(sinks))
+        self.sink_local += pin_index.values()
+        self.sink_c += sinks.values()
+        self.nodes += size + 1
+
+    def compile(self) -> StageBlock:
+        sizes = np.asarray([len(p) for p in self.parent], dtype=np.int64)
+        base_starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=base_starts[1:])
+        node_c = np.concatenate(self.node_c)
+        if self.lumped_tree:
+            node_c[base_starts[self.lumped_tree]] = self.lumped_c
+        block = compile_stage_block(
+            base_starts,
+            np.concatenate(self.parent),
+            np.concatenate(self.edge_r),
+            np.concatenate(self.edge_c),
+            node_c,
+            np.concatenate(self.depth),
+            np.asarray(self.drive, dtype=np.float64),
+            np.asarray(self.sink_counts, dtype=np.int64),
+            np.asarray(self.sink_local, dtype=np.int64),
+            np.asarray(self.sink_c, dtype=np.float64),
+        )
+        bounds = block.starts.tolist()
+        wire_c = block.wire_c
+        for t, entry in enumerate(self.entries):
+            entry.wire_c = wire_c[bounds[t] : bounds[t + 1]]
+        return block
+
+
+def _emit_block(
+    gather: _StageGather,
+    writer: Optional[ShardStoreWriter],
+    sink_nodes: List[np.ndarray],
+) -> StageBlock:
+    """Compile one gathered block and record its sink rows' forest nodes.
+
+    A store-backed build hands the block straight to the shard writer.
+    """
+    block = gather.compile()
+    offset = 0 if writer is None else writer.node_count
+    sink_nodes.append(block.sink_nodes + offset)
+    if writer is not None:
+        writer.add_block(
+            block.starts,
+            block.parent,
+            block.edge_r,
+            block.edge_c,
+            block.node_c,
+            depth=block.depth,
+        )
+    return block
 
 
 class DesignDB:
@@ -175,21 +316,41 @@ class DesignDB:
         default_wire_capacitance: float = 0.0,
         store_dir: Optional[str] = None,
     ):
+        models: Dict[str, NetModel] = {}
+        for name, record in (parasitics or {}).items():
+            models[name] = (
+                record
+                if isinstance(record, NetModel)
+                else NetModel.from_parasitics(record)
+            )
+        self._build(
+            design,
+            design.connectivity(),
+            models,
+            input_drive_resistance,
+            default_wire_capacitance,
+            store_dir,
+        )
+
+    def _build(
+        self,
+        design: Design,
+        nets: Dict[str, Net],
+        models: Dict[str, NetModel],
+        input_drive_resistance: float,
+        default_wire_capacitance: float,
+        store_dir: Optional[str],
+    ) -> None:
+        """Adopt an already-built net table and models, then compile."""
         self._design = design
         self._input_drive_resistance = input_drive_resistance
         self._default_wire_capacitance = default_wire_capacitance
         self._store_dir = store_dir
         self._store: Optional[StoredForest] = None
-        self._nets: Dict[str, Net] = design.connectivity()
+        self._nets = nets
         self._clock_nets = set(design.clocks)
         self._instances = design.instances
-        self._models: Dict[str, NetModel] = {}
-        for name, record in (parasitics or {}).items():
-            self._models[name] = (
-                record
-                if isinstance(record, NetModel)
-                else NetModel.from_parasitics(record)
-            )
+        self._models = models
         self._entries: Dict[str, _StageEntry] = {}
         self._compile()
 
@@ -211,15 +372,15 @@ class DesignDB:
         return self._instances[net.driver.instance].cell.drive_resistance
 
     def _sink_capacitances(self, net: Net) -> Dict[str, float]:
-        sinks: Dict[str, float] = {}
-        for load in net.loads:
-            if load.is_port:
-                sinks[str(load)] = 0.0
-            else:
-                sinks[str(load)] = self._instances[
-                    load.instance
-                ].cell.input_capacitance
-        return sinks
+        instances = self._instances
+        return {
+            str(load): (
+                0.0
+                if load.instance is None
+                else instances[load.instance].cell.input_capacitance
+            )
+            for load in net.loads
+        }
 
     def _compile_net(self, net: Net) -> Tuple[FlatTree, Dict[str, int], np.ndarray]:
         model = self._model_of(net.name)
@@ -234,70 +395,87 @@ class DesignDB:
         )
 
     def _compile(self) -> None:
-        nets: List[str] = []
-        pins: List[str] = []
-        trees: List[FlatTree] = []
-        global_pin_index: List[int] = []  # per sink row, forest node index
-        row_tree: List[int] = []  # per sink row, forest tree index
-        row = 0
-        offset = 0
-        tree_index = 0
+        """Compile every timed net's stage tree and solve them together.
+
+        The per-net loop only gathers inputs; :func:`compile_stage_block`
+        then builds the stages in one vectorized pass.  In RAM that is one
+        block, adopted whole as the forest.  With ``store_dir=`` the block
+        is cut at about one shard of nodes and each piece goes straight
+        into the shard writer, so peak RSS during compile stays O(shard).
+        """
         self._forest_stale: Dict[int, FlatTree] = {}
         self._scenario_layout_cache: Optional[_ScenarioLayout] = None
+        self._forest: Optional[FlatForest] = None
         clock_nets = self._clock_nets
+        in_ram = self._store_dir is None
         writer: Optional[ShardStoreWriter] = None
-        if self._store_dir is not None:
-            writer = ShardStoreWriter(self._store_dir, overwrite=True)
+        if not in_ram:
+            writer = ShardStoreWriter(
+                self._store_dir, shard_nodes=DEFAULT_SHARD_NODES, overwrite=True
+            )
+        nets: List[str] = []
+        pins: List[str] = []
+        sink_nodes: List[np.ndarray] = []  # per block, forest node per row
+        row = 0
+        block: Optional[StageBlock] = None
+        gather = _StageGather(keep_names=in_ram)
         try:
             for net in self._nets.values():
                 if net.driver is None or not net.loads:
                     continue
                 if net.name in clock_nets:
                     continue
-                flat, pin_index, wire_c = self._compile_net(net)
+                name = net.name
+                # One sink row per pin, in load order (pin_index keeps it).
+                sinks = self._sink_capacitances(net)
+                count = len(sinks)
                 entry = _StageEntry(
-                    net.name, tree_index, slice(row, row + len(pin_index))
+                    name, len(self._entries), slice(row, row + count)
                 )
-                entry.pin_index = pin_index
-                entry.wire_c = wire_c
-                self._entries[net.name] = entry
-                if writer is not None:
-                    # Stream the stage into the store and drop it: peak RSS
-                    # during compile stays O(shard), not O(design).
-                    writer.add_flat_tree(flat)
-                else:
-                    entry.flat = flat
-                    trees.append(flat)
-                # pin_index preserves the sink order (one entry per load).
-                for pin, local in pin_index.items():
-                    nets.append(net.name)
-                    pins.append(pin)
-                    global_pin_index.append(offset + local)
-                    row_tree.append(tree_index)
-                offset += len(flat)
-                row += len(pin_index)
-                tree_index += 1
+                gather.add(
+                    entry, self._model_of(name), self._drive_resistance(net), sinks
+                )
+                self._entries[name] = entry
+                nets += [name] * count
+                pins += sinks
+                row += count
+                if writer is not None and gather.nodes >= DEFAULT_SHARD_NODES:
+                    _emit_block(gather, writer, sink_nodes)
+                    gather = _StageGather(keep_names=False)
+            if gather.entries:
+                block = _emit_block(gather, writer, sink_nodes)
         except BaseException:
             if writer is not None:
                 writer.abort()
             raise
-        self._timed_net_order = [t for t in self._entries]
+        self._timed_net_order = list(self._entries)
 
         times = None
-        self._forest: Optional[FlatForest] = None
         if writer is not None:
-            if tree_index:
+            if self._entries:
                 writer.close()
                 self._store = StoredForest(self._store_dir)
                 times = self._store.solve()
             else:
                 writer.abort()
-        elif trees:
-            self._forest = FlatForest(trees)
+        elif block is not None:
+            self._forest = FlatForest.from_block(
+                block.starts,
+                block.parent,
+                block.edge_r,
+                block.edge_c,
+                block.node_c,
+                depth=block.depth,
+                is_output=block.is_output,
+                names=gather.names,
+            )
             times = self._forest.solve()
         if times is not None:
-            indices = np.asarray(global_pin_index, dtype=np.int64)
-            tree_of_row = np.asarray(row_tree, dtype=np.int64)
+            indices = np.concatenate(sink_nodes)
+            tree_of_row = np.repeat(
+                np.arange(len(self._entries), dtype=np.int64),
+                [len(e.pin_index) for e in self._entries.values()],
+            )
             tp = np.asarray(times.tp)[tree_of_row]
             tde = np.asarray(times.tde[indices])
             tre = np.asarray(times.tre[indices])
@@ -389,10 +567,14 @@ class DesignDB:
         entry = self._entries.get(net)
         if entry is None:
             raise AnalysisError(f"net {net!r} is not a timed net of this design")
-        if entry.flat is None:
+        if self._store is not None:
             flat, _, _ = self._compile_net(self._nets[net])
             return flat
-        return entry.flat
+        pending = self._forest_stale.get(entry.tree_index)
+        if pending is not None:
+            return pending
+        assert self._forest is not None  # a timed net implies a forest
+        return self._forest.tree(entry.tree_index)
 
     def sink_rows(self, net: str) -> slice:
         """Row range of ``net``'s sinks inside :attr:`sinks`."""
@@ -645,7 +827,6 @@ class DesignDB:
         """Re-compile + re-solve one net's stage and patch the shared state."""
         net = self._nets[entry.net]
         flat, pin_index, wire_c = self._compile_net(net)
-        entry.flat = None if self._store is not None else flat
         entry.pin_index = pin_index
         entry.wire_c = wire_c
         self._scenario_layout_cache = None
@@ -741,24 +922,84 @@ class DesignDB:
         if is_path:
             with open(spef, "r", encoding="utf-8") as handle:
                 spef = handle.read()
-        connectivity = design.connectivity()
-        models: Dict[str, NetModel] = {}
-        for record in iter_spef_nets(spef):
-            net = connectivity.get(record.name)
-            if net is None:
-                continue
-            base = record.to_flat_tree()
-            known = set(record.node_names)
-            pin_nodes = {
-                str(load): str(load) for load in net.loads if str(load) in known
-            }
-            models[record.name] = NetModel(
-                net=record.name, base=base, pin_nodes=pin_nodes
-            )
-        return cls(
+        nets = design.connectivity()
+        records = [record for record in iter_spef_nets(spef) if record.name in nets]
+        db = cls.__new__(cls)
+        db._build(
             design,
-            models,
-            input_drive_resistance=input_drive_resistance,
-            default_wire_capacitance=default_wire_capacitance,
-            store_dir=store_dir,
+            nets,
+            _spef_models(records, nets),
+            input_drive_resistance,
+            default_wire_capacitance,
+            store_dir,
         )
+        return db
+
+
+def _spef_models(
+    records: List["SpefNet"], nets: Dict[str, Net]
+) -> Dict[str, NetModel]:
+    """Net models over the reader's preorder arrays, validated in one pass.
+
+    Every record's element values are checked together (finite and
+    non-negative, naming the first offending net), then each base tree is
+    adopted as is: the reader's walk already emitted preorder parents and
+    depths, so no per-net relabel or re-validation runs.  Outputs follow
+    :meth:`~repro.spef.reader.SpefNet.to_flat_tree`: the net's loads, else
+    its leaves.
+    """
+    if not records:
+        return {}
+    sizes = np.asarray([len(record.parent) for record in records], dtype=np.int64)
+    starts = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    resistance = np.concatenate([record.resistance for record in records])
+    capacitance = np.concatenate([record.capacitance for record in records])
+    valid = np.isfinite(resistance) & np.isfinite(capacitance)
+    valid &= (resistance >= 0.0) & (capacitance >= 0.0)
+    if not valid.all():
+        bad = int(np.flatnonzero(~valid)[0])
+        t = int(np.searchsorted(starts, bad, side="right")) - 1
+        record = records[t]
+        local = bad - int(starts[t])
+        raise ElementValueError(
+            f"net {record.name!r}: element values must be finite and"
+            f" non-negative, got R={float(resistance[bad])!r},"
+            f" C={float(capacitance[bad])!r}"
+            f" at node {record.node_names[local]!r}"
+        )
+    parent = np.concatenate([record.parent for record in records])
+    is_output = np.ones(len(parent), dtype=bool)
+    edge_c = np.zeros(len(parent), dtype=np.float64)
+    bounds = starts.tolist()
+    has_loads: List[bool] = []
+    load_nodes: List[int] = []
+    models: Dict[str, NetModel] = {}
+    for t, record in enumerate(records):
+        names = record.node_names
+        index = dict(zip(names, range(len(names))))
+        lo, hi = bounds[t], bounds[t + 1]
+        has_loads.append(bool(record.loads))
+        load_nodes += [lo + index[load] for load in record.loads]
+        pin_nodes = {}
+        for load in nets[record.name].loads:
+            pin = str(load)
+            if pin in index:
+                pin_nodes[pin] = pin
+        base = FlatTree(
+            names,
+            record.parent,
+            record.resistance,
+            edge_c[lo:hi],
+            record.capacitance,
+            is_output[lo:hi],
+            _depth=record.depth,
+            _trusted=True,
+            _index=index,
+        )
+        models[record.name] = NetModel(net=record.name, base=base, pin_nodes=pin_nodes)
+    # The bases view these outputs: every tree's leaves, or its loads if any.
+    is_output[(parent + np.repeat(starts[:-1], sizes))[parent >= 0]] = False
+    is_output[np.repeat(has_loads, sizes)] = False
+    is_output[load_nodes] = True
+    return models

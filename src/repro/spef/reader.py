@@ -41,6 +41,11 @@ class _NetSection:
     connections: List[Tuple[str, str, str]] = field(default_factory=list)  # (kind, pin, direction)
     caps: List[Tuple[str, Optional[str], float]] = field(default_factory=list)
     resistors: List[Tuple[str, str, float]] = field(default_factory=list)
+    #: The ``<net>/`` and ``<net>:`` pin prefixes, built once per section.
+    prefixes: Tuple[str, str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.prefixes = (f"{self.name}/", f"{self.name}:")
 
 
 #: Accepted SPEF input: a whole string, or any iterable of lines (an open
@@ -48,9 +53,12 @@ class _NetSection:
 SpefSource = Union[str, Iterable[str]]
 
 
+_UNIT_KEYWORDS = ("*C_UNIT", "*R_UNIT", "*T_UNIT")
+
+
 def _apply_unit(fields: List[str], units: Dict[str, float]) -> None:
     """Fold one ``*?_UNIT`` statement into the running unit table."""
-    if len(fields) >= 3 and fields[0] in ("*C_UNIT", "*R_UNIT", "*T_UNIT"):
+    if len(fields) >= 3 and fields[0] in _UNIT_KEYWORDS:
         value = parse_engineering(fields[1])
         unit_name = fields[2].upper()
         scale = {
@@ -76,7 +84,10 @@ def _default_units() -> Dict[str, float]:
 def _parse_units(lines: List[str]) -> Dict[str, float]:
     units = _default_units()
     for line in lines:
-        _apply_unit(line.split(), units)
+        # Only unit statements need splitting; _apply_unit still checks
+        # the exact first field.
+        if line.startswith(_UNIT_KEYWORDS):
+            _apply_unit(line.split(), units)
     return units
 
 
@@ -186,11 +197,11 @@ def spef_to_trees(text: str, *, root_name: str = "in") -> Dict[str, RCTree]:
     }
 
 
-def _strip_net_prefix(pin: str, net: str) -> str:
-    for delimiter in ("/", ":"):
-        prefix = f"{net}{delimiter}"
-        if pin.startswith(prefix):
-            return pin[len(prefix):]
+def _strip_net_prefix(pin: str, prefixes: Tuple[str, str]) -> str:
+    """Drop a leading ``<net>/`` or ``<net>:`` (``prefixes`` of one section)."""
+    if pin.startswith(prefixes):
+        # Both prefixes are the net name plus one delimiter character.
+        return pin[len(prefixes[0]):]
     return pin
 
 
@@ -205,20 +216,23 @@ def _select_driver(net: _NetSection) -> Optional[str]:
     """
     for _, pin, direction in net.connections:
         if direction.upper() == "I":
-            return _strip_net_prefix(pin, net.name)
+            return _strip_net_prefix(pin, net.prefixes)
     for _, pin, direction in net.connections:
         if direction.upper() != "O":
-            return _strip_net_prefix(pin, net.name)
+            return _strip_net_prefix(pin, net.prefixes)
     if net.connections:
-        return _strip_net_prefix(net.connections[0][1], net.name)
+        return _strip_net_prefix(net.connections[0][1], net.prefixes)
     return None
 
 
 def _net_adjacency(net: _NetSection) -> Dict[str, List[Tuple[str, float]]]:
     adjacency: Dict[str, List[Tuple[str, float]]] = {}
+    # _strip_net_prefix inlined: this loop runs twice per resistor.
+    prefixes = net.prefixes
+    cut = len(prefixes[0])
     for n1, n2, value in net.resistors:
-        a = _strip_net_prefix(n1, net.name)
-        b = _strip_net_prefix(n2, net.name)
+        a = n1[cut:] if n1.startswith(prefixes) else n1
+        b = n2[cut:] if n2.startswith(prefixes) else n2
         adjacency.setdefault(a, []).append((b, value))
         adjacency.setdefault(b, []).append((a, value))
     return adjacency
@@ -233,7 +247,7 @@ def _resolve_driver(net: _NetSection, adjacency: Dict[str, List[Tuple[str, float
         # spine starts at the tree root node; fall back to the resistor node
         # that appears only once (a topological root candidate).
         if driver.upper() == "DRV":
-            driver = _strip_net_prefix(net.resistors[0][0], net.name)
+            driver = _strip_net_prefix(net.resistors[0][0], net.prefixes)
         else:
             raise TopologyError(
                 f"driver pin {driver!r} of net {net.name!r} does not touch any resistor"
@@ -275,7 +289,7 @@ def _net_to_tree(net: _NetSection, *, root_name: str) -> RCTree:
                 f"net {net.name!r} contains a coupling capacitor ({n1} to {n2}); "
                 "RC-tree analysis only supports grounded capacitors"
             )
-        node = _strip_net_prefix(n1, net.name)
+        node = _strip_net_prefix(n1, net.prefixes)
         if node not in visited:
             raise TopologyError(
                 f"capacitor node {node!r} of net {net.name!r} is not connected to the driver"
@@ -284,7 +298,7 @@ def _net_to_tree(net: _NetSection, *, root_name: str) -> RCTree:
 
     for kind, pin, direction in net.connections:
         if direction.upper() == "O":
-            node = _strip_net_prefix(pin, net.name)
+            node = _strip_net_prefix(pin, net.prefixes)
             if node in visited:
                 tree.mark_output(node_name(node))
     if not tree.outputs:
@@ -299,9 +313,11 @@ class SpefNet:
 
     ``node_names`` is in depth-first preorder from the driver (index 0);
     ``parent`` / ``resistance`` describe the edge *into* each node (root
-    entries 0), ``capacitance`` the grounded cap per node.  ``loads`` lists
-    the ``O``-direction connection pins (net prefix stripped) -- the sink
-    pins a :class:`~repro.graph.DesignDB` binds to design loads.
+    entries ``-1`` / 0), ``capacitance`` the grounded cap per node and
+    ``depth`` the node depth the preorder walk assigned (``None`` when the
+    record was built by hand).  ``loads`` lists the ``O``-direction
+    connection pins (net prefix stripped) -- the sink pins a
+    :class:`~repro.graph.DesignDB` binds to design loads.
     """
 
     name: str
@@ -311,16 +327,16 @@ class SpefNet:
     capacitance: np.ndarray
     loads: List[str] = field(default_factory=list)
     total_capacitance: float = 0.0
+    depth: Optional[np.ndarray] = None
 
     def to_flat_tree(self) -> "FlatTree":
         """Compile to a :class:`~repro.flat.FlatTree` (loads, else leaves, as outputs)."""
         from repro.flat import FlatTree
 
         outputs = None
+        loads = set(self.loads)
         marked = [
-            index
-            for index, name in enumerate(self.node_names)
-            if name in set(self.loads)
+            index for index, name in enumerate(self.node_names) if name in loads
         ]
         if marked:
             outputs = marked
@@ -342,20 +358,23 @@ def _net_to_flat(net: _NetSection) -> SpefNet:
     names: List[str] = []
     parent: List[int] = []
     resistance: List[float] = []
+    depth: List[int] = []
     index: Dict[str, int] = {}
-    stack: List[Tuple[str, int, float]] = [(driver, -1, 0.0)]
+    stack: List[Tuple[str, int, float, int]] = [(driver, -1, 0.0, 0)]
     while stack:
-        node, parent_index, value = stack.pop()
+        node, parent_index, value, level = stack.pop()
         if node in index:
             continue
-        index[node] = len(names)
+        here = index[node] = len(names)
         names.append(node)
         parent.append(parent_index)
         resistance.append(value)
+        depth.append(level)
+        level += 1
         # Reverse so the first-listed neighbour is visited first (preorder).
         for neighbour, edge_value in reversed(adjacency.get(node, [])):
             if neighbour not in index:
-                stack.append((neighbour, index[node], edge_value))
+                stack.append((neighbour, here, edge_value, level))
 
     # Loop detection: a tree with V nodes has V-1 edges.
     if adjacency and len(net.resistors) != len(names) - 1:
@@ -371,7 +390,7 @@ def _net_to_flat(net: _NetSection) -> SpefNet:
                 f"net {net.name!r} contains a coupling capacitor ({n1} to {n2}); "
                 "RC-tree analysis only supports grounded capacitors"
             )
-        node = _strip_net_prefix(n1, net.name)
+        node = _strip_net_prefix(n1, net.prefixes)
         if node not in index:
             raise TopologyError(
                 f"capacitor node {node!r} of net {net.name!r} is not connected to the driver"
@@ -379,7 +398,7 @@ def _net_to_flat(net: _NetSection) -> SpefNet:
         capacitance[index[node]] += value
 
     loads = [
-        _strip_net_prefix(pin, net.name)
+        _strip_net_prefix(pin, net.prefixes)
         for _, pin, direction in net.connections
         if direction.upper() == "O"
     ]
@@ -391,6 +410,7 @@ def _net_to_flat(net: _NetSection) -> SpefNet:
         capacitance=np.asarray(capacitance, dtype=np.float64),
         loads=[pin for pin in loads if pin in index],
         total_capacitance=net.total_cap,
+        depth=np.asarray(depth, dtype=np.int64),
     )
 
 

@@ -21,8 +21,10 @@ analysis.  This subpackage demonstrates that downstream use end to end:
 ``TimingAnalyzer`` walks a networkx pin graph one vertex at a time and is
 kept as the readable reference (and parity oracle); design-scale runs and
 incremental ECO loops live in the array-native :mod:`repro.graph` engine,
-which shares this subpackage's :func:`~repro.sta.delaycalc.compile_stage`
-per-net assembler so the two engines agree to rounding.
+which builds its stages with this subpackage's
+:func:`~repro.sta.delaycalc.compile_stage_block` -- bitwise the per-net
+:func:`~repro.sta.delaycalc.compile_stage` assembler -- so the two engines
+agree to rounding.
 """
 
 from repro.sta.cells import Cell, standard_cell_library

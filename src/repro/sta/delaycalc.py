@@ -163,6 +163,97 @@ def compile_stage(
 
 
 @dataclass(frozen=True)
+class StageBlock:
+    """Many stage trees compiled at once, in the forest block layout.
+
+    ``starts`` holds each stage's first node plus the node-count sentinel;
+    ``parent`` is block-local with ``-1`` at every stage's source node --
+    the layout :meth:`repro.flat.FlatForest.from_block` and
+    :meth:`repro.store.ShardStoreWriter.add_block` take.  ``wire_c`` is the
+    node capacitance before any pin load was added and ``sink_nodes`` the
+    block node of every sink row.
+    """
+
+    starts: np.ndarray
+    parent: np.ndarray
+    edge_r: np.ndarray
+    edge_c: np.ndarray
+    node_c: np.ndarray
+    depth: np.ndarray
+    is_output: np.ndarray
+    wire_c: np.ndarray
+    sink_nodes: np.ndarray
+
+
+def compile_stage_block(
+    base_starts: np.ndarray,
+    base_parent: np.ndarray,
+    base_edge_r: np.ndarray,
+    base_edge_c: np.ndarray,
+    base_node_c: np.ndarray,
+    base_depth: np.ndarray,
+    drive_resistance: np.ndarray,
+    sink_counts: np.ndarray,
+    sink_local: np.ndarray,
+    sink_capacitance: np.ndarray,
+) -> StageBlock:
+    """Compile many stages in one vectorized pass, bitwise as :func:`compile_stage`.
+
+    The ``base_*`` arrays concatenate every stage's net tree (tree-local
+    topological parents with root ``-1``, one tree per ``base_starts``
+    window); a lumped net is a one-node base carrying its wire capacitance.
+    Each stage prepends a source node, puts its drive resistance (``<= 0``
+    becomes 1e-6) on the edge into the base root, and adds its sink pins'
+    capacitances -- ``sink_counts`` rows per stage, each at stage-local
+    node ``sink_local`` -- in sink order with :func:`numpy.add.at`, so every
+    sum is the sequential one :func:`compile_stage` forms.
+    """
+    trees = len(drive_resistance)
+    sizes = np.diff(base_starts)
+    starts = np.zeros(trees + 1, dtype=np.int64)
+    np.cumsum(sizes + 1, out=starts[1:])
+    n = int(starts[-1])
+    source = starts[:-1]
+    # Base node k of tree t lands at k + t + 1: one source node per tree
+    # before it, its own included.
+    tree_of_base = np.repeat(np.arange(trees, dtype=np.int64), sizes)
+    at = np.arange(len(base_parent), dtype=np.int64) + tree_of_base + 1
+
+    parent = np.empty(n, dtype=np.int64)
+    parent[source] = -1
+    # A base root (parent -1) lands on its source node; every other parent
+    # shifts with its tree.
+    parent[at] = base_parent + source[tree_of_base] + 1
+    depth = np.zeros(n, dtype=np.int64)
+    depth[at] = base_depth + 1
+    edge_r = np.zeros(n, dtype=np.float64)
+    edge_r[at] = base_edge_r
+    edge_r[source + 1] = np.where(drive_resistance > 0, drive_resistance, 1e-6)
+    edge_c = np.zeros(n, dtype=np.float64)
+    edge_c[at] = base_edge_c
+    edge_c[source + 1] = 0.0
+    node_c = np.zeros(n, dtype=np.float64)
+    node_c[at] = base_node_c
+    wire_c = node_c.copy()
+
+    sink_nodes = np.repeat(source, sink_counts) + sink_local
+    np.add.at(node_c, sink_nodes, sink_capacitance)
+    is_output = np.zeros(n, dtype=bool)
+    is_output[sink_nodes] = True
+    return StageBlock(
+        starts=starts,
+        parent=parent,
+        edge_r=edge_r,
+        edge_c=edge_c,
+        node_c=node_c,
+        depth=depth,
+        is_output=is_output,
+        wire_c=wire_c,
+        sink_nodes=sink_nodes,
+    )
+
+
+@dataclass(frozen=True)
 class StageTimes:
     """Model-independent analysis of one stage (one driver, one net).
 

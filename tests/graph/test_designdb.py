@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.core.networks import rc_ladder
 from repro.graph import DesignDB, NetModel
 from repro.spef.writer import tree_to_spef
@@ -170,3 +170,30 @@ class TestSpefIngest:
         text = tree_to_spef({"not_in_design": rc_ladder(2, 1.0, 1e-12)})
         db = DesignDB.from_spef(design, text, default_wire_capacitance=1e-15)
         assert db.net_model("n1").base is None
+
+    @pytest.mark.parametrize(
+        "res, cap",
+        [("-80", "0.009"), ("nan", "0.009"), ("80", "-0.009"), ("80", "nan")],
+    )
+    def test_from_spef_rejects_bad_element_values_naming_the_net(
+        self, design, res, cap
+    ):
+        text = "\n".join(
+            [
+                "*C_UNIT 1 PF",
+                "*R_UNIT 1 OHM",
+                "*D_NET n1 0.011",
+                "*CONN",
+                "*I n1:DRV I",
+                "*P n1/u2/A O",
+                "*CAP",
+                f"1 n1/w1 {cap}",
+                "2 n1/u2/A 0.002",
+                "*RES",
+                "1 n1/root n1/w1 120",
+                f"2 n1/w1 n1/u2/A {res}",
+                "*END",
+            ]
+        )
+        with pytest.raises(ElementValueError, match="'n1'"):
+            DesignDB.from_spef(design, text)
