@@ -232,16 +232,20 @@ class FlatForest:
         """Swap one member tree for another (sizes may differ).
 
         The concatenated arrays are spliced in place of the old member, the
-        level buckets are rebuilt and the solved times are invalidated -- the
-        next :meth:`solve` is a full batched pass.  This is the ECO hook used
-        by :class:`repro.graph.DesignDB`: one net's parasitics change, the
-        shared forest stays coherent for batch consumers, and the *edited*
-        net's fresh times come from its own small solve rather than from here.
+        level buckets are rebuilt -- unless the new member has the old one's
+        exact depth profile, which leaves them unchanged -- and the solved
+        times are invalidated: the next :meth:`solve` is a full batched
+        pass.  This is the ECO hook used by :class:`repro.graph.DesignDB`:
+        one net's parasitics change, the shared forest stays coherent for
+        batch consumers, and the *edited* net's fresh times come from its
+        own small solve rather than from here.
         """
         if not 0 <= tree_index < self._tree_count:
             raise IndexError(f"tree index {tree_index} out of range")
         lo, hi = int(self._offsets[tree_index]), int(self._offsets[tree_index + 1])
         delta = len(tree) - (hi - lo)
+        # Buckets depend on depth alone: a same-shape member keeps them.
+        same_levels = delta == 0 and np.array_equal(self._depth[lo:hi], tree._depth)
 
         def splice(old: np.ndarray, new: np.ndarray) -> np.ndarray:
             return np.concatenate([old[:lo], new, old[hi:]])
@@ -265,7 +269,8 @@ class FlatForest:
         if self._names is not None:
             self._names[lo:hi] = tree._names
         self._trees[tree_index] = tree
-        self._rebucket()
+        if not same_levels:
+            self._rebucket()
         self._times = None
 
     # ------------------------------------------------------------------

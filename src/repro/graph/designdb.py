@@ -18,7 +18,9 @@ size)) and :meth:`update_instance_cell` touches only the nets electrically
 affected by a cell swap (the instance's output net, whose drive resistance
 changed, and its input nets, whose sink capacitance changed).  Both splice the
 shared forest via :meth:`~repro.flat.FlatForest.replace_tree` so batch
-consumers (e.g. :func:`repro.apps.nets.design_net_summaries`) stay coherent.
+consumers (e.g. :func:`repro.apps.nets.design_net_summaries`) stay coherent,
+and splice the scenario layout -- built once at compile time -- over the
+same node window, so a what-if after an ECO costs what a warm one does.
 
 Bulk builds compile every stage in one vectorized pass
 (:func:`~repro.sta.delaycalc.compile_stage_block`): a per-net loop only
@@ -39,7 +41,17 @@ bounded by one shard plus one scenario chunk instead of the design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -146,8 +158,23 @@ class ScenarioSinkTable:
         return len(self.pins)
 
 
+class _PendingStage(NamedTuple):
+    """One recompiled stage waiting to be spliced into forest and layout."""
+
+    flat: FlatTree
+    wire_c: np.ndarray  # wire-only node capacitance of the stage
+    sink_local: np.ndarray  # stage node per sink row, in row order
+    sink_c: np.ndarray  # pin capacitance per sink row
+    rows: slice  # the net's sink-table rows
+
+
 class _ScenarioLayout:
-    """Forest-aligned metadata the scenario solver derates against."""
+    """Forest-aligned metadata the scenario solver derates against.
+
+    Built once with the forest and patched by :meth:`splice` whenever the
+    forest splices a recompiled stage, so it always describes the forest's
+    current node numbering.
+    """
 
     __slots__ = ("wire_c", "pin_c", "drive_nodes", "sink_nodes", "sink_tree")
 
@@ -158,19 +185,43 @@ class _ScenarioLayout:
         self.sink_nodes = sink_nodes  # (rows,) forest node per sink-table row
         self.sink_tree = sink_tree  # (rows,) forest tree per sink-table row
 
+    def splice(self, tree_index: int, lo: int, hi: int, stage: _PendingStage) -> None:
+        """Replace tree ``tree_index``'s node window ``[lo, hi)`` by ``stage``.
+
+        ``lo``/``hi`` are the window the forest splices, so a size change
+        shifts every later node here exactly as it does there.  Sink rows
+        keep their tree (rows are fixed by the net's loads).
+        """
+        size = len(stage.wire_c)
+        delta = size - (hi - lo)
+        if delta:
+            self.wire_c = np.concatenate(
+                [self.wire_c[:lo], stage.wire_c, self.wire_c[hi:]]
+            )
+            self.pin_c = np.concatenate(
+                [self.pin_c[:lo], np.zeros(size), self.pin_c[hi:]]
+            )
+            self.sink_nodes[stage.rows.stop :] += delta
+            self.drive_nodes[tree_index + 1 :] += delta
+        else:
+            self.wire_c[lo:hi] = stage.wire_c
+            self.pin_c[lo:hi] = 0.0
+        nodes = stage.sink_local + lo
+        self.sink_nodes[stage.rows] = nodes
+        # Sequential in row order: bitwise the sums the compile formed.
+        np.add.at(self.pin_c, nodes, stage.sink_c)
+
 
 class _StageEntry:
     """Bookkeeping for one timed net's compiled stage tree."""
 
-    __slots__ = ("net", "tree_index", "row_slice", "pin_index", "wire_c")
+    __slots__ = ("net", "tree_index", "row_slice", "pin_index")
 
     def __init__(self, net: str, tree_index: int, row_slice: slice):
         self.net = net
         self.tree_index = tree_index
         self.row_slice = row_slice
         self.pin_index: Dict[str, int] = {}
-        #: Wire-only node capacitance (pin loads excluded) of the stage.
-        self.wire_c: Optional[np.ndarray] = None
 
 
 #: A lumped net's one-node base tree; only its node capacitance varies.
@@ -261,7 +312,7 @@ class _StageGather:
         node_c = np.concatenate(self.node_c)
         if self.lumped_tree:
             node_c[base_starts[self.lumped_tree]] = self.lumped_c
-        block = compile_stage_block(
+        return compile_stage_block(
             base_starts,
             np.concatenate(self.parent),
             np.concatenate(self.edge_r),
@@ -273,25 +324,33 @@ class _StageGather:
             np.asarray(self.sink_local, dtype=np.int64),
             np.asarray(self.sink_c, dtype=np.float64),
         )
-        bounds = block.starts.tolist()
-        wire_c = block.wire_c
-        for t, entry in enumerate(self.entries):
-            entry.wire_c = wire_c[bounds[t] : bounds[t + 1]]
-        return block
+
+
+#: One block's piece of the scenario layout: wire capacitance, sink nodes,
+#: drive nodes and sink capacitances, in forest numbering.
+_LayoutPart = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _emit_block(
     gather: _StageGather,
     writer: Optional[ShardStoreWriter],
-    sink_nodes: List[np.ndarray],
+    layout: List[_LayoutPart],
 ) -> StageBlock:
-    """Compile one gathered block and record its sink rows' forest nodes.
+    """Compile one gathered block and record its piece of the layout.
 
     A store-backed build hands the block straight to the shard writer.
     """
     block = gather.compile()
     offset = 0 if writer is None else writer.node_count
-    sink_nodes.append(block.sink_nodes + offset)
+    layout.append(
+        (
+            block.wire_c,
+            block.sink_nodes + offset,
+            # Node 1 of every stage tree carries the drive-resistance edge.
+            block.starts[:-1] + (offset + 1),
+            np.asarray(gather.sink_c, dtype=np.float64),
+        )
+    )
     if writer is not None:
         writer.add_block(
             block.starts,
@@ -382,11 +441,13 @@ class DesignDB:
             for load in net.loads
         }
 
-    def _compile_net(self, net: Net) -> Tuple[FlatTree, Dict[str, int], np.ndarray]:
+    def _compile_net(
+        self, net: Net, sinks: Dict[str, float]
+    ) -> Tuple[FlatTree, Dict[str, int], np.ndarray]:
         model = self._model_of(net.name)
         return compile_stage(
             self._drive_resistance(net),
-            self._sink_capacitances(net),
+            sinks,
             lumped_capacitance=model.lumped_capacitance,
             base=model.base,
             pin_nodes=model.pin_nodes,
@@ -402,9 +463,11 @@ class DesignDB:
         block, adopted whole as the forest.  With ``store_dir=`` the block
         is cut at about one shard of nodes and each piece goes straight
         into the shard writer, so peak RSS during compile stays O(shard).
+        The scenario layout is assembled from the same blocks; ECOs patch
+        it from then on (:meth:`_active_forest`).
         """
-        self._forest_stale: Dict[int, FlatTree] = {}
-        self._scenario_layout_cache: Optional[_ScenarioLayout] = None
+        self._pending: Dict[int, _PendingStage] = {}
+        self._layout: Optional[_ScenarioLayout] = None
         self._forest: Optional[FlatForest] = None
         clock_nets = self._clock_nets
         in_ram = self._store_dir is None
@@ -415,7 +478,7 @@ class DesignDB:
             )
         nets: List[str] = []
         pins: List[str] = []
-        sink_nodes: List[np.ndarray] = []  # per block, forest node per row
+        layout_parts: List[_LayoutPart] = []
         row = 0
         block: Optional[StageBlock] = None
         gather = _StageGather(keep_names=in_ram)
@@ -440,10 +503,10 @@ class DesignDB:
                 pins += sinks
                 row += count
                 if writer is not None and gather.nodes >= DEFAULT_SHARD_NODES:
-                    _emit_block(gather, writer, sink_nodes)
+                    _emit_block(gather, writer, layout_parts)
                     gather = _StageGather(keep_names=False)
             if gather.entries:
-                block = _emit_block(gather, writer, sink_nodes)
+                block = _emit_block(gather, writer, layout_parts)
         except BaseException:
             if writer is not None:
                 writer.abort()
@@ -471,10 +534,22 @@ class DesignDB:
             )
             times = self._forest.solve()
         if times is not None:
-            indices = np.concatenate(sink_nodes)
+            wire_c, indices, drive_nodes, sink_c = (
+                np.concatenate(column) for column in zip(*layout_parts)
+            )
             tree_of_row = np.repeat(
                 np.arange(len(self._entries), dtype=np.int64),
                 [len(e.pin_index) for e in self._entries.values()],
+            )
+            pin_c = np.zeros(len(wire_c))
+            # Sequential in row order: bitwise the compile's pin-cap sums.
+            np.add.at(pin_c, indices, sink_c)
+            self._layout = _ScenarioLayout(
+                wire_c=wire_c,
+                pin_c=pin_c,
+                drive_nodes=drive_nodes,
+                sink_nodes=indices,
+                sink_tree=tree_of_row,
             )
             tp = np.asarray(times.tp)[tree_of_row]
             tde = np.asarray(times.tde[indices])
@@ -520,17 +595,23 @@ class DesignDB:
     def _active_forest(self) -> Optional[Union[FlatForest, StoredForest]]:
         """Whichever forest backs this database, with pending splices applied.
 
-        Incremental updates queue their member replacements and the splices
+        Incremental updates queue their recompiled stages and the splices
         are applied here on first read -- an ECO loop that never consults the
-        forest pays nothing for keeping it coherent.  Both forest kinds
-        expose the same ``replace_tree`` / ``solve_batch`` / ``_offsets``
-        surface, so the splice loop is shared.
+        forest pays nothing for keeping it coherent.  Each stage splices the
+        forest and the scenario layout over the same node window, so the
+        two never disagree.  Both forest kinds expose the same
+        ``replace_tree`` / ``solve_batch`` / ``_offsets`` surface, so the
+        splice loop is shared.
         """
         target = self._store if self._store is not None else self._forest
-        if target is not None and self._forest_stale:
-            for tree_index, flat in self._forest_stale.items():
-                target.replace_tree(tree_index, flat)
-            self._forest_stale.clear()
+        if self._pending:
+            assert target is not None and self._layout is not None
+            for tree_index, stage in self._pending.items():
+                offsets = target._offsets  # a store re-reads it after a splice
+                lo, hi = int(offsets[tree_index]), int(offsets[tree_index + 1])
+                target.replace_tree(tree_index, stage.flat)
+                self._layout.splice(tree_index, lo, hi, stage)
+            self._pending.clear()
         return target
 
     @property
@@ -568,11 +649,12 @@ class DesignDB:
         if entry is None:
             raise AnalysisError(f"net {net!r} is not a timed net of this design")
         if self._store is not None:
-            flat, _, _ = self._compile_net(self._nets[net])
+            record = self._nets[net]
+            flat, _, _ = self._compile_net(record, self._sink_capacitances(record))
             return flat
-        pending = self._forest_stale.get(entry.tree_index)
+        pending = self._pending.get(entry.tree_index)
         if pending is not None:
-            return pending
+            return pending.flat
         assert self._forest is not None  # a timed net implies a forest
         return self._forest.tree(entry.tree_index)
 
@@ -609,39 +691,10 @@ class DesignDB:
     # Scenario-batched analysis
     # ------------------------------------------------------------------
     def _scenario_layout(self) -> _ScenarioLayout:
-        """Forest-aligned wire/pin/driver metadata, rebuilt after any edit.
-
-        The pin-load vector is derived here, lazily, so designs that never
-        run a scenario solve pay nothing for the wire/pin split beyond the
-        per-stage wire array ``compile_stage`` already emits.
-        """
-        forest = self._active_forest()  # applies pending splices first
-        if self._scenario_layout_cache is None:
-            n = forest.node_count
-            wire_c = np.empty(n)
-            pin_c = np.zeros(n)
-            sink_nodes: List[int] = []
-            sink_tree: List[int] = []
-            offsets = forest._offsets
-            for entry in self._entries.values():
-                lo = int(offsets[entry.tree_index])
-                hi = int(offsets[entry.tree_index + 1])
-                wire_c[lo:hi] = entry.wire_c
-                sinks = self._sink_capacitances(self._nets[entry.net])
-                # pin_index preserves sink-table row order within the net.
-                for pin, local in entry.pin_index.items():
-                    pin_c[lo + local] += sinks[pin]
-                    sink_nodes.append(lo + local)
-                    sink_tree.append(entry.tree_index)
-            self._scenario_layout_cache = _ScenarioLayout(
-                wire_c=wire_c,
-                pin_c=pin_c,
-                # Node 1 of every stage tree carries the drive-resistance edge.
-                drive_nodes=np.asarray(offsets[:-1] + 1, dtype=np.int64),
-                sink_nodes=np.asarray(sink_nodes, dtype=np.int64),
-                sink_tree=np.asarray(sink_tree, dtype=np.int64),
-            )
-        return self._scenario_layout_cache
+        """Forest-aligned wire/pin/driver metadata, current with every ECO."""
+        self._active_forest()  # splices pending stages into the layout too
+        assert self._layout is not None  # callers check for timed nets
+        return self._layout
 
     def solve_scenarios(
         self,
@@ -824,24 +877,31 @@ class DesignDB:
         return entry
 
     def _recompile_entry(self, entry: _StageEntry) -> None:
-        """Re-compile + re-solve one net's stage and patch the shared state."""
+        """Re-compile + re-solve one net's stage and patch the shared state.
+
+        The sink table is patched now; the stage is queued for the forest
+        and scenario-layout splice that :meth:`_active_forest` applies.
+        """
         net = self._nets[entry.net]
-        flat, pin_index, wire_c = self._compile_net(net)
+        sinks = self._sink_capacitances(net)
+        flat, pin_index, wire_c = self._compile_net(net, sinks)
         entry.pin_index = pin_index
-        entry.wire_c = wire_c
-        self._scenario_layout_cache = None
-        if self._forest is not None or self._store is not None:
-            self._forest_stale[entry.tree_index] = flat
-        times = flat.solve()
-        indices = np.asarray(
-            [pin_index[str(load)] for load in net.loads], dtype=np.int64
+        # pin_index keeps sink-table row order within the net.
+        indices = np.fromiter(pin_index.values(), dtype=np.int64, count=len(sinks))
+        self._pending[entry.tree_index] = _PendingStage(
+            flat=flat,
+            wire_c=wire_c,
+            sink_local=indices,
+            sink_c=np.fromiter(sinks.values(), dtype=np.float64, count=len(sinks)),
+            rows=entry.row_slice,
         )
+        times = flat.solve()
         window = entry.row_slice
-        sinks = self._sinks
-        sinks.tp[window] = times.tp
-        sinks.tde[window] = times.tde[indices]
-        sinks.tre[window] = times.tre[indices]
-        sinks.total_capacitance[window] = times.total_capacitance
+        table = self._sinks
+        table.tp[window] = times.tp
+        table.tde[window] = times.tde[indices]
+        table.tre[window] = times.tre[indices]
+        table.total_capacitance[window] = times.total_capacitance
 
     def update_net(
         self, net: str, parasitics: Union[NetParasitics, NetModel]

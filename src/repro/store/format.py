@@ -29,7 +29,7 @@ generation counter -- the hook that makes ECO re-solves incremental.
 Every ``np.memmap`` opened by this package must be paired with an
 explicit :func:`release_memmap` (or ``weakref.finalize`` wiring for
 mappings that outlive their creator) -- reprolint rule RL008 enforces the
-discipline, mirroring RL003's shared-memory rules.
+discipline.
 """
 
 from __future__ import annotations

@@ -140,6 +140,57 @@ class TestReplaceTree:
         np.testing.assert_allclose(times_a.tde, times_b.tde, rtol=1e-15)
         np.testing.assert_allclose(times_a.tp, times_b.tp, rtol=1e-15)
 
+    def test_same_shape_splice_keeps_level_buckets(self):
+        from repro.flat.scenarios import level_buckets
+        from repro.generators.random_trees import RandomTreeConfig, random_flat_tree
+
+        config = RandomTreeConfig(nodes=15, branching_bias=0.6)
+        forest = FlatForest([random_flat_tree(seed, config) for seed in range(4)])
+        forest.solve()
+        levels = forest._levels
+        member = forest.tree(1)
+        forest.replace_tree(
+            1,
+            FlatTree(
+                member.names,
+                member._parent,
+                member._edge_r * 2.0,
+                member._edge_c,
+                member._node_c * 3.0,
+                member._is_output,
+            ),
+        )
+        assert forest._levels is levels
+        expected = level_buckets(forest._depth)
+        assert len(forest._levels) == len(expected)
+        for kept, want in zip(forest._levels, expected):
+            assert kept.tobytes() == want.tobytes()
+        rebuilt = FlatForest(forest.trees).solve()
+        times = forest.solve()
+        for name in ("tde", "tre", "ree", "tp", "total_capacitance"):
+            assert getattr(times, name).tobytes() == getattr(rebuilt, name).tobytes()
+
+    def test_same_size_new_shape_rebuilds_level_buckets(self):
+        from repro.flat.scenarios import level_buckets
+        from repro.generators.random_trees import random_flat_tree
+
+        names = [f"n{i}" for i in range(5)]
+        edge_r, edge_c, node_c = [0.0, 1, 1, 1, 1], [0.0] * 5, [1e-15] * 5
+        chain = FlatTree(
+            names, [-1, 0, 1, 2, 3], edge_r, edge_c, node_c, [False] * 4 + [True]
+        )
+        star = FlatTree(
+            names, [-1, 0, 0, 0, 0], edge_r, edge_c, node_c, [False] + [True] * 4
+        )
+        forest = FlatForest([random_flat_tree(0), chain, random_flat_tree(1)])
+        levels = forest._levels
+        forest.replace_tree(1, star)
+        assert forest._levels is not levels
+        expected = level_buckets(forest._depth)
+        assert len(forest._levels) == len(expected)
+        for got, want in zip(forest._levels, expected):
+            assert got.tobytes() == want.tobytes()
+
     def test_replace_out_of_range_rejected(self):
         from repro.generators.random_trees import random_flat_tree
 

@@ -1,0 +1,289 @@
+"""The maintained scenario layout equals a from-scratch rebuild after any ECO.
+
+``DesignDB`` builds its scenario layout (wire-only and pin-load capacitance
+per forest node, drive-resistance nodes, and each sink row's forest node and
+tree) once, from the stage blocks, and splices it together with the forest on
+every ECO.  The oracle is the per-entry rebuild the database used to run
+after each edit: ``compile_stage`` per timed net, placed at the forest's
+current offsets, pin loads summed in ``pin_index`` order.  After random ECO
+sequences -- cell swaps, same-size, larger and smaller ``update_net``
+trees, lumped -> tree and tree -> lumped -- every layout array must match it
+bit for bit, in RAM and store-backed.  Scenario solves and what-if scores
+must match a freshly built database of the edited design at 1e-12.
+"""
+
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.graph.designdb as designdb
+from repro.core.tree import RCTree
+from repro.flat.scenarios import level_buckets
+from repro.generators import random_design, random_scenarios
+from repro.graph import DesignDB, TimingGraph
+from repro.scenarios import Scenario, ScenarioSet, scaled_parasitics
+from repro.sta.cells import standard_cell_library
+from repro.sta.delaycalc import DelayModel, compile_stage
+from repro.sta.parasitics import lumped, rc_tree_parasitics
+
+#: A small shard size so store-backed designs span several shards.
+SMALL_SHARD = 48
+LIBRARY = standard_cell_library()
+PERIOD = 2e-9
+INPUT_DRIVE = 90.0
+MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)
+LAYOUT_FIELDS = ("wire_c", "pin_c", "drive_nodes", "sink_nodes", "sink_tree")
+ECO_KINDS = ("resize", "same", "grow", "shrink", "to_tree", "to_lumped")
+TABLE_FIELDS = ("tp", "tde", "tre", "total_capacitance")
+
+
+def rebuild_layout(db):
+    """The per-entry layout rebuild, from scratch over the current forest."""
+    forest = db._active_forest()
+    offsets = forest._offsets
+    wire_c = np.empty(forest.node_count)
+    pin_c = np.zeros(forest.node_count)
+    sink_nodes, sink_tree = [], []
+    for tree, net in enumerate(db.timed_nets()):
+        model = db.net_model(net)
+        sinks = db.sink_capacitances_of(net)
+        _, pin_index, stage_wire = compile_stage(
+            db.drive_resistance_of(net),
+            sinks,
+            lumped_capacitance=model.lumped_capacitance,
+            base=model.base,
+            pin_nodes=model.pin_nodes,
+        )
+        lo, hi = int(offsets[tree]), int(offsets[tree + 1])
+        assert hi - lo == len(stage_wire)
+        wire_c[lo:hi] = stage_wire
+        # pin_index preserves sink-table row order within the net.
+        for pin, local in pin_index.items():
+            pin_c[lo + local] += sinks[pin]
+            sink_nodes.append(lo + local)
+            sink_tree.append(tree)
+    return {
+        "wire_c": wire_c,
+        "pin_c": pin_c,
+        # Node 1 of every stage tree carries the drive-resistance edge.
+        "drive_nodes": np.asarray(offsets[:-1] + 1, dtype=np.int64),
+        "sink_nodes": np.asarray(sink_nodes, dtype=np.int64),
+        "sink_tree": np.asarray(sink_tree, dtype=np.int64),
+    }
+
+
+def assert_layout_matches_rebuild(db):
+    layout = db._scenario_layout()
+    expected = rebuild_layout(db)
+    for name in LAYOUT_FIELDS:
+        got, want = getattr(layout, name), expected[name]
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def assert_tables_close(got, want):
+    assert got.nets == want.nets
+    assert got.pins == want.pins
+    for name in TABLE_FIELDS:
+        assert_close(getattr(got, name), getattr(want, name))
+
+
+# ----------------------------------------------------------------------
+# ECO sequences
+# ----------------------------------------------------------------------
+def chain_parasitics(net, loads, size, scale, pick):
+    """A ``size``-node chain with each load pin bound to a chosen node."""
+    names = [f"{net}:{i}" for i in range(size)]
+    tree = RCTree(names[0])
+    for i in range(1, size):
+        tree.add_line(names[i - 1], names[i], 60.0 * scale * i, 2e-15 * scale)
+    tree.mark_output(names[-1])
+    pin_nodes = {pin: names[(pick + i) % size] for i, pin in enumerate(loads)}
+    return rc_tree_parasitics(net, tree, pin_nodes)
+
+
+def base_size(db, net):
+    base = db.net_model(net).base
+    return 1 if base is None else len(base)
+
+
+def apply_eco(db, parasitics, eco, apply_update, apply_resize):
+    """Apply one drawn ECO, mirrored into the ``parasitics`` oracle state."""
+    kind, pick, scale = eco
+    if kind == "resize":
+        instances = sorted(db.instances)
+        name = instances[pick % len(instances)]
+        cell = db.instances[name].cell
+        prefix, _, strength = cell.name.rpartition("_X")
+        choices = [s for s in ("1", "2", "4") if s != strength]
+        replacement = LIBRARY.get(f"{prefix}_X{choices[pick % len(choices)]}")
+        if replacement is not None:
+            apply_resize(name, replacement)
+        return
+    nets = db.timed_nets()
+    net = nets[pick % len(nets)]
+    loads = [str(load) for load in db.nets[net].loads]
+    current = parasitics.get(net)
+    size = base_size(db, net)
+    if kind == "same":
+        if current is None:
+            edit = lumped(net, 3e-15 * scale)
+        else:
+            derate = Scenario("eco", r_derate=scale, c_derate=scale)
+            edit = scaled_parasitics(current, derate)
+    elif kind == "grow":
+        edit = chain_parasitics(net, loads, size + 1 + pick % 3, scale, pick)
+    elif kind == "shrink":
+        if size > 2:
+            smaller = max(2, size - 1 - pick % 3)
+            edit = chain_parasitics(net, loads, smaller, scale, pick)
+        else:
+            edit = lumped(net, 4e-15 * scale)
+    elif kind == "to_tree":
+        edit = chain_parasitics(net, loads, 2 + pick % 4, scale, pick)
+    else:
+        edit = lumped(net, 5e-15 * scale)
+    parasitics[net] = edit
+    apply_update(net, edit)
+
+
+eco_sequences = st.lists(
+    st.tuples(
+        st.sampled_from(ECO_KINDS),
+        st.integers(0, 10**6),
+        st.floats(0.5, 2.0),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def scenario_set(db, seed):
+    nets = db.timed_nets()
+    scenarios = list(random_scenarios(3, seed=seed))
+    scenarios.append(Scenario("netted", net_scale={nets[seed % len(nets)]: 1.7}))
+    return ScenarioSet(scenarios)
+
+
+HYPOTHESIS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@pytest.fixture
+def small_shards(monkeypatch):
+    monkeypatch.setattr(designdb, "DEFAULT_SHARD_NODES", SMALL_SHARD)
+
+
+class TestEcoSequences:
+    @HYPOTHESIS
+    @given(
+        design_seed=st.integers(0, 2**16),
+        ecos=eco_sequences,
+        reads=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_in_ram(self, design_seed, ecos, reads):
+        design, parasitics = random_design(24, seed=design_seed)
+        parasitics = dict(parasitics)
+        db = DesignDB(design, dict(parasitics), input_drive_resistance=INPUT_DRIVE)
+        graph = TimingGraph(db, clock_period=PERIOD)
+        assert_layout_matches_rebuild(db)
+        for eco, read in zip(ecos, reads):
+            apply_eco(db, parasitics, eco, graph.update_net, graph.resize_instance)
+            if read:  # splice now; otherwise splices queue up
+                assert_layout_matches_rebuild(db)
+        assert_layout_matches_rebuild(db)
+        forest = db.forest
+        expected_levels = level_buckets(forest._depth)
+        assert len(forest._levels) == len(expected_levels)
+        for got, want in zip(forest._levels, expected_levels):
+            assert got.tobytes() == want.tobytes()
+
+        fresh = DesignDB(design, parasitics, input_drive_resistance=INPUT_DRIVE)
+        scenarios = scenario_set(db, design_seed)
+        assert_tables_close(
+            db.solve_scenarios(scenarios), fresh.solve_scenarios(scenarios)
+        )
+        instances = sorted(db.instances)
+        swaps = []
+        for i in range(3):
+            name = instances[(design_seed + 7 * i) % len(instances)]
+            prefix, _, _ = db.instances[name].cell.name.rpartition("_X")
+            cell = LIBRARY.get(f"{prefix}_X2") or db.instances[name].cell
+            swaps.append((name, cell))
+        reference = TimingGraph(fresh, clock_period=PERIOD)
+        for model in MODELS:
+            assert_close(
+                graph.whatif_resize_worst_slack(swaps, model),
+                reference.whatif_resize_worst_slack(swaps, model),
+            )
+
+    @HYPOTHESIS
+    @given(design_seed=st.integers(0, 2**16), ecos=eco_sequences)
+    def test_store_backed(self, design_seed, ecos, small_shards):
+        design, parasitics = random_design(24, seed=design_seed)
+        parasitics = dict(parasitics)
+        with tempfile.TemporaryDirectory() as directory:
+            db = DesignDB(
+                design,
+                dict(parasitics),
+                input_drive_resistance=INPUT_DRIVE,
+                store_dir=directory,
+            )
+            assert db.store.shard_count > 1
+            assert_layout_matches_rebuild(db)
+            for eco in ecos:
+                apply_eco(
+                    db, parasitics, eco, db.update_net, db.update_instance_cell
+                )
+            assert_layout_matches_rebuild(db)
+            scenarios = scenario_set(db, design_seed)
+            got = db.solve_scenarios(scenarios)
+            db.store.close()
+        fresh = DesignDB(design, parasitics, input_drive_resistance=INPUT_DRIVE)
+        assert_tables_close(got, fresh.solve_scenarios(scenarios))
+
+
+class TestNamedEcos:
+    @pytest.fixture
+    def graph(self):
+        design, parasitics = random_design(60, seed=3)
+        return TimingGraph(
+            design, parasitics, clock_period=PERIOD, input_drive_resistance=INPUT_DRIVE
+        )
+
+    def test_compiled_layout_matches_rebuild(self, graph):
+        assert_layout_matches_rebuild(graph.db)
+
+    def test_size_change_shifts_later_trees(self, graph):
+        db = graph.db
+        net = db.timed_nets()[0]
+        loads = [str(load) for load in db.nets[net].loads]
+        before = db._scenario_layout().drive_nodes.copy()
+        grown = chain_parasitics(net, loads, base_size(db, net) + 4, 1.0, 0)
+        graph.update_net(net, grown)
+        layout = db._scenario_layout()
+        assert (layout.drive_nodes[1:] == before[1:] + 4).all()
+        assert_layout_matches_rebuild(db)
+
+    def test_two_queued_ecos_splice_in_one_read(self, graph):
+        db = graph.db
+        first, last = db.timed_nets()[0], db.timed_nets()[-1]
+        for net, grow in ((last, 3), (first, 2)):
+            loads = [str(load) for load in db.nets[net].loads]
+            db.update_net(
+                net, chain_parasitics(net, loads, base_size(db, net) + grow, 1.3, 1)
+            )
+        assert len(db._pending) == 2
+        assert_layout_matches_rebuild(db)
+        assert not db._pending

@@ -4,9 +4,9 @@
 (:func:`repro.sta.delaycalc.compile_stage_block`).  The oracle is the
 per-net path: ``compile_stage`` per timed net, then ``FlatForest(list)``
 in RAM or ``ShardStoreWriter.add_flat_tree`` per stage for a store.  The
-forest arrays, the wire-only capacitances, every ``pin_index`` and every
-``SinkTable`` column must match it bit for bit, for dict and SPEF ingest
-and for in-RAM and store-backed databases.
+forest arrays, the scenario layout's wire-only capacitances, every
+``pin_index`` and every ``SinkTable`` column must match it bit for bit,
+for dict and SPEF ingest and for in-RAM and store-backed databases.
 """
 
 import tempfile
@@ -88,11 +88,12 @@ def assert_sinks_equal(db, expected):
         assert_bitwise(getattr(sinks, column), expected[column])
 
 
-def assert_entries_equal(db, stages):
-    for net, (_, pin_index, wire_c) in zip(db.timed_nets(), stages):
+def assert_entries_equal(db, stages, offsets):
+    layout = db._scenario_layout()
+    for t, (net, (_, pin_index, wire_c)) in enumerate(zip(db.timed_nets(), stages)):
         entry = db._entries[net]
         assert list(entry.pin_index.items()) == list(pin_index.items())
-        assert_bitwise(entry.wire_c, wire_c)
+        assert_bitwise(layout.wire_c[offsets[t] : offsets[t + 1]], wire_c)
 
 
 def check_in_ram(db):
@@ -119,7 +120,7 @@ def check_in_ram(db):
         for name in TREE_FIELDS:
             assert_bitwise(getattr(member, name), getattr(flat, name))
     assert forest.output_labels() == oracle.output_labels()
-    assert_entries_equal(db, stages)
+    assert_entries_equal(db, stages, oracle._offsets)
     assert_sinks_equal(db, oracle_sinks(db, stages, oracle.solve(), oracle._offsets))
 
 
@@ -141,8 +142,9 @@ def check_store(db, shard_nodes):
             for name in ("starts", "parent", "depth", "edge_r", "edge_c", "node_c"):
                 assert_bitwise(getattr(got, name), getattr(want, name))
         expected = oracle_sinks(db, stages, oracle.solve(), oracle.offsets)
+        offsets = oracle.offsets
         oracle.close()
-    assert_entries_equal(db, stages)
+    assert_entries_equal(db, stages, offsets)
     assert_sinks_equal(db, expected)
 
 

@@ -175,134 +175,6 @@ class TestDtypeDiscipline:
 
 
 # ----------------------------------------------------------------------
-# RL003 shared-memory lifetime
-# ----------------------------------------------------------------------
-class TestShmLifetime:
-    def test_fires_on_ndarray_over_buffer(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/worker.py",
-            """
-            import numpy as np
-
-            def view(shm, n):
-                return np.ndarray((n,), dtype=np.float64, buffer=shm.buf)
-            """,
-        )
-        assert "RL003" in rules_fired(result)
-
-    def test_fires_on_unpaired_owning_allocation(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/blocks.py",
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def allocate(nbytes):
-                return SharedMemory(create=True, size=nbytes)
-            """,
-        )
-        assert "RL003" in rules_fired(result)
-
-    def test_fires_on_unguarded_close_after_view(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/oops.py",
-            """
-            import numpy as np
-
-            def read(shm):
-                view = np.frombuffer(shm.buf, dtype=np.float64)
-                total = view.sum()
-                shm.close()
-                return total
-            """,
-        )
-        assert "RL003" in rules_fired(result)
-
-    def test_silent_on_finalize_paired_owner(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/blocks.py",
-            """
-            import weakref
-            from multiprocessing.shared_memory import SharedMemory
-
-            def _release(shm):
-                try:
-                    shm.close()
-                except BufferError:
-                    pass
-                shm.unlink()
-
-            class Block:
-                def __init__(self, nbytes):
-                    self.shm = SharedMemory(create=True, size=nbytes)
-                    weakref.finalize(self, _release, self.shm)
-            """,
-        )
-        assert "RL003" not in rules_fired(result)
-
-    def test_silent_on_atexit_wired_cache_owner(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/cache.py",
-            """
-            import atexit
-            from multiprocessing.shared_memory import SharedMemory
-
-            _CACHE = {}
-
-            def _release(shm):
-                try:
-                    shm.close()
-                except BufferError:
-                    pass
-                try:
-                    shm.unlink()
-                except Exception:
-                    pass
-
-            def _release_all():
-                for shm in _CACHE.values():
-                    _release(shm)
-
-            atexit.register(_release_all)
-
-            def allocate(key, nbytes):
-                if key in _CACHE:
-                    _release(_CACHE.pop(key))
-                shm = SharedMemory(create=True, size=nbytes)
-                _CACHE[key] = shm
-                return shm
-            """,
-        )
-        assert "RL003" not in rules_fired(result)
-
-    def test_silent_on_attach_side_and_guarded_teardown(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/worker.py",
-            """
-            import numpy as np
-            from multiprocessing.shared_memory import SharedMemory
-
-            def work(name):
-                shm = SharedMemory(name=name)
-                view = np.frombuffer(shm.buf, dtype=np.float64)
-                total = view.sum()
-                del view
-                try:
-                    shm.close()
-                except BufferError:
-                    pass
-                return total
-            """,
-        )
-        assert "RL003" not in rules_fired(result)
-
-
-# ----------------------------------------------------------------------
 # RL004 cache invalidation
 # ----------------------------------------------------------------------
 CONTRACT = CacheContract(
@@ -381,6 +253,65 @@ class TestCacheInvalidation:
 
                 def _rebucket(self):
                     self._plane = self._plane
+            """,
+        )
+        assert "RL004" not in rules_fired(result)
+
+
+def lint_designdb(tmp_path, body):
+    """Lint ``body`` as a ``DesignDB`` method under the shipped RL004 table."""
+    source = "class DesignDB:\n" + textwrap.indent(textwrap.dedent(body), "    ")
+    return lint(tmp_path, "repro/graph/designdb.py", source)
+
+
+class TestDesignDBContract:
+    """The shipped ``DesignDB`` row: models change only through a recompile."""
+
+    def test_fires_on_model_write_without_recompile(self, tmp_path):
+        result = lint_designdb(
+            tmp_path,
+            """
+            def set_model(self, net, model):
+                self._models[net] = model
+            """,
+        )
+        assert "RL004" in rules_fired(result)
+
+    def test_dropping_the_old_layout_cache_no_longer_counts(self, tmp_path):
+        result = lint_designdb(
+            tmp_path,
+            """
+            def set_model(self, net, model):
+                self._models[net] = model
+                self._scenario_layout_cache = None
+            """,
+        )
+        assert "RL004" in rules_fired(result)
+
+    def test_fires_on_lazy_layout_rebuild(self, tmp_path):
+        result = lint_designdb(
+            tmp_path,
+            """
+            def _scenario_layout(self):
+                self._layout = self._rebuild_layout()
+                return self._layout
+            """,
+        )
+        assert "RL004" in rules_fired(result)
+
+    def test_silent_when_the_stage_is_recompiled(self, tmp_path):
+        result = lint_designdb(
+            tmp_path,
+            """
+            def update_net(self, net, model):
+                self._models[net] = model
+                self._recompile_entry(self._entries[net])
+
+            def _recompile_entry(self, entry):
+                self._pending[entry.tree_index] = entry
+
+            def _compile(self):
+                self._layout = None
             """,
         )
         assert "RL004" not in rules_fired(result)

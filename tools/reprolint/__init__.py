@@ -2,14 +2,13 @@
 
 The engine stack (flat -> graph -> scenarios -> parallel -> contraction)
 rests on correctness rules that used to live only in prose: kernel modules
-must not loop over the node/scenario axes in Python, shared-memory views
-must be ``np.frombuffer`` views paired with lifetime management (the PR 5
-segfault class), cache-bearing classes must invalidate on every mutating
-write, the engine registry must stay in sync with the CLI / docs / test
-matrix, and every benchmark must pin itself to a parity oracle in the same
-run it measures.  ``reprolint`` turns each of those conventions into a
-machine-checked rule over the stdlib :mod:`ast` -- no third-party
-dependencies -- and runs as a CI gate.
+must not loop over the node/scenario axes in Python, cache-bearing classes
+must invalidate on every mutating write, the engine registry must stay in
+sync with the CLI / docs / test matrix, and every benchmark must pin
+itself to a parity oracle in the same run it measures.  ``reprolint``
+turns each of those conventions into a machine-checked rule over the
+stdlib :mod:`ast` -- no third-party dependencies -- and runs as a CI
+gate.
 
 Usage::
 
@@ -29,10 +28,6 @@ RL001     kernel purity: no Python ``for``/``while`` over node/scenario
           axes inside kernel solve/sweep functions
 RL002     explicit ``dtype=`` on array allocations in kernel modules; no
           ``.tolist()`` / ``float()`` scalarization in hot kernel paths
-RL003     shared-memory lifetime: no ``np.ndarray(buffer=...)`` views,
-          ``SharedMemory`` blocks paired with ``weakref.finalize`` (or a
-          cache + ``atexit`` release chain), no unguarded ``.close()`` /
-          ``.unlink()`` after a live ``np.frombuffer`` view
 RL004     cache-invalidation contract: mutating methods of the
           cache-bearing classes must invalidate (declarative table)
 RL005     engine-registry completeness: registered backends must appear

@@ -77,7 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.reprolint",
         description="AST-based invariant checker for this repository's "
-        "kernel, cache-invalidation and shared-memory contracts.",
+        "kernel, cache-invalidation and memmap-lifetime contracts.",
     )
     parser.add_argument(
         "paths",

@@ -20,13 +20,11 @@ from tools.reprolint.rules.memmap_lifetime import MemmapLifetimeRule
 from tools.reprolint.rules.native_kernels import NativeKernelRule
 from tools.reprolint.rules.registry_sync import RegistrySyncRule
 from tools.reprolint.rules.serve_handlers import ServeHandlerRule
-from tools.reprolint.rules.shm_lifetime import ShmLifetimeRule
 
 #: Every shipped rule, in id order.
 RULE_CLASSES: List[Type[Rule]] = [
     KernelPurityRule,
     DtypeDisciplineRule,
-    ShmLifetimeRule,
     CacheInvalidationRule,
     RegistrySyncRule,
     BenchOracleRule,
@@ -46,7 +44,6 @@ __all__ = [
     "all_rules",
     "KernelPurityRule",
     "DtypeDisciplineRule",
-    "ShmLifetimeRule",
     "CacheInvalidationRule",
     "RegistrySyncRule",
     "BenchOracleRule",

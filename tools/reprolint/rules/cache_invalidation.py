@@ -2,11 +2,17 @@
 
 docs/architecture.md documents the contract in prose: every class that
 caches derived state (``FlatTree._times``, ``FlatForest._times`` +
-level buckets, ``DesignDB._scenario_layout_cache``,
-``TimingGraph._arrivals``/``_required``) must invalidate that state in
-every method that mutates the inputs it was derived from.  A mutation
-that forgets to invalidate produces *silently stale timing numbers* --
-no crash, just wrong answers.
+level buckets, ``TimingGraph._arrivals``/``_required``) must invalidate
+that state in every method that mutates the inputs it was derived from.
+A mutation that forgets to invalidate produces *silently stale timing
+numbers* -- no crash, just wrong answers.
+
+``DesignDB`` keeps no droppable cache: its stage forest and scenario
+layout are maintained state.  A method that writes its net models (or
+rebinds the layout) must recompile through ``_recompile_entry`` -- which
+queues the stage that ``_active_forest`` splices into the forest and the
+layout over one node window -- or ``_compile``.  Its row has no cache
+slot, so setting some attribute to ``None`` never satisfies it.
 
 The rule is driven by :class:`tools.reprolint.core.CacheContract` rows
 (one per class).  A method of a contracted class that assigns to a
@@ -61,8 +67,8 @@ DEFAULT_CONTRACTS = (
     CacheContract(
         module_suffix="repro/graph/designdb.py",
         class_name="DesignDB",
-        attrs=("_models",),
-        caches=("_scenario_layout_cache",),
+        attrs=("_models", "_layout"),
+        caches=(),
         invalidators=("_recompile_entry", "_compile"),
         exempt_methods=("_model_of",),
     ),
@@ -173,11 +179,13 @@ class CacheInvalidationRule(Rule):
                         offenders.append((node, attr))
             if offenders and not _invalidates(method, contract):
                 node, attr = offenders[0]
+                remedies = [f"calling {' / '.join(contract.invalidators)}"]
+                if contract.caches:
+                    remedies.insert(0, f"{' / '.join(contract.caches)} = None")
                 self.report(
                     module,
                     node,
                     f"`{contract.class_name}.{method.name}` mutates "
                     f"contracted attribute `{attr}` without invalidating "
-                    f"({' / '.join(contract.caches)} = None or calling "
-                    f"{' / '.join(contract.invalidators)})",
+                    f"({' or '.join(remedies)})",
                 )

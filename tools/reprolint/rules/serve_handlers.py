@@ -18,7 +18,7 @@ nested ``def`` bodies, which are deferred thunks by construction.
 Synchronous functions (the :class:`~repro.serve.session.Session` compute
 methods) are exactly where those calls belong and are not checked.
 
-Name-based like RL003/RL008: a handler laundering a kernel call through a
+Name-based like RL008: a handler laundering a kernel call through a
 local alias would evade it, but the point is to catch the honest mistake
 -- "just call the graph, it's quick" -- not an adversary.
 """
