@@ -1,16 +1,13 @@
 """Benchmark of the vectorized flat-tree engine against the dict engine.
 
-Four measurements on the all-sink characteristic-times workload (the paper's
-linear-time claim, scaled up):
+Three measurements on the all-sink characteristic-times workload (the
+paper's linear-time claim, scaled up):
 
 * **compile+solve** -- ``FlatTree.from_tree`` plus a full vectorized solve,
   versus ``characteristic_times_all`` on a 10k-node random tree.  This is
   the one-shot cost and must be at least 5x faster.
-* **re-solve** -- the amortized cost once compiled (what every incremental
-  workload pays per iteration): two orders of magnitude.
-* **candidate loop** -- a driver-sizing-style sweep: update two element
-  values, query one output.  The flat incremental path versus rebuilding the
-  tree and running the dict engine per candidate.
+* **re-solve** -- the amortized cost once compiled: two orders of
+  magnitude.
 * **forest batch** -- 200 small nets solved in one ``FlatForest`` versus one
   at a time through the dict engine.
 
@@ -19,7 +16,6 @@ The printed table doubles as the record for ``docs/performance.md``.
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.timeconstants import characteristic_times_all
@@ -68,44 +64,6 @@ def measurements(workload):
 
     resolve_time = _best(re_solve)
 
-    # Candidate loop: edit the same two elements, query one output.
-    leaf = tree.leaves()[-1]
-    candidates = np.linspace(50.0, 500.0, 40)
-
-    def incremental_loop():
-        for value in candidates:
-            flat.update_resistance("n1", float(value))
-            flat.update_capacitance(leaf, float(value) * 1e-15)
-            flat.characteristic_times(leaf)
-
-    small_tree = random_tree(7, SMALL)
-    small_leaf = small_tree.leaves()[-1]
-    small_flat = FlatTree.from_tree(small_tree)
-
-    def incremental_small_loop():
-        for value in candidates:
-            small_flat.update_resistance("n1", float(value))
-            small_flat.update_capacitance(small_leaf, float(value) * 1e-15)
-            small_flat.characteristic_times(small_leaf)
-
-    def rebuild_small_loop():
-        for value in candidates:
-            rebuilt = random_tree(7, SMALL)
-            # The rebuild cost is what the pre-flat opt loops paid per
-            # candidate; the edit itself is irrelevant to the timing.
-            characteristic_times_all(rebuilt, [small_leaf])
-
-    def reanalyse_10k_loop():
-        # The pre-flat cost per candidate, sans rebuild: a full dict-engine
-        # re-analysis of the 10k-node tree (measured once; it is slow).
-        for value in candidates[:4]:
-            characteristic_times_all(tree, [leaf])
-
-    incremental_time = _best(incremental_loop, repeats=3)
-    incremental_small = _best(incremental_small_loop, repeats=3)
-    rebuild_small = _best(rebuild_small_loop, repeats=3)
-    reanalyse_10k = _best(reanalyse_10k_loop, repeats=1) * (len(candidates) / 4.0)
-
     # Forest batch of small nets.
     forest = random_forest(FOREST_TREES, seed=100, config=SMALL)
 
@@ -126,10 +84,6 @@ def measurements(workload):
         "dict": dict_time,
         "compile": compile_time,
         "resolve": resolve_time,
-        "incremental_10k": incremental_time,
-        "reanalyse_10k": reanalyse_10k,
-        "incremental_small": incremental_small,
-        "rebuild_small": rebuild_small,
         "forest": forest_time,
         "dict_loop": dict_loop_time,
     }
@@ -144,26 +98,6 @@ def test_flat_engine_speedup(benchmark, workload, measurements, report):
         ("dict engine, all sinks (10k nodes)", m["dict"] * 1e3, 1.0),
         ("flat compile + solve", m["compile"] * 1e3, m["dict"] / m["compile"]),
         ("flat re-solve (amortized)", m["resolve"] * 1e3, m["dict"] / m["resolve"]),
-        (
-            "40-candidate loop, rebuild+dict (60 nodes)",
-            m["rebuild_small"] * 1e3,
-            1.0,
-        ),
-        (
-            "40-candidate loop, flat incremental (60 nodes)",
-            m["incremental_small"] * 1e3,
-            m["rebuild_small"] / m["incremental_small"],
-        ),
-        (
-            "40-candidate loop, dict re-analysis (10k nodes)",
-            m["reanalyse_10k"] * 1e3,
-            1.0,
-        ),
-        (
-            "40-candidate loop, flat incremental (10k nodes)",
-            m["incremental_10k"] * 1e3,
-            m["reanalyse_10k"] / m["incremental_10k"],
-        ),
         (f"{FOREST_TREES} nets, dict engine one-by-one", m["dict_loop"] * 1e3, 1.0),
         (
             f"{FOREST_TREES} nets, one FlatForest solve",
@@ -184,17 +118,13 @@ def test_flat_engine_speedup(benchmark, workload, measurements, report):
         f"compile+solve speedup {m['dict'] / m['compile']:.2f}x < 5x"
     )
     assert m["dict"] / m["resolve"] >= 5.0
-    # Incremental candidate evaluation must beat rebuilding by a wide margin.
-    assert m["rebuild_small"] / m["incremental_small"] >= 5.0
     # Batching many nets must beat per-net dict analysis.
     assert m["dict_loop"] / m["forest"] >= 5.0
 
 
 def test_flat_engine_parity_on_benchmark_tree(workload):
     """The speedup is only meaningful if the numbers agree."""
-    tree, _ = workload
-    # A fresh compile: the measurement fixture edits the shared instance.
-    flat = FlatTree.from_tree(tree)
+    tree, flat = workload
     reference = characteristic_times_all(tree, tree.nodes)
     times = flat.solve()
     worst_tde = 0.0

@@ -7,10 +7,8 @@ the paper's characteristic times (``T_P``, ``T_De``, ``T_Re`` -- eqs. 1, 5,
 6, including the closed-form distributed-line integrals) for *every* output
 at once with a handful of vectorized sweeps:
 
-* :class:`FlatTree` -- one compiled tree: batched solve, O(depth) incremental
-  updates (:meth:`~FlatTree.update_capacitance`,
-  :meth:`~FlatTree.update_resistance`, :meth:`~FlatTree.update_line`), and
-  single-output queries that never re-traverse the whole network;
+* :class:`FlatTree` -- one immutable compiled tree: a cached all-node
+  solve, with single-output queries read from its rows;
 * :class:`FlatForest` -- many trees concatenated and solved together, so a
   thousand small nets cost barely more than one;
 * scenario batching -- ``solve_batch`` on both classes runs the same level

@@ -8,8 +8,6 @@ parent precedes its children):
 * ``edge_r``/``edge_c`` -- resistance / distributed capacitance of the edge
   *into* each node (zero for the root);
 * ``node_c``        -- lumped grounded capacitance per node;
-* ``extent``        -- one past the last preorder index of each node's
-  subtree, so ``subtree(i) == range(i, extent[i])`` is contiguous;
 * ``levels``        -- node indices grouped by depth, which is what turns the
   paper's two tree traversals into a short sequence of vectorized sweeps.
 
@@ -29,28 +27,10 @@ same child order), so the two engines agree to the last ulp on the
 per-output recurrences and to rounding order on the global sums; the parity
 property tests pin this at a relative tolerance of 1e-12.
 
-Incremental updates
--------------------
-``update_capacitance`` / ``update_resistance`` / ``update_line`` edit element
-values *in place* without recompiling.  Two aggregate caches are maintained
-eagerly because their dirty regions are small and cheap to recompute
-*exactly* (delta-patching would accumulate cancellation error; recomputation
-keeps the caches bit-identical to a fresh compile, which the parity property
-tests rely on):
-
-* ``c_down`` (downstream capacitance) changes only along the root path of an
-  edited node -- each ancestor is rebuilt from its children;
-* ``rkk`` (input-to-node path resistance) changes only inside the edited
-  edge's subtree -- a contiguous index range thanks to ``extent``, re-swept
-  with the compile-time recurrence.
-
-The moment arrays (``T_P``, ``T_De``, ``T_Re R_ee``) are invalidated and
-recomputed lazily: a full :meth:`solve` re-runs the engine, while
-:meth:`characteristic_times` of a *single* output recomputes just that
-output's path recurrence from the cached aggregates in O(depth), which is
-what lets the optimization loops (:mod:`repro.opt.sizing`,
-:mod:`repro.opt.buffering`) evaluate thousands of candidates without ever
-rebuilding a tree.
+A :class:`FlatTree` is an immutable compiled view: every number it reports
+comes from its cached :meth:`solve`, and a changed tree is a new compile.
+Candidate loops (:mod:`repro.opt.sizing`, :mod:`repro.opt.buffering`)
+evaluate their variants as scenario planes of one :meth:`solve_batch`.
 
 Complexity: compilation is one O(N) walk; a solve is O(N) work spread over
 O(depth) numpy calls.  Bushy trees (clock trees, signal nets, the random
@@ -80,7 +60,6 @@ from repro.flat.scenarios import (
     ScenarioForestTimes,
     ScenarioTimes,
     level_buckets,
-    sweep_aggregates,
 )
 
 __all__ = ["FlatTree", "FlatTimes"]
@@ -140,13 +119,6 @@ def _flat_times(times: ScenarioForestTimes) -> FlatTimes:
     )
 
 
-def _require_value(name: str, value: float) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value < 0.0:
-        raise ElementValueError(f"{name} must be finite and non-negative, got {value!r}")
-    return value
-
-
 class FlatTree:
     """An RC tree compiled to parent-index vectors for vectorized analysis.
 
@@ -173,8 +145,6 @@ class FlatTree:
         self._names: List[str] = list(names)
         # A caller that already holds the name -> index map hands it over.
         self._index_cache: Optional[Dict[str, int]] = _index
-        self._extent_cache: Optional[np.ndarray] = None
-        self._children_cache: Optional[List[List[int]]] = None
         if _trusted:
             # Private fast path for arrays that are valid by construction
             # (batch compilers): skip the conversion and validation passes.
@@ -192,18 +162,14 @@ class FlatTree:
         self._n = len(self._names)
         if not _trusted:
             self._validate_topology()
-        # Structure (depth, level buckets) and the aggregate caches are built
-        # lazily: a tree that is only ever *batched* into a FlatForest never
-        # pays for its own per-tree level buckets or aggregate sweeps -- the
-        # forest runs its own global ones.
+        # Structure (depth, level buckets) is built lazily: a tree that is
+        # only ever *batched* into a FlatForest never pays for its own
+        # per-tree level buckets -- the forest runs its own global ones.
         self._depth_cache: Optional[np.ndarray] = (
             None if _depth is None else np.asarray(_depth, dtype=np.int64)
         )
         self._levels_cache: Optional[List[np.ndarray]] = None
-        self._parent_list_cache: Optional[List[int]] = None
-        self._rkk_cache: Optional[np.ndarray] = None
-        self._c_down_cache: Optional[np.ndarray] = None
-        # Lazily computed moment state.
+        # The one solve, computed on first use.
         self._times: Optional[FlatTimes] = None
 
     def _validate_topology(self) -> None:
@@ -227,19 +193,12 @@ class FlatTree:
                 )
 
     @property
-    def _parent_list(self) -> List[int]:
-        """Parent indices as a Python list (fast scalar walks), lazy."""
-        if self._parent_list_cache is None:
-            self._parent_list_cache = self._parent.tolist()
-        return self._parent_list_cache
-
-    @property
     def _depth(self) -> np.ndarray:
         """Depth per node, computed on first use when not supplied."""
         if self._depth_cache is None:
             # parent[i] < i, so one forward pass fixes every depth.
             n = self._n
-            parent_list = self._parent_list
+            parent_list = self._parent.tolist()
             depth_list = [0] * n
             for i in range(1, n):
                 depth_list[i] = depth_list[parent_list[i]] + 1
@@ -264,40 +223,6 @@ class FlatTree:
             if len(self._index_cache) != self._n:
                 raise TopologyError("duplicate node names in flat tree")
         return self._index_cache
-
-    @property
-    def _extent(self) -> np.ndarray:
-        """Subtree extents (one past the subtree's last preorder index), lazy."""
-        if self._extent_cache is None:
-            n = self._n
-            parent_list = self._parent_list
-            sizes = [1] * n
-            for i in range(n - 1, 0, -1):
-                sizes[parent_list[i]] += sizes[i]
-            self._extent_cache = np.arange(n, dtype=np.int64) + np.asarray(
-                sizes, dtype=np.int64
-            )
-        return self._extent_cache
-
-    def _build_aggregates(self) -> None:
-        """Cached aggregates: path resistance and downstream capacitance."""
-        self._rkk_cache, self._c_down_cache = sweep_aggregates(
-            self._levels, self._parent, self._edge_r, self._edge_c, self._node_c
-        )
-
-    @property
-    def _rkk(self) -> np.ndarray:
-        """Input-to-node path resistance per node, built on first use."""
-        if self._rkk_cache is None:
-            self._build_aggregates()
-        return self._rkk_cache
-
-    @property
-    def _c_down(self) -> np.ndarray:
-        """Downstream capacitance per node, built on first use."""
-        if self._c_down_cache is None:
-            self._build_aggregates()
-        return self._c_down_cache
 
     @classmethod
     def from_tree(cls, tree: RCTree) -> "FlatTree":
@@ -493,122 +418,12 @@ class FlatTree:
         return self._names[index]
 
     def path_resistance(self, name: str) -> float:
-        """``R_kk``: input-to-node path resistance (from the eager cache)."""
-        return float(self._rkk[self.index(name)])
-
-    def downstream_capacitance(self, name: str) -> float:
-        """Capacitance at and below ``name``, excluding the edge into it."""
-        return float(self._c_down[self.index(name)])
-
-    # ------------------------------------------------------------------
-    # Incremental updates
-    # ------------------------------------------------------------------
-    @property
-    def _children(self) -> List[List[int]]:
-        """Child index lists (attachment order), built on first edit."""
-        if self._children_cache is None:
-            children: List[List[int]] = [[] for _ in range(self._n)]
-            for i in range(1, self._n):
-                children[self._parent_list[i]].append(i)
-            self._children_cache = children
-        return self._children_cache
-
-    def _recompute_c_down_path(self, start: int) -> None:
-        """Recompute downstream capacitance along ``start`` -> root, exactly.
-
-        Each ancestor's value is rebuilt from its children (the same
-        child-order summation as the reference postorder pass), so repeated
-        edits accumulate no drift: the caches always equal what a fresh
-        compile would produce, bit for bit.
-        """
-        children = self._children
-        c_down = self._c_down
-        edge_c = self._edge_c
-        node_c = self._node_c
-        parent = self._parent_list
-        j = start
-        while j >= 0:
-            total = node_c[j]
-            for child in children[j]:
-                total = total + c_down[child] + edge_c[child]
-            c_down[j] = total
-            j = parent[j]
-
-    def update_capacitance(self, node: Union[str, int], capacitance: float) -> None:
-        """Set the lumped grounded capacitance at ``node`` (farads).
-
-        Recomputes the cached downstream capacitance along the node's root
-        path (O(path children)) and invalidates the moment arrays.
-        """
-        i = node if isinstance(node, int) else self.index(node)
-        capacitance = _require_value("capacitance", capacitance)
-        if capacitance == self._node_c[i]:
-            return
-        self._node_c[i] = capacitance
-        self._recompute_c_down_path(i)
-        self._times = None
-
-    def update_resistance(self, child: Union[str, int], resistance: float) -> None:
-        """Set the series resistance of the edge *into* ``child`` (ohms).
-
-        Recomputes the cached path resistance over the child's (contiguous)
-        subtree range, exactly as a fresh forward sweep would.
-        """
-        i = child if isinstance(child, int) else self.index(child)
-        if i == 0:
-            raise TopologyError("the input node has no incoming edge")
-        resistance = _require_value("resistance", resistance)
-        if resistance == self._edge_r[i]:
-            return
-        self._edge_r[i] = resistance
-        rkk = self._rkk
-        parent = self._parent_list
-        edge_r = self._edge_r
-        # Within [i, extent) parents precede children, so one forward walk
-        # reproduces the compile-time recurrence bit for bit.
-        for j in range(i, int(self._extent[i])):
-            rkk[j] = rkk[parent[j]] + edge_r[j]
-        self._times = None
-
-    def update_line(
-        self, child: Union[str, int], resistance: float, capacitance: float
-    ) -> None:
-        """Set both totals of the (distributed) edge into ``child``.
-
-        The edge's distributed capacitance feeds the downstream capacitance of
-        every *strict* ancestor, so the c_down recomputation starts at the
-        parent.
-        """
-        i = child if isinstance(child, int) else self.index(child)
-        if i == 0:
-            raise TopologyError("the input node has no incoming edge")
-        self.update_resistance(i, resistance)
-        capacitance = _require_value("capacitance", capacitance)
-        if capacitance != self._edge_c[i]:
-            self._edge_c[i] = capacitance
-            self._recompute_c_down_path(self._parent_list[i])
-            self._times = None
-
-    def refresh(self) -> None:
-        """Rebuild the aggregate caches from the element arrays.
-
-        Incremental updates recompute their dirty regions exactly, so this is
-        never needed for accuracy; it exists as an escape hatch (and as the
-        oracle the incremental unit tests compare against).
-        """
-        self._build_aggregates()
-        self._times = None
+        """``R_kk``: input-to-node path resistance (from :meth:`solve`)."""
+        return float(self.solve().ree[self.index(name)])
 
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def _compute_tp(self) -> float:
-        rkk_parent = self._rkk[np.maximum(self._parent, 0)]
-        # The root gathers itself (rkk == 0), so no masking is needed.
-        lumped = np.dot(self._rkk, self._node_c)
-        distributed = np.dot(rkk_parent + self._edge_r / 2.0, self._edge_c)
-        return float(lumped + distributed)
-
     def _solve_planes(
         self, planes: Tuple[PlaneInput, ...], count: int
     ) -> ScenarioForestTimes:
@@ -649,10 +464,8 @@ class FlatTree:
         nodes, or a full ``(S, N)`` matrix of effective element values.  The
         solve is :meth:`solve`'s engine call at width ``S`` (auto-selected
         backend, bounded scenario chunks), and the result carries a leading
-        scenario axis.  The single-scenario solve cache is untouched:
-        batched solves neither read nor invalidate it, and incremental
-        updates to the tree are reflected by the *next* batched solve
-        because the base arrays are re-read per call.
+        scenario axis.  Batched solves neither read nor fill the
+        single-scenario :meth:`solve` cache.
         """
         s = _scenario_count(count, edge_r, edge_c, node_c)
         times = self._solve_planes((edge_r, edge_c, node_c), s)
@@ -687,63 +500,17 @@ class FlatTree:
             count=r_scale.shape[0],
         )
 
-    def _path_moments(self, i: int) -> tuple:
-        """``(T_De, T_Re * R_ee)`` of one node from the cached aggregates.
-
-        O(depth), bit-identical to the full forward sweep: the same recurrence
-        is evaluated in root-to-node order along the single path.
-        """
-        chain: List[int] = []
-        parent = self._parent_list
-        j = i
-        while parent[j] >= 0:
-            chain.append(j)
-            j = parent[j]
-        tde = 0.0
-        tr_num = 0.0
-        edge_r = self._edge_r
-        edge_c = self._edge_c
-        c_down = self._c_down
-        rkk = self._rkk
-        for j in reversed(chain):
-            p = parent[j]
-            r = edge_r[j]
-            lc = edge_c[j]
-            below = c_down[j]
-            rk = rkk[j]
-            rp = rkk[p]
-            tde = tde + r * (below + lc / 2.0)
-            tr_num = tr_num + (rk * rk - rp * rp) * below + (rp * r + r * r / 3.0) * lc
-        return tde, tr_num
-
     def characteristic_times(self, output: Union[str, int]) -> CharacteristicTimes:
-        """``T_P``, ``T_De``, ``T_Re`` of one output.
-
-        Reads the solved arrays when they are fresh; after an incremental
-        update it recomputes just this output's path recurrence (O(depth))
-        plus the vectorized ``T_P`` sum, without a full solve.
-        """
+        """``T_P``, ``T_De``, ``T_Re`` of one output (a row of :meth:`solve`)."""
         i = output if isinstance(output, int) else self.index(output)
-        if self._times is not None:
-            times = self._times
-            tde = float(times.tde[i])
-            tre = float(times.tre[i])
-            tp = times.tp
-            total = times.total_capacitance
-        else:
-            tde, tr_num = self._path_moments(i)
-            ree = self._rkk[i]
-            tre = float(tr_num / ree) if ree > 0.0 else 0.0
-            tde = float(tde)
-            tp = self._compute_tp()
-            total = self.total_capacitance
+        times = self.solve()
         return CharacteristicTimes(
             output=self._names[i],
-            tp=tp,
-            tde=tde,
-            tre=tre,
-            ree=float(self._rkk[i]),
-            total_capacitance=total,
+            tp=times.tp,
+            tde=float(times.tde[i]),
+            tre=float(times.tre[i]),
+            ree=float(times.ree[i]),
+            total_capacitance=times.total_capacitance,
         )
 
     def characteristic_times_all(
@@ -753,26 +520,9 @@ class FlatTree:
 
         Defaults to the marked outputs, or every node when none are marked.
         """
-        if outputs is None:
-            indices = self.output_indices
-            if len(indices) == 0:
-                indices = np.arange(self._n)
-        else:
-            indices = np.asarray(
-                [o if isinstance(o, int) else self.index(o) for o in outputs],
-                dtype=np.int64,
-            )
-        times = self.solve()
         return {
-            self._names[i]: CharacteristicTimes(
-                output=self._names[i],
-                tp=times.tp,
-                tde=float(times.tde[i]),
-                tre=float(times.tre[i]),
-                ree=float(times.ree[i]),
-                total_capacitance=times.total_capacitance,
-            )
-            for i in indices
+            self._names[i]: self.characteristic_times(i)
+            for i in self._select(outputs).tolist()
         }
 
     def elmore_delays(

@@ -34,7 +34,6 @@ PlaneInput = Optional[Union[float, Sequence[float], np.ndarray]]
 __all__ = [
     "ScenarioTimes",
     "ScenarioForestTimes",
-    "sweep_aggregates",
     "sweep_scenarios",
     "level_buckets",
 ]
@@ -95,30 +94,6 @@ class ScenarioForestTimes:
         return self.tde.shape[0]
 
 
-def sweep_aggregates(
-    levels: Sequence[np.ndarray],
-    parent: np.ndarray,
-    edge_r: np.ndarray,
-    edge_c: np.ndarray,
-    node_c: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Path resistance and downstream capacitance, one level at a time.
-
-    Returns ``(rkk, c_down)`` shaped like the element arrays: ``(N,)`` for
-    one tree's aggregate caches (:class:`~repro.flat.flattree.FlatTree`) or
-    ``(N, S)`` for :func:`sweep_scenarios`.  The forward pass accumulates
-    ``R_kk`` shallow to deep; the reverse pass scatters each child's
-    ``c_down + edge_c`` onto its parent, deep to shallow.
-    """
-    rkk = edge_r.copy()
-    for level in levels[1:]:
-        rkk[level] += rkk[parent[level]]
-    c_down = node_c.copy()
-    for level in reversed(levels[1:]):
-        np.add.at(c_down, parent[level], c_down[level] + edge_c[level])
-    return rkk, c_down
-
-
 def sweep_scenarios(
     levels: Sequence[np.ndarray],
     parent: np.ndarray,
@@ -128,12 +103,18 @@ def sweep_scenarios(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The two characteristic-time passes over ``(N, S)`` element matrices.
 
-    Returns ``(rkk, c_down, tde, tre)``, all ``(N, S)``.  The aggregates
-    come from :func:`sweep_aggregates`; the moment recurrences then run one
-    level at a time, and numpy broadcasting carries the trailing scenario
-    axis through every gather/scatter.
+    Returns ``(rkk, c_down, tde, tre)``, all ``(N, S)``.  The forward pass
+    accumulates ``R_kk`` shallow to deep; the reverse pass scatters each
+    child's ``c_down + edge_c`` onto its parent, deep to shallow; the moment
+    recurrences then run one level at a time.  Numpy broadcasting carries
+    the trailing scenario axis through every gather/scatter.
     """
-    rkk, c_down = sweep_aggregates(levels, parent, edge_r, edge_c, node_c)
+    rkk = edge_r.copy()
+    for level in levels[1:]:
+        rkk[level] += rkk[parent[level]]
+    c_down = node_c.copy()
+    for level in reversed(levels[1:]):
+        np.add.at(c_down, parent[level], c_down[level] + edge_c[level])
     tde = np.zeros_like(rkk)
     tr_num = np.zeros_like(rkk)
     for level in levels[1:]:

@@ -94,8 +94,9 @@ class _DelayEvaluator:
     ``c(d) = c0 + (C(d) - C(d0))`` on node capacitances (i.e. the driver
     contributes its effective resistance in series and its output capacitance
     in shunt, possibly combined with fixed wire parasitics), the net is
-    compiled once and every candidate is evaluated through incremental
-    updates.  Otherwise each candidate compiles its own flat tree.
+    compiled once and the candidates are rows of one
+    :meth:`~repro.flat.FlatTree.solve_batch` element plane.  Otherwise each
+    candidate compiles and solves its own flat tree.
     """
 
     def __init__(self, net_factory: NetFactory, base_driver: DriverModel, output: Optional[str], threshold: float):
@@ -236,13 +237,6 @@ class _DelayEvaluator:
     def delay(self, driver: DriverModel) -> float:
         """Guaranteed delay of one candidate (a batch of one)."""
         return self.delays([driver])[0]
-
-
-def _guaranteed_delay(net_factory: NetFactory, driver: DriverModel, output: Optional[str], threshold: float) -> float:
-    tree = net_factory(driver)
-    flat = FlatTree.from_tree(tree)
-    times = flat.characteristic_times(_resolve_target(tree, output))
-    return delay_bounds(times, threshold).upper
 
 
 def sweep_driver_sizes(

@@ -10,7 +10,7 @@ kernels that run them and bounds their working set:
   depth-pathological forests, ``"native"`` Numba JIT-compiled kernels that
   degrade to numpy without Numba) and the size/depth auto-selection every
   ``engine=`` parameter funnels through, observable via
-  :func:`last_selection` and ``REPRO_ENGINE_LOG=1``;
+  :func:`last_selection`;
 * :mod:`repro.parallel.engine` -- :func:`solve_forest_batch`, which runs
   the chosen backend chunk by chunk in the calling thread, with
   numerically identical results (to 1e-12) regardless of backend.

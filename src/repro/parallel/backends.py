@@ -27,8 +27,7 @@ are usable, and everything else stays on ``"numpy"``.  An *explicit*
 exercise every path.
 
 Every solve records which backend it chose (:func:`last_selection`), and
-setting ``REPRO_ENGINE_LOG=1`` additionally prints one line per solve to
-stderr -- the observability knob for "why was this sweep slow?".
+an explicit request that degrades to another backend warns on stderr.
 
 The registry is open: :func:`register_backend` lets an experiment register
 another strategy under a new name without touching the call sites, which
@@ -38,7 +37,6 @@ all go through ``engine="<name>"`` string selection.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -71,10 +69,6 @@ AUTO_NATIVE_CELLS = 1 << 16
 #: contraction rounds win outright.  Tunable: benchmarks may lower it, and
 #: tests monkeypatch it to force either side of the decision.
 CONTRACT_DEPTH_RATIO = 32.0
-
-#: Environment variable that, when set to a non-empty value other than
-#: ``"0"``, makes every solve print its engine selection to stderr.
-ENGINE_LOG_ENV = "REPRO_ENGINE_LOG"
 
 
 @dataclass(frozen=True)
@@ -167,16 +161,15 @@ def record_selection(
     depth: int = 0,
     reason: str = "",
 ) -> None:
-    """Note which backend a solve chose; print it when the log knob is on.
+    """Note which backend a solve chose; warn when a request degraded.
 
     Called by :func:`repro.parallel.engine.solve_forest_batch` after every
     resolution.  ``reason`` is non-empty only when the resolved backend is
     not the requested one for a *capability* reason -- today, an explicit
     ``engine="native"`` degrading to ``"numpy"`` because Numba is missing,
     disabled or failed to compile.  The record is readable back via
-    :func:`last_selection`; with ``REPRO_ENGINE_LOG=1`` in the environment
-    a one-line report also goes to stderr, so long pipelines can show
-    which engine every solve picked without any code change.
+    :func:`last_selection`.  An *explicit* request that ran on a different
+    backend also prints one warning line to stderr.
     """
     record = {
         "requested": requested if requested is not None else "auto",
@@ -187,22 +180,10 @@ def record_selection(
         "reason": reason,
     }
     _LAST_SELECTION[:] = [record]
-    flag = os.environ.get(ENGINE_LOG_ENV, "")
-    if flag and flag != "0":
-        line = (
-            "repro.engine: engine={engine} (requested={requested}) "
-            "nodes={nodes} scenarios={scenarios} depth={depth}".format(
-                **record
-            )
-        )
-        if reason:
-            line += f" reason={reason!r}"
-        print(line, file=sys.stderr)
-    elif reason and requested not in (None, "auto") and requested != resolved:
+    if reason and requested not in (None, "auto") and requested != resolved:
         # An *explicit* engine request silently running on a different
-        # backend is the one selection users must hear about even with the
-        # log knob off: a parity run believed to exercise "native" may in
-        # fact be re-measuring numpy.
+        # backend is the one selection users must hear about: a parity run
+        # believed to exercise "native" may in fact be re-measuring numpy.
         print(
             f"repro.engine: warning: requested engine {requested!r} "
             f"fell back to {resolved!r}: {reason}",
@@ -217,9 +198,8 @@ def last_selection() -> Optional[Dict[str, object]]:
     was left to the resolver), ``engine`` (the backend that actually ran),
     ``nodes``, ``scenarios``, ``depth`` and ``reason`` (empty
     unless the request was degraded for a capability reason -- e.g. why a
-    ``"native"`` request ran on ``"numpy"``).  This is the programmatic
-    face of the ``REPRO_ENGINE_LOG`` knob, used by the auto-selection and
-    fallback tests.
+    ``"native"`` request ran on ``"numpy"``).  The auto-selection and
+    fallback tests and the benchmark harness read it.
     """
     return dict(_LAST_SELECTION[0]) if _LAST_SELECTION else None
 

@@ -370,8 +370,8 @@ def solve_forest_batch(
     backend returns numerically identical (to 1e-12)
     :class:`~repro.flat.scenarios.ScenarioForestTimes` -- backend choice is
     an execution detail, never a semantics change.  The selection is
-    recorded (:func:`repro.parallel.backends.last_selection`) and reported
-    to stderr under ``REPRO_ENGINE_LOG=1``.
+    recorded (:func:`repro.parallel.backends.last_selection`); an explicit
+    request that degrades to another backend warns on stderr.
     """
     count = int(count)
     if count < 1:

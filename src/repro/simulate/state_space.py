@@ -26,10 +26,12 @@ the simulator and the analytical engine that the test-suite exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from repro.core.exceptions import AnalysisError
 from repro.core.tree import RCTree
@@ -165,6 +167,40 @@ class StepResponse:
         return float(-np.sum(modal / self.rates))
 
 
+def _components(conductance: np.ndarray) -> np.ndarray:
+    """Connected-component label of every node of the conductance graph.
+
+    The driven input is not a matrix node, so each subtree hanging off it is
+    its own component: an independent network with its own modes.
+    """
+    _, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(conductance != 0.0), directed=False
+    )
+    return labels
+
+
+def _block_eigh(
+    symmetric: np.ndarray, labels: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a block-diagonal symmetric matrix, block by block.
+
+    A dense ``eigh`` over the whole matrix resolves each eigenvector only to
+    ``eps * ||S|| / gap``, so when the time constants of independent subtrees
+    span many decades the fast subtree's rounding leaks into the slow one's
+    modes (enough to push a step response past its final value).  Solving
+    each component alone keeps the cross-component weights exactly zero.
+    """
+    size = symmetric.shape[0]
+    rates = np.empty(size)
+    modes = np.zeros((size, size))
+    for label in np.unique(labels):
+        block = np.nonzero(labels == label)[0]
+        rates[block], modes[np.ix_(block, block)] = scipy.linalg.eigh(
+            symmetric[np.ix_(block, block)]
+        )
+    return rates, modes
+
+
 def exact_step_response(
     tree_or_system: Union[RCTree, MNASystem], *, segments_per_line: int = 20
 ) -> StepResponse:
@@ -212,7 +248,7 @@ def exact_step_response(
     inv_sqrt_c = 1.0 / np.sqrt(c_dynamic)
     symmetric = (g_eff * inv_sqrt_c[np.newaxis, :]) * inv_sqrt_c[:, np.newaxis]
     symmetric = 0.5 * (symmetric + symmetric.T)
-    rates, modes = scipy.linalg.eigh(symmetric)
+    rates, modes = _block_eigh(symmetric, _components(conductance)[dynamic])
     if np.any(rates <= 0.0):
         # G_eff is positive definite for any network tied to the source, so
         # non-positive eigenvalues can only come from rounding; clamp them.

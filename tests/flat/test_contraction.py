@@ -3,8 +3,8 @@
 Covers the kernel primitives (jump schedules, path/subtree sums) against
 brute-force oracles, the 10k-node chain regression the tentpole exists for
 (no RecursionError, O(log N) rounds, 1e-12 parity with the level sweeps),
-and the observability knobs (``last_selection`` / ``REPRO_ENGINE_LOG``)
-with the chain-auto-picks-contract guarantee.
+and the selection record (``last_selection``) with the
+chain-auto-picks-contract guarantee.
 """
 
 import math
@@ -194,25 +194,3 @@ class TestAutoSelection:
         assert should_contract(3999, 4000)  # chain: ratio ~334
         monkeypatch.setattr(backends_module, "CONTRACT_DEPTH_RATIO", 0.5)
         assert should_contract(10, 1024)  # threshold is read at call time
-
-
-class TestEngineLog:
-    def test_log_knob_reports_selection(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_LOG", "1")
-        chain = FlatForest([topology_flat_tree("chain", 4000, seed=1)])
-        chain.solve_batch(count=2)
-        err = capsys.readouterr().err
-        assert "repro.engine: engine=contract (requested=auto)" in err
-        assert "nodes=4000 scenarios=2 depth=3999" in err
-
-    def test_log_knob_off_by_default(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_LOG", raising=False)
-        forest = FlatForest([topology_flat_tree("star", 40, seed=2)])
-        forest.solve_batch(count=1)
-        assert capsys.readouterr().err == ""
-
-    def test_log_knob_zero_means_off(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_LOG", "0")
-        forest = FlatForest([topology_flat_tree("star", 40, seed=2)])
-        forest.solve_batch(count=1)
-        assert capsys.readouterr().err == ""

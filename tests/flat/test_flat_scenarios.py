@@ -69,14 +69,6 @@ class TestFlatTreeScenarios:
         flat.solve_scenarios(SCENARIOS)
         assert flat.solve() is single  # cache neither read nor invalidated
 
-    def test_batched_solve_sees_incremental_updates(self):
-        flat = random_flat_tree(seed=4, config=RandomTreeConfig(nodes=60))
-        flat.update_resistance(5, 123.0)
-        flat.update_capacitance(9, 4.5e-13)
-        nominal = flat.solve_scenarios(ScenarioSet([Scenario("nom")]))
-        fresh = flat.solve()
-        np.testing.assert_allclose(nominal.tde[0], fresh.tde, rtol=1e-12, atol=0)
-
     def test_random_tree_parity(self):
         flat = random_flat_tree(seed=11, config=RandomTreeConfig(nodes=120))
         times = flat.solve_scenarios(SCENARIOS)

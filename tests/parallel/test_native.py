@@ -97,29 +97,17 @@ class TestFallback:
         assert record["engine"] == "numpy"
         assert "disabled" in record["reason"]
 
-    def test_fallback_warns_on_stderr_without_log_knob(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_LOG", raising=False)
+    def test_fallback_warns_on_stderr_without_log_knob(self, capsys):
         forest = random_forest(10, seed=11)
         er, ec, nc = _planes(forest, 4, seed=1)
         forest.solve_batch(er, ec, nc, engine="native")
         err = capsys.readouterr().err
         assert "requested engine 'native' fell back to 'numpy'" in err
         # The warning is for degraded *explicit* requests only: honoured
-        # requests and auto selections stay silent with the knob off.
+        # requests and auto selections stay silent.
         forest.solve_batch(er, ec, nc, engine="numpy")
         forest.solve_batch(er, ec, nc)
         assert capsys.readouterr().err == ""
-
-    def test_fallback_warning_not_duplicated_with_log_knob(
-        self, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ENGINE_LOG", "1")
-        forest = random_forest(10, seed=11)
-        er, ec, nc = _planes(forest, 4, seed=1)
-        forest.solve_batch(er, ec, nc, engine="native")
-        err = capsys.readouterr().err
-        assert err.count("repro.engine:") == 1
-        assert "reason=" in err
 
     def test_status_is_dynamic(self, monkeypatch):
         assert native_module.native_status() == "disabled"

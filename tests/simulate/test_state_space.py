@@ -144,3 +144,55 @@ class TestFanoutSymmetry:
         v1 = response.voltage("load1", t)
         v2 = response.voltage("load2", t)
         assert np.allclose(v1, v2)
+
+
+class TestIndependentSubtrees:
+    """Subtrees hanging off the driven input do not share modes.
+
+    Time constants spread over ten decades across sibling subtrees once let
+    the fast subtree's eigensolver rounding leak into a lone RC branch, which
+    then rose ~1e-7 V above its final value.
+    """
+
+    def make_tree(self):
+        tree = RCTree()
+        # A fast femtofarad subtree, two slow nanofarad ones, a lone RC
+        # branch ("n8") and purely resistive stubs, all off the input.
+        tree.add_resistor("in", "n1", 2.0)
+        tree.add_capacitor("n1", 1e-16)
+        tree.add_resistor("n1", "n2", 1.0)
+        tree.add_capacitor("n2", 1e-16)
+        tree.add_resistor("in", "n3", 1.0)
+        tree.add_resistor("in", "n4", 1.0)
+        tree.add_resistor("in", "n5", 1.0)
+        tree.add_capacitor("n5", 4.0467055207789753e-10)
+        tree.add_resistor("n1", "n6", 1.5)
+        tree.add_capacitor("n6", 1e-16)
+        tree.add_resistor("in", "n7", 1.0)
+        tree.add_resistor("in", "n8", 49999.0)
+        tree.add_capacitor("n8", 1e-12)
+        tree.add_resistor("in", "n9", 1.0)
+        tree.add_resistor("in", "n10", 223.0)
+        tree.add_capacitor("n10", 9.13156433199191e-10)
+        tree.add_resistor("in", "n11", 1.0)
+        tree.add_resistor("in", "n12", 1.0)
+        tree.add_resistor("n5", "n13", 15.0)
+        tree.add_capacitor("n13", 7.583809242045568e-10)
+        tree.add_resistor("n1", "n14", 24777.0)
+        tree.add_capacitor("n14", 4.147108281125692e-11)
+        tree.add_resistor("n2", "n15", 100.0)
+        tree.add_capacitor("n15", 2.220446049250313e-16)
+        return tree
+
+    def test_lone_branch_is_an_exact_exponential(self):
+        response = exact_step_response(self.make_tree())
+        tau = 49999.0 * 1e-12
+        t = np.linspace(0.0, 40.0 * tau, 200)
+        expected = 1.0 - np.exp(-t / tau)
+        assert np.max(np.abs(response.voltage("n8", t) - expected)) < 1e-12
+        assert response.elmore_delay("n8") == pytest.approx(tau, rel=1e-12)
+
+    def test_no_node_overshoots_its_final_value(self):
+        response = exact_step_response(self.make_tree())
+        t = np.linspace(0.0, 1e-5, 400)
+        assert np.max(response.evaluate(t)) <= 1.0 + 1e-12

@@ -317,6 +317,43 @@ class TestDesignDBContract:
         assert "RL004" not in rules_fired(result)
 
 
+def lint_flattree(tmp_path, body):
+    """Lint ``body`` as a ``FlatTree`` method under the shipped RL004 table."""
+    source = "class FlatTree:\n" + textwrap.indent(textwrap.dedent(body), "    ")
+    return lint(tmp_path, "repro/flat/flattree.py", source)
+
+
+class TestFlatTreeContract:
+    """The shipped ``FlatTree`` row: the compiled arrays are never edited."""
+
+    def test_fires_on_edit_even_when_the_solve_cache_is_dropped(self, tmp_path):
+        result = lint_flattree(
+            tmp_path,
+            """
+            def set_node_capacitance(self, i, c):
+                self._node_c[i] = c
+                self._times = None
+            """,
+        )
+        messages = [f.message for f in result.findings if f.rule == "RL004"]
+        assert messages and "immutable" in messages[0]
+
+    def test_silent_in_init(self, tmp_path):
+        result = lint_flattree(
+            tmp_path,
+            """
+            def __init__(self, parent, edge_r, edge_c, node_c, is_output):
+                self._parent = parent
+                self._edge_r = edge_r
+                self._edge_c = edge_c
+                self._node_c = node_c
+                self._is_output = is_output
+                self._times = None
+            """,
+        )
+        assert "RL004" not in rules_fired(result)
+
+
 # ----------------------------------------------------------------------
 # RL005 registry sync
 # ----------------------------------------------------------------------

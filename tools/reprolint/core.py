@@ -78,18 +78,15 @@ class LintConfig:
         "repro/parallel/engine.py",
     )
     #: Functions inside kernel modules that ARE the hot solve/sweep paths.
-    #: Compile-time walks (``from_tree``), lazy structure builders and the
-    #: O(path)/O(subtree) incremental updates deliberately use Python
-    #: loops; the per-solve kernels must not.
+    #: Compile-time walks (``from_tree``) and lazy structure builders
+    #: deliberately use Python loops; the per-solve kernels must not.
     kernel_functions: Tuple[str, ...] = (
         "solve",
         "solve_batch",
-        "sweep_aggregates",
         "sweep_scenarios",
         "sweep_scenarios_contract",
         "path_sums",
         "subtree_sums",
-        "_build_aggregates",
         "_solve_range",
         "_solve_serial",
         "_solve_numpy",

@@ -1,11 +1,16 @@
 """RL004 -- the cache-invalidation contract, as a declarative table.
 
 docs/architecture.md documents the contract in prose: every class that
-caches derived state (``FlatTree._times``, ``FlatForest._times`` +
-level buckets, ``TimingGraph._arrivals``/``_required``) must invalidate
-that state in every method that mutates the inputs it was derived from.
-A mutation that forgets to invalidate produces *silently stale timing
-numbers* -- no crash, just wrong answers.
+caches derived state (``FlatForest._times`` + level buckets,
+``TimingGraph._arrivals``/``_required``) must invalidate that state in
+every method that mutates the inputs it was derived from.  A mutation
+that forgets to invalidate produces *silently stale timing numbers* --
+no crash, just wrong answers.
+
+``FlatTree`` is immutable: its element and topology arrays are fixed at
+construction, and a changed tree is a new compile.  Its row has neither
+a cache slot nor an invalidator, so any write to those arrays outside
+``__init__`` fires -- even one followed by ``self._times = None``.
 
 ``DesignDB`` keeps no droppable cache: its stage forest and scenario
 layout are maintained state.  A method that writes its net models (or
@@ -43,9 +48,9 @@ DEFAULT_CONTRACTS = (
     CacheContract(
         module_suffix="repro/flat/flattree.py",
         class_name="FlatTree",
-        attrs=("_edge_r", "_edge_c", "_node_c"),
-        caches=("_times",),
-        invalidators=("refresh",),
+        attrs=("_parent", "_edge_r", "_edge_c", "_node_c", "_is_output"),
+        caches=(),
+        invalidators=(),
     ),
     CacheContract(
         module_suffix="repro/flat/forest.py",
@@ -179,13 +184,18 @@ class CacheInvalidationRule(Rule):
                         offenders.append((node, attr))
             if offenders and not _invalidates(method, contract):
                 node, attr = offenders[0]
-                remedies = [f"calling {' / '.join(contract.invalidators)}"]
+                remedies = []
                 if contract.caches:
-                    remedies.insert(0, f"{' / '.join(contract.caches)} = None")
+                    remedies.append(f"{' / '.join(contract.caches)} = None")
+                if contract.invalidators:
+                    remedies.append(f"calling {' / '.join(contract.invalidators)}")
+                if remedies:
+                    fix = f"without invalidating ({' or '.join(remedies)})"
+                else:
+                    fix = "of an immutable class (build a new one instead)"
                 self.report(
                     module,
                     node,
                     f"`{contract.class_name}.{method.name}` mutates "
-                    f"contracted attribute `{attr}` without invalidating "
-                    f"({' or '.join(remedies)})",
+                    f"contracted attribute `{attr}` {fix}",
                 )
