@@ -4,12 +4,16 @@ The load generator drives a live :class:`repro.serve.TimingServer` over
 real sockets, two ways:
 
 * **serialized** -- one client, requests issued strictly one at a time
-  against a zero-tick server: every what-if pays its own forest solve,
-  the per-request floor a naive service would give every caller;
+  against a zero-tick server: every what-if pays its own round trip,
+  executor hop, sub-forest solve of the stage trees its swap touches and
+  cone relaxation of the arrivals it changes -- the per-request floor a
+  naive service would give every caller;
 * **coalesced** -- ``N_CLIENTS`` concurrent clients (>= 64 per the
   acceptance bar; 128 here) against a ticked server: requests landing
   within the coalescing window merge into one candidates-as-scenarios
-  solve through :meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`.
+  call of :meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`, so
+  the whole batch shares one sub-forest solve and one ``(cone, S)``
+  relaxation.
 
 Both modes answer from identical session state (nothing mutates), so
 every response -- serialized, coalesced, whatever batch it rode in -- is

@@ -64,7 +64,9 @@ class FlatForest:
     ``FlatForest(trees)`` concatenates compiled member trees;
     :meth:`from_block` adopts arrays that are already concatenated (the
     bulk path of :class:`repro.graph.DesignDB`), building member
-    :class:`~repro.flat.flattree.FlatTree` objects only when asked for one.
+    :class:`~repro.flat.flattree.FlatTree` objects only when asked for one;
+    :meth:`subforest` gathers some members into a new forest the same way
+    (the cone-local what-if of :class:`repro.graph.TimingGraph`).
     """
 
     def __init__(self, trees: Sequence[FlatTree]) -> None:
@@ -204,6 +206,43 @@ class FlatForest:
             )
             self._trees[tree_index] = member
         return member
+
+    def subforest(self, tree_indices: Sequence[int]) -> "FlatForest":
+        """A new forest of the listed member trees, in the listed order.
+
+        The members' node windows are gathered (parents rebased to the new
+        numbering, depths and element arrays copied) into one block that
+        :meth:`from_block` adopts; no member :class:`FlatTree` is built.
+        Every tree keeps its own node order and child order, so a solve of
+        the sub-forest yields, for each member, bitwise the rows the parent
+        forest's solve does under the same element values.
+        """
+        trees = np.asarray(tree_indices, dtype=np.int64)
+        if not len(trees):
+            raise ValueError("a forest needs at least one tree")
+        lo = self._offsets[trees]
+        sizes = self._offsets[trees + 1] - lo
+        starts = np.zeros(len(trees) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        # Global node index of every sub-forest node, window by window.
+        shift = np.repeat(lo - starts[:-1], sizes)
+        nodes = np.arange(int(starts[-1]), dtype=np.int64) + shift
+        parent = self._parent[nodes]
+        np.subtract(parent, shift, out=parent, where=parent >= 0)
+        if self._names is not None:
+            names = [self._names[i] for i in nodes.tolist()]
+        else:
+            names = [name for t in trees.tolist() for name in self.tree(t)._names]
+        return FlatForest.from_block(
+            starts,
+            parent,
+            self._edge_r[nodes],
+            self._edge_c[nodes],
+            self._node_c[nodes],
+            depth=self._depth[nodes],
+            is_output=self._is_output[nodes],
+            names=names,
+        )
 
     def tree_slice(self, tree_index: int) -> slice:
         """Global node-index range of one member tree."""

@@ -59,14 +59,20 @@ from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.flat import FlatForest, FlatTree
 from repro.sta.cells import Cell
 from repro.sta.delaycalc import StageBlock, compile_stage, compile_stage_block
-from repro.sta.netlist import Design, Net
+from repro.sta.netlist import Design, Instance, Net
 from repro.sta.parasitics import NetParasitics
 from repro.store import DEFAULT_SHARD_NODES, ShardStoreWriter, StoredForest
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.spef.reader import SpefNet
 
-__all__ = ["DesignDB", "NetModel", "SinkTable", "ScenarioSinkTable"]
+__all__ = [
+    "DesignDB",
+    "NetModel",
+    "SinkTable",
+    "ScenarioSinkTable",
+    "WhatIfPlanes",
+]
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,25 @@ class ScenarioSinkTable:
 
     def __len__(self) -> int:
         return len(self.pins)
+
+
+class WhatIfPlanes(NamedTuple):
+    """Candidate cell swaps as planes over the stage trees they touch.
+
+    ``forest`` is the sub-forest of the touched trees (``None`` when no
+    swap touches any tree) and ``nets`` names the timed net of each of its
+    trees.  ``sink_nodes`` / ``sink_tree`` give the sub-forest node and
+    tree of every sink row of those nets, rows in ``nets`` order.
+    ``edge_r`` and ``node_c`` are ``(S, n_sub)``: plane ``s`` applies swap
+    ``s``.  Produced by :meth:`DesignDB.whatif_cell_elements`.
+    """
+
+    forest: Optional[FlatForest]
+    nets: List[str]
+    sink_nodes: np.ndarray
+    sink_tree: np.ndarray
+    edge_r: np.ndarray
+    node_c: np.ndarray
 
 
 class _PendingStage(NamedTuple):
@@ -808,18 +833,20 @@ class DesignDB:
             total_capacitance=times.total_capacitance[:, layout.sink_tree],
         )
 
-    def whatif_cell_elements(
-        self, swaps: Sequence[Tuple[str, Cell]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Forest element planes where plane ``s`` applies cell swap ``s``.
+    def whatif_cell_elements(self, swaps: Sequence[Tuple[str, Cell]]) -> "WhatIfPlanes":
+        """Element planes over the stage trees a batch of cell swaps touches.
 
-        Each candidate ``(instance, cell)`` becomes one scenario row: the
-        instance's output net gets the candidate's drive resistance and every
-        timed net it loads gets the candidate's input capacitance at the
-        instance's pin node.  Nothing in the database is mutated -- this is
-        the what-if substrate :meth:`repro.graph.TimingGraph.whatif_resize_worst_slack`
-        evaluates in one batched solve, replacing per-candidate trial swaps.
-        Returns ``(edge_r, node_c)``, each shaped ``(len(swaps), N)``.
+        Each candidate ``(instance, cell)`` touches the stage tree of the
+        instance's output net (the candidate's drive resistance on the
+        drive edge, local node 1) and, when the input capacitance changes,
+        every timed net the instance loads (the delta added at the
+        instance's pin node).  Every other tree's times are exactly the
+        base solve's, so only the touched trees are gathered into a
+        sub-forest (:meth:`repro.flat.FlatForest.subforest`), and plane
+        ``s`` edits only swap ``s``'s trees.  Nothing in the database is
+        mutated -- this is the what-if substrate
+        :meth:`repro.graph.TimingGraph.whatif_resize_worst_slack` solves.
+        Each swap must pass :meth:`check_cell_swap`.
         """
         if self._store is not None:
             raise AnalysisError(
@@ -830,23 +857,18 @@ class DesignDB:
         forest = self.forest
         if forest is None:
             raise AnalysisError("the design has no timed nets to evaluate")
-        offsets = forest._offsets
-        s = len(swaps)
-        # Node-major working planes, returned as transposed views (see
-        # solve_scenarios): the solve engines consume them copy-free.
-        edge_r = np.repeat(forest._edge_r[:, np.newaxis], s, axis=1).T
-        node_c = np.repeat(forest._node_c[:, np.newaxis], s, axis=1).T
+        # (swap row, tree, local node, value): drive R is set, pin loads add.
+        drives: List[Tuple[int, int, float]] = []
+        loads: List[Tuple[int, int, int, float]] = []
         for row, (instance, cell) in enumerate(swaps):
-            record = self._instances.get(instance)
-            if record is None:
-                raise AnalysisError(f"unknown instance {instance!r}")
+            record = self.check_cell_swap(instance, cell)
             old = record.cell
             out_entry = self._entries.get(record.connections.get(old.output, ""))
             if out_entry is not None:
                 resistance = (
                     cell.drive_resistance if cell.drive_resistance > 0 else 1e-6
                 )
-                edge_r[row, int(offsets[out_entry.tree_index]) + 1] = resistance
+                drives.append((row, out_entry.tree_index, resistance))
             delta = cell.input_capacitance - old.input_capacitance
             if delta:
                 # Every non-output pin (inputs and a sequential cell's clock
@@ -861,8 +883,61 @@ class DesignDB:
                         continue
                     local = entry.pin_index.get(f"{instance}/{pin}")
                     if local is not None:
-                        node_c[row, int(offsets[entry.tree_index]) + local] += delta
-        return edge_r, node_c
+                        loads.append((row, entry.tree_index, local, delta))
+        trees = sorted({edit[1] for edit in drives} | {edit[1] for edit in loads})
+        s = len(swaps)
+        if not trees:
+            empty = np.zeros((s, 0))
+            none = np.zeros(0, dtype=np.int64)
+            return WhatIfPlanes(None, [], none, none, empty, empty)
+        sub = forest.subforest(trees)
+        starts = sub._offsets
+        position = {tree: k for k, tree in enumerate(trees)}
+        # Node-major working planes, returned as transposed views (see
+        # solve_scenarios): the solve engines consume them copy-free.
+        edge_r = np.repeat(sub._edge_r[:, np.newaxis], s, axis=1).T
+        node_c = np.repeat(sub._node_c[:, np.newaxis], s, axis=1).T
+        for row, tree, resistance in drives:
+            edge_r[row, int(starts[position[tree]]) + 1] = resistance
+        for row, tree, local, delta in loads:
+            node_c[row, int(starts[position[tree]]) + local] += delta
+        # Sink rows of the touched nets, net by net in sub-forest order.
+        layout = self._layout
+        assert layout is not None  # the forest read above spliced it
+        offsets = forest._offsets
+        nets = [self._timed_net_order[tree] for tree in trees]
+        rows = [self._entries[net].row_slice for net in nets]
+        sink_nodes = np.concatenate(
+            [
+                layout.sink_nodes[window] + (starts[k] - offsets[tree])
+                for k, (tree, window) in enumerate(zip(trees, rows))
+            ]
+        )
+        sink_tree = np.repeat(
+            np.arange(len(trees), dtype=np.int64),
+            [window.stop - window.start for window in rows],
+        )
+        return WhatIfPlanes(sub, nets, sink_nodes, sink_tree, edge_r, node_c)
+
+    def check_cell_swap(self, instance: str, cell: Cell) -> Instance:
+        """The instance's record, if its cell may be swapped for ``cell``.
+
+        Raises :class:`~repro.core.exceptions.AnalysisError` for an unknown
+        instance or a swap that changes the pin interface (pin set or
+        output pin).  :meth:`update_instance_cell` and
+        :meth:`whatif_cell_elements` both apply this one check, so a what-if
+        never scores a swap the ECO would refuse.
+        """
+        record = self._instances.get(instance)
+        if record is None:
+            raise AnalysisError(f"unknown instance {instance!r}")
+        old = record.cell
+        if set(old.pins) != set(cell.pins) or old.output != cell.output:
+            raise AnalysisError(
+                f"cell swap {old.name!r} -> {cell.name!r} changes the pin "
+                "interface; only footprint-compatible swaps are supported"
+            )
+        return record
 
     # ------------------------------------------------------------------
     # Incremental updates
@@ -935,15 +1010,7 @@ class DesignDB:
         net names (the instance's intrinsic-delay change is the caller's to
         propagate -- see :meth:`repro.graph.TimingGraph.resize_instance`).
         """
-        record = self._instances.get(instance)
-        if record is None:
-            raise AnalysisError(f"unknown instance {instance!r}")
-        old = record.cell
-        if set(old.pins) != set(cell.pins) or old.output != cell.output:
-            raise AnalysisError(
-                f"cell swap {old.name!r} -> {cell.name!r} changes the pin "
-                "interface; only footprint-compatible swaps are supported"
-            )
+        record = self.check_cell_swap(instance, cell)
         record.cell = cell
         affected: List[str] = []
         for pin, net_name in record.connections.items():

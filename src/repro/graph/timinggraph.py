@@ -22,12 +22,16 @@ Incremental ECO re-timing
 -------------------------
 :meth:`update_net` re-solves exactly one stage tree in the forest, patches
 that net's arc delays, and re-propagates arrivals only through the *downstream
-cone*: affected vertices are re-evaluated exactly (max over their in-edges,
-the same reduction the full sweep performs, so the result is identical to a
-from-scratch run) and propagation stops at any vertex whose arrival did not
-change.  :meth:`resize_instance` does the same for a cell swap (drive
-resistance, input loads and intrinsic delay all change).  This is what gives
-:mod:`repro.opt.sizing` a design-scope ECO loop: worst slack after an edit
+cone*: one level-synchronous relaxation (:meth:`TimingGraph._relax_cone`)
+re-evaluates the affected vertices of each level exactly (a segment max over
+their in-edges, the same reduction the full sweep performs, so the result is
+identical to a from-scratch run) and stops at any vertex whose arrival did
+not change.  :meth:`resize_instance` does the same for a cell swap (drive
+resistance, input loads and intrinsic delay all change).  The batched
+what-if (:meth:`TimingGraph.whatif_resize_worst_slack`) runs the same
+relaxation read-only, one column per candidate, after solving only the stage
+trees the candidates touch.  This is what gives :mod:`repro.opt.sizing` a
+design-scope ECO loop: worst slack after an edit, or under a candidate edit,
 costs O(cone) instead of O(design).
 """
 
@@ -176,6 +180,17 @@ class ScenarioTimingReport:
             "verdict": self.overall_verdict,
             "scenarios": scenarios,
         }
+
+
+def _csr_gather(
+    ptr: np.ndarray, index: np.ndarray, vertices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenated CSR ranges of (non-empty) ``vertices``, and where each starts."""
+    lo = ptr[vertices]
+    counts = ptr[vertices + 1] - lo
+    first = counts.cumsum() - counts
+    flat = np.arange(int(first[-1] + counts[-1])) + (lo - first).repeat(counts)
+    return index[flat], first
 
 
 class TimingGraph:
@@ -423,10 +438,6 @@ class TimingGraph:
     def _in_edge_list(self, vertex: int) -> np.ndarray:
         """Indices of the edges into ``vertex`` (CSR slice)."""
         return self._in_idx[self._in_ptr[vertex] : self._in_ptr[vertex + 1]]
-
-    def _out_edge_list(self, vertex: int) -> np.ndarray:
-        """Indices of the edges out of ``vertex`` (CSR slice)."""
-        return self._out_idx[self._out_ptr[vertex] : self._out_ptr[vertex + 1]]
 
     # ------------------------------------------------------------------
     # Propagation
@@ -820,115 +831,206 @@ class TimingGraph:
     ) -> np.ndarray:
         """Worst slack if cell swap ``s`` were applied -- all swaps batched.
 
-        Candidates are evaluated *as scenarios*: the database builds one
-        forest element plane per candidate (drive resistance on its output
-        net, input load on the nets it drives), a single batched solve yields
-        every candidate's stage times, and one ``(edges, S)`` propagation
-        produces every candidate's worst slack under ``model``.  Nothing is
-        mutated -- this is the decision kernel of
-        :func:`repro.opt.sizing.upsize_critical_path`, replacing its
-        per-candidate trial loop.  ``engine`` pins the batched solve's kernel
-        backend exactly as in :meth:`analyze_scenarios`.
+        Candidates are evaluated *as scenarios*, and only where they can
+        change anything.  The database gathers the stage trees the swaps
+        touch (each swap's output net, and the nets it loads) into one
+        sub-forest with one element plane per candidate, and a single
+        batched solve of that sub-forest yields every candidate's stage
+        times; every other tree keeps the base solve's.  The touched nets'
+        arc delays and the swapped instances' cell arcs then seed one
+        ``(cone, S)`` relaxation over the base arrivals
+        (:meth:`_relax_cone`), and worst slack is the max of the cone's
+        endpoints and the base arrivals of the endpoints outside it --
+        bitwise what solving and propagating the whole design per
+        candidate gives.  Nothing is mutated: this is the decision kernel
+        of :func:`repro.opt.sizing.upsize_critical_path` and of the serve
+        batcher.  ``engine`` pins the batched solve's kernel backend
+        exactly as in :meth:`analyze_scenarios`.  A swap that
+        :meth:`resize_instance` would refuse (unknown instance, changed pin
+        interface) raises :class:`~repro.core.exceptions.AnalysisError`.
         """
         if not swaps:
             return np.zeros(0)
+        s = len(swaps)
         column = _MODEL_COLUMN[model]
-        edge_r, node_c = self._db.whatif_cell_elements(swaps)
-        forest = self._db.forest
-        times = forest.solve_batch(
-            edge_r=edge_r, node_c=node_c, count=len(swaps), engine=engine
+        planes = self._db.whatif_cell_elements(swaps)
+        net_edges = np.asarray(
+            [edge for net in planes.nets for edge in self._net_edges[net]],
+            dtype=np.int64,
         )
-        layout = self._db._scenario_layout()
-        tp = times.tp[:, layout.sink_tree]
-        tde = times.tde[:, layout.sink_nodes]
-        total = times.total_capacitance[:, layout.sink_tree]
-        if model is DelayModel.ELMORE:
-            wire = tde
-        else:
-            table = ScenarioSinkTable(
-                scenario_names=[name for name, _ in swaps],
-                nets=list(self._db.sinks.nets),
-                pins=list(self._db.sinks.pins),
-                tp=tp,
-                tde=tde,
-                tre=times.tre[:, layout.sink_nodes],
-                total_capacitance=total,
+        wire = np.zeros((s, 0))
+        if planes.forest is not None:
+            times = planes.forest.solve_batch(
+                edge_r=planes.edge_r, node_c=planes.node_c, count=s, engine=engine
             )
-            wire = self._scenario_bound_matrix(
-                table, np.full(len(swaps), self._threshold), model
-            )
-        delays = np.broadcast_to(
-            self._edge_delay[:, column][:, np.newaxis],
-            (self._edge_count, len(swaps)),
-        ).copy()
-        edges, rows = self._net_edge_rows
-        if len(edges):
-            delays[edges] = wire[:, rows].T
-        for index, (instance, cell) in enumerate(swaps):
-            for edge in self._cell_edges.get(instance, []):
-                delays[edge, index] = cell.intrinsic_delay
-        arrivals = self._propagate_tensor(delays)
-        if len(self._endpoint_vertices):
-            worst = arrivals[self._endpoint_vertices].max(axis=0)
-        else:
-            worst = np.zeros(len(swaps))
+            wire = times.tde[:, planes.sink_nodes]
+            if model is not DelayModel.ELMORE:
+                sinks = self._db.sinks
+                windows = [self._db.sink_rows(net) for net in planes.nets]
+                table = ScenarioSinkTable(
+                    scenario_names=[name for name, _ in swaps],
+                    nets=[net for window in windows for net in sinks.nets[window]],
+                    pins=[pin for window in windows for pin in sinks.pins[window]],
+                    tp=times.tp[:, planes.sink_tree],
+                    tde=wire,
+                    tre=times.tre[:, planes.sink_nodes],
+                    total_capacitance=times.total_capacitance[:, planes.sink_tree],
+                )
+                wire = self._scenario_bound_matrix(
+                    table, np.full(s, self._threshold), model
+                )
+        # Swapped instances' cell arcs take the candidate's intrinsic delay.
+        cell_edges = sorted(
+            {edge for name, _ in swaps for edge in self._cell_edges.get(name, [])}
+        )
+        cell_delay = np.repeat(
+            self._edge_delay[cell_edges, column][:, np.newaxis], s, axis=1
+        )
+        slot = {edge: index for index, edge in enumerate(cell_edges)}
+        for index, (name, cell) in enumerate(swaps):
+            for edge in self._cell_edges.get(name, []):
+                cell_delay[slot[edge], index] = cell.intrinsic_delay
+        edges = np.concatenate([net_edges, np.asarray(cell_edges, dtype=np.int64)])
+        order = np.argsort(edges)
+        edges = edges[order]
+        overrides = np.concatenate([wire.T, cell_delay])[order]
+
+        base = self.arrivals_matrix[:, column]
+        cone, values, _ = self._relax_cone(
+            self._edge_dst[edges], base, self._edge_delay[:, column], edges, overrides
+        )
+        ends = self._endpoint_vertices
+        in_cone = np.zeros(self._vertex_count, dtype=bool)
+        in_cone[cone] = True
+        is_end = np.zeros(self._vertex_count, dtype=bool)
+        is_end[ends] = True
+        worst = np.zeros(s)
+        outside = base[ends[~in_cone[ends]]]
+        if len(outside):
+            worst[:] = outside.max()
+        inside = values[is_end[cone]]
+        if len(inside):
+            np.maximum(worst, inside.max(axis=0), out=worst)
         return self._clock_period - worst
 
     # ------------------------------------------------------------------
     # Incremental ECO re-timing
     # ------------------------------------------------------------------
-    def _patch_net_delays(self, rows: Union[slice, Sequence[int]]) -> List[int]:
-        """Refresh the arc delays fed by the given sink-table rows."""
-        edges, table_rows = self._net_edge_rows
-        if isinstance(rows, slice):
-            selector = (table_rows >= rows.start) & (table_rows < rows.stop)
+    def _patch_net_delays(self, net: str) -> np.ndarray:
+        """Refresh one timed net's arc delays from the sink table."""
+        edges = np.asarray(self._net_edges[net], dtype=np.int64)
+        rows = self._db.sink_rows(net)
+        self._edge_delay[edges] = self._net_arc_delays(
+            np.arange(rows.start, rows.stop)
+        )
+        return edges
+
+    def _relax_cone(
+        self,
+        seeds: np.ndarray,
+        arrivals: np.ndarray,
+        delay: np.ndarray,
+        edges: Optional[np.ndarray] = None,
+        overrides: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Re-relax the fan-out cone of ``seeds`` level by level, read-only.
+
+        ``arrivals`` ``(V, ...)`` are the arrivals before the change and
+        ``delay`` ``(E, ...)`` the edge delays, with ``overrides[i]``
+        standing in for ``delay[edges[i]]`` (``edges`` sorted).  Trailing
+        axes broadcast and ride along: the ECO relaxes ``(V, 3)`` arrivals
+        under ``(E, 3)`` delays, the what-if a ``(V,)`` model column under
+        ``(k, S)`` candidate overrides.
+
+        Each level gathers its vertices' in-edges through the CSR arrays
+        and takes one segment max with ``0.0`` -- the reduction the full
+        forward sweep performs, so every value is bitwise a from-scratch
+        propagation's.  Vertices whose new arrival equals the old one stop
+        the walk.  Seeds must be edge destinations, so every vertex of the
+        cone has an in-edge.  Returns ``(vertices, values, visited)``: the
+        vertices whose arrival changed (in level order), their new
+        arrivals, and the number of vertices re-evaluated.
+        """
+        shape = np.broadcast_shapes(
+            arrivals.shape[1:],
+            delay.shape[1:],
+            () if overrides is None else overrides.shape[1:],
+        )
+        lead = (slice(None),) + (np.newaxis,) * (len(shape) + 1 - arrivals.ndim)
+        step_lead = (slice(None),) + (np.newaxis,) * (len(shape) + 1 - delay.ndim)
+        n = self._vertex_count
+        work = np.empty((n,) + shape)
+        moved = np.zeros(n, dtype=bool)
+        level = self._level
+        seeds = np.asarray(seeds, dtype=np.int64)
+        # Pending vertices keyed level-major: the lowest level leads.
+        keys = np.unique(level[seeds] * n + seeds)
+        # Overridden edges end at seeds: no level past the last seed's has one.
+        if overrides is None or not len(keys):
+            override_until = -1
         else:
-            selector = np.isin(table_rows, np.asarray(list(rows), dtype=np.int64))
-        touched = edges[selector]
-        self._edge_delay[touched] = self._net_arc_delays(table_rows[selector])
-        return touched.tolist()
+            override_until = int(keys[-1])
+        cone: List[np.ndarray] = []
+        visited = 0
+        while keys.size:
+            floor = keys[0] - keys[0] % n
+            cut = int(np.searchsorted(keys, floor + n))
+            frontier = keys[:cut] - floor
+            keys = keys[cut:]
+            visited += cut
+            in_edges, first = _csr_gather(self._in_ptr, self._in_idx, frontier)
+            src = self._edge_src[in_edges]
+            candidates = np.empty((len(in_edges),) + shape)
+            candidates[...] = arrivals[src][lead]
+            hit = moved[src]
+            if np.count_nonzero(hit):
+                candidates[hit] = work[src[hit]]
+            step = delay[in_edges][step_lead]
+            if floor <= override_until:
+                at = np.searchsorted(edges, in_edges)
+                np.minimum(at, len(edges) - 1, out=at)
+                found = edges[at] == in_edges
+                if np.count_nonzero(found):
+                    step = np.broadcast_to(step, candidates.shape).copy()
+                    step[found] = overrides[at[found]]
+            candidates += step
+            value = np.maximum.reduceat(candidates, first, axis=0)
+            np.maximum(value, 0.0, out=value)
+            changed = value != arrivals[frontier][lead]
+            if changed.ndim > 1:
+                changed = changed.reshape(cut, -1).any(axis=1)
+            if not np.count_nonzero(changed):
+                continue
+            vertices = frontier[changed]
+            work[vertices] = value[changed]
+            moved[vertices] = True
+            cone.append(vertices)
+            out_edges, _ = _csr_gather(self._out_ptr, self._out_idx, vertices)
+            successors = self._edge_dst[out_edges]
+            keys = np.unique(
+                np.concatenate((keys, level[successors] * n + successors))
+            )
+        vertices = np.concatenate(cone) if cone else np.zeros(0, dtype=np.int64)
+        return vertices, work[vertices], visited
 
-    def _repropagate(self, seeds: Sequence[int]) -> int:
-        """Exact arrival recomputation over the downstream cone of ``seeds``.
+    def _repropagate(self, seeds: np.ndarray) -> int:
+        """Exact arrival update over the downstream cone of ``seeds``, in place.
 
-        Each affected vertex is re-evaluated as the max over *all* its
-        in-edges -- the same reduction the full forward sweep performs, so the
-        updated arrivals are identical to a from-scratch propagation --
-        and the walk stops at vertices whose arrivals did not change.
-        Returns the number of vertices re-evaluated (the cone size).
+        :meth:`_relax_cone` re-evaluates the cone of all three model
+        columns under the (already patched) edge delays, stopping at
+        vertices whose arrivals did not change, so the updated arrivals
+        are identical to a from-scratch propagation.  Required times are
+        dropped.  Returns the number of vertices re-evaluated (the cone
+        size).
         """
         if self._arrivals is None:
             # Nothing solved yet: the next access recomputes everything anyway.
             return 0
-        arrivals = self._arrivals
         self._required = None
-        pending: Dict[int, set] = {}
-        for vertex in seeds:
-            pending.setdefault(int(self._level[vertex]), set()).add(int(vertex))
-        visited = 0
-        level = self._level
-        src = self._edge_src
-        delay = self._edge_delay
-        dst_list = self._edge_dst
-        while pending:
-            current = min(pending)
-            for vertex in sorted(pending.pop(current)):
-                visited += 1
-                in_edges = self._in_edge_list(vertex)
-                if len(in_edges):
-                    value = np.max(
-                        arrivals[src[in_edges]] + delay[in_edges], axis=0
-                    )
-                    np.maximum(value, 0.0, out=value)
-                else:
-                    value = np.zeros(3)
-                if np.array_equal(value, arrivals[vertex]):
-                    continue
-                arrivals[vertex] = value
-                for successor in dst_list[self._out_edge_list(vertex)]:
-                    pending.setdefault(int(level[successor]), set()).add(
-                        int(successor)
-                    )
+        vertices, values, visited = self._relax_cone(
+            seeds, self._arrivals, self._edge_delay
+        )
+        self._arrivals[vertices] = values
         return visited
 
     def update_net(
@@ -940,10 +1042,8 @@ class TimingGraph:
         delays, and re-propagates arrivals through the downstream cone only.
         Returns the number of re-evaluated vertices.
         """
-        rows = self._db.update_net(net, parasitics)
-        touched = self._patch_net_delays(rows)
-        seeds = {int(self._edge_dst[edge]) for edge in touched}
-        return self._repropagate(sorted(seeds))
+        self._db.update_net(net, parasitics)
+        return self._repropagate(self._edge_dst[self._patch_net_delays(net)])
 
     def resize_instance(self, instance: str, cell: Cell) -> int:
         """ECO hook: swap one instance's cell and re-time its cone.
@@ -954,17 +1054,15 @@ class TimingGraph:
         Returns the number of re-evaluated vertices.
         """
         affected = self._db.update_instance_cell(instance, cell)
-        seeds = set()
-        for net in affected:
-            for edge in self._patch_net_delays(self._db.sink_rows(net)):
-                seeds.add(int(self._edge_dst[edge]))
+        seeds = [self._edge_dst[self._patch_net_delays(net)] for net in affected]
         swapped = self._db.instances[instance].cell
         if swapped.is_sequential:
             labels = [f"{swapped.name} CK->Q"]
         else:
             labels = [f"{swapped.name} {pin}->Y" for pin in swapped.inputs]
-        for edge, label in zip(self._cell_edges.get(instance, []), labels):
+        cell_edges = self._cell_edges.get(instance, [])
+        for edge, label in zip(cell_edges, labels):
             self._edge_delay[edge, :] = swapped.intrinsic_delay
             self._edge_arcs[edge] = label
-            seeds.add(int(self._edge_dst[edge]))
-        return self._repropagate(sorted(seeds))
+        seeds.append(self._edge_dst[np.asarray(cell_edges, dtype=np.int64)])
+        return self._repropagate(np.concatenate(seeds))

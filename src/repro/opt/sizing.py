@@ -28,7 +28,8 @@ when the topology itself depends on the driver.
 Beyond single nets, :func:`upsize_critical_path` runs the same knob at
 *design scope*: an ECO loop over a :class:`~repro.graph.TimingGraph` that,
 per iteration, evaluates **every** upsizable critical-path instance as a
-what-if scenario in one batched solve
+what-if scenario in one batched solve of just the stage trees the
+candidates touch, re-relaxing only the arrivals they change
 (:meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`), applies the
 swap with the best resulting worst slack, and re-times only the affected
 cone (the incremental machinery of
@@ -390,7 +391,8 @@ def upsize_critical_path(
     Each iteration traces the worst path under ``model`` (the sign-off upper
     bound by default), collects *every* path instance that still has a
     stronger library variant, and evaluates all of those candidate swaps **as
-    scenarios in one batched solve**
+    scenarios in one batched solve** of the stage trees they touch, followed
+    by one relaxation of the arrival cone they change
     (:meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`) -- no
     trial-swap loop.  The swap with the best resulting worst slack is applied
     for real and the graph re-times just the affected cone.  Stops when the

@@ -11,12 +11,14 @@ serialized writer, slack and corner queries, and what-if resize scoring.
 The piece that makes throughput *rise* under load is request coalescing
 (:class:`~repro.serve.batcher.WhatIfBatcher`): what-if queries arriving
 within a configurable tick are merged into one candidates-as-scenarios
-solve through :meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`,
-so sixty-four concurrent clients cost one batched forest sweep instead of
-sixty-four serial ones.  All solve work runs in a thread-pool executor --
-handler coroutines never touch a kernel directly (enforced by reprolint
-RL009) -- and engine selection flows through the
-:mod:`repro.parallel` backend registry unchanged.
+call of :meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`, which
+solves only the stage trees the swaps touch and re-relaxes only the
+arrivals they change, so sixty-four concurrent clients share one
+sub-forest solve and one cone relaxation instead of paying sixty-four.
+All solve work runs in a thread-pool executor -- handler coroutines never
+touch a kernel directly (enforced by reprolint RL009) -- and engine
+selection flows through the :mod:`repro.parallel` backend registry
+unchanged.
 
 Everything is stdlib (``asyncio`` + hand-rolled HTTP/1.1): the server adds
 no dependency.

@@ -2,14 +2,19 @@
 
 The paper's candidates-as-scenarios kernel
 (:meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`) prices ``S``
-cell swaps at a single forest sweep, so a server that solves each client's
-what-if alone is leaving its best asymptotics on the table.  The
-:class:`WhatIfBatcher` closes that gap: ``submit()`` parks each request's
-swaps in a pending list and resolves a future later; a flush task fires
-one *tick* (default a couple of milliseconds) after the first request of a
-round, drains everything that accumulated, groups it by delay model,
-concatenates the swap lists, and runs one batched solve per model in the
+cell swaps at one batched solve of just the stage trees they touch plus
+one ``(cone, S)`` re-relaxation of the arrivals they change, so a server
+that solves each client's what-if alone pays that fixed per-call cost --
+sub-forest gather, kernel dispatch, one level loop over the cone -- once
+per client instead of once per round.  The :class:`WhatIfBatcher` closes
+that gap: ``submit()`` checks the request's swaps (unknown instance,
+changed pin interface) so a bad request fails alone, parks them in a
+pending list and resolves a future later; a flush task fires one *tick*
+(default a couple of milliseconds) after the first request of a round,
+drains everything that accumulated, groups it by delay model,
+concatenates the swap lists, and runs one batched what-if per model in the
 executor -- then slices the score vector back out to each caller's future.
+A failure inside that solve still fails every request of the group.
 
 Two properties make this correct and live:
 
@@ -18,9 +23,10 @@ Two properties make this correct and live:
   between a drain and the task teardown.
 * The solve runs under the session lock, so batched what-ifs serialize
   with ECO writes exactly like every other operation; and because scenario
-  columns are computed independently in the vectorized kernels, a swap
-  scored in a 64-wide batch is bitwise identical to the same swap scored
-  alone against the same state.
+  columns (and member trees) are computed independently in the vectorized
+  kernels, a swap scored in a 64-wide batch equals the same swap scored
+  alone against the same state -- bitwise whenever both solves auto-select
+  the same backend, to the backends' shared 1e-12 otherwise.
 
 While one batch is solving, new arrivals open the next round and
 accumulate behind the lock -- under load the batch size grows naturally
@@ -93,10 +99,19 @@ class WhatIfBatcher:
         The call coalesces with every other ``submit`` that lands within
         the same tick (or while a previous batch is still solving).  The
         returned version is the session version the scores were computed
-        against, for clients correlating what-ifs with ECO history.
+        against, for clients correlating what-ifs with ECO history.  Swaps
+        naming an unknown instance or changing a cell's pin interface
+        raise :class:`~repro.core.exceptions.AnalysisError` before
+        anything is enqueued.
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
+        # Refuse a bad swap here, so only its own client sees the error
+        # instead of every client coalesced into the same solve.  A dict
+        # lookup, safe without the session lock: instances are never
+        # added, and resizes keep pin interfaces.
+        for instance, cell in swaps:
+            self._session.db.check_cell_swap(instance, cell)
         entry = _Pending(list(swaps), model)
         self._pending.append(entry)
         self.stats.requests += 1

@@ -208,3 +208,68 @@ class TestReplaceTree:
         forest.replace_tree(2, random_flat_tree(50, config))
         after = forest.solve()
         np.testing.assert_array_equal(before.tde[first], after.tde[first])
+
+
+class TestSubforest:
+    FIELDS = ("tde", "tre", "ree")
+
+    @staticmethod
+    def assert_rows_equal(forest, trees):
+        """Sub-forest solve rows equal the parent forest's rows, bitwise."""
+        sub = forest.subforest(trees)
+        rng = np.random.default_rng(len(trees))
+        s = 3
+        edge_r = forest._edge_r * rng.uniform(0.5, 2.0, (s, forest.node_count))
+        node_c = forest._node_c * rng.uniform(0.5, 2.0, (s, forest.node_count))
+        nodes = np.concatenate(
+            [np.arange(forest.node_count)[forest.tree_slice(t)] for t in trees]
+        )
+        full = forest.solve_batch(edge_r=edge_r, node_c=node_c, count=s)
+        part = sub.solve_batch(
+            edge_r=edge_r[:, nodes], node_c=node_c[:, nodes], count=s
+        )
+        for name in TestSubforest.FIELDS:
+            got = np.ascontiguousarray(getattr(part, name))
+            want = np.ascontiguousarray(getattr(full, name)[:, nodes])
+            assert got.tobytes() == want.tobytes(), name
+        for name in ("tp", "total_capacitance"):
+            got = np.ascontiguousarray(getattr(part, name))
+            want = np.ascontiguousarray(getattr(full, name)[:, trees])
+            assert got.tobytes() == want.tobytes(), name
+        return sub
+
+    def test_rows_equal_parent_forest_rows(self, batch):
+        _, forest = batch
+        sub = self.assert_rows_equal(forest, [5, 1, 6])
+        assert len(sub) == 3
+        assert sub.node_count == sum(len(forest.tree(t)) for t in (5, 1, 6))
+        assert sub._trees == [None, None, None]  # no member trees built
+        assert sub.tree(1).names == forest.tree(1).names
+
+    @pytest.mark.parametrize("built", ["members", "block"])
+    def test_rows_equal_after_size_changing_replace(self, built):
+        from repro.generators.random_trees import RandomTreeConfig, random_flat_tree
+
+        config = RandomTreeConfig(nodes=14, branching_bias=0.6)
+        forest = FlatForest([random_flat_tree(seed, config) for seed in range(5)])
+        if built == "block":
+            forest = FlatForest.from_block(
+                forest._offsets.copy(),
+                forest._parent.copy(),
+                forest._edge_r.copy(),
+                forest._edge_c.copy(),
+                forest._node_c.copy(),
+                depth=forest._depth.copy(),
+                is_output=forest._is_output.copy(),
+                names=[name for tree in forest.trees for name in tree.names],
+            )
+        forest.replace_tree(1, random_flat_tree(40, RandomTreeConfig(nodes=23)))
+        forest.replace_tree(3, random_flat_tree(41, RandomTreeConfig(nodes=6)))
+        sub = self.assert_rows_equal(forest, [0, 1, 3, 4])
+        assert sub.tree(1).names == forest.tree(1).names
+        self.assert_rows_equal(forest, [3])
+
+    def test_empty_selection_rejected(self, batch):
+        _, forest = batch
+        with pytest.raises(ValueError):
+            forest.subforest([])

@@ -11,8 +11,12 @@ from repro.scenarios import (
     scaled_design,
     scaled_parasitics,
 )
+from repro.core.exceptions import AnalysisError
+from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
+from repro.sta.netlist import Design
 from repro.sta.parasitics import lumped
+from tests.graph.whatif_oracle import full_forest_whatif
 
 MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)
 PERIOD = 1.6e-9
@@ -262,3 +266,116 @@ class TestWhatIfSwaps:
         assert {
             name: record.cell.name for name, record in graph.db.instances.items()
         } == cells
+
+
+def assert_scores_equal_oracle(graph, swaps):
+    """Cone-local what-if scores are bitwise the full-forest oracle's."""
+    for model in MODELS:
+        got = graph.whatif_resize_worst_slack(swaps, model)
+        want = full_forest_whatif(graph, swaps, model)
+        assert got.tobytes() == want.tobytes(), model
+    return got
+
+
+def side_design():
+    """A small design with a gate whose output net is untimed (no loads)
+    and a clock buffer that loads only the clock and drives nothing."""
+    library = standard_cell_library()
+    design = Design("side_branches")
+    for net in ("a", "b", "clk"):
+        design.add_primary_input(net)
+    design.add_clock("clk")
+    design.add_instance("u1", library["NAND2_X1"], A="a", B="b", Y="n1")
+    design.add_instance("u2", library["INV_X1"], A="n1", Y="out")
+    design.add_instance("u_dangle", library["AND2_X1"], A="n1", B="b", Y="dead")
+    design.add_instance("u_ff", library["DFF_X1"], D="out", CK="clk", Q="q")
+    design.add_instance("u_q", library["BUF_X1"], A="q", Y="qo")
+    design.add_instance("u_clkbuf", library["BUF_X1"], A="clk", Y="spare")
+    design.add_primary_output("qo")
+    parasitics = {
+        net: lumped(net, 3e-15) for net in ("a", "b", "n1", "out", "q", "qo")
+    }
+    return design, parasitics
+
+
+class TestNamedWhatIfs:
+    """What-if edge cases, each held bitwise to the full-forest oracle."""
+
+    def test_same_instance_twice_in_one_batch(self, workload):
+        _, _, graph = workload
+        library = standard_cell_library()
+        name = sorted(graph.db.instances)[3]
+        prefix = graph.db.instances[name].cell.name.rpartition("_X")[0]
+        x2, x4 = library[f"{prefix}_X2"], library[f"{prefix}_X4"]
+        scores = assert_scores_equal_oracle(
+            graph, [(name, x2), (name, x4), (name, x2)]
+        )
+        assert scores[0] == scores[2]
+        alone = graph.whatif_resize_worst_slack([(name, x4)], DelayModel.LOWER_BOUND)
+        assert scores[1] == alone[0]
+
+    def test_swap_to_current_cell(self, workload):
+        _, _, graph = workload
+        swaps = [
+            (name, graph.db.instances[name].cell)
+            for name in sorted(graph.db.instances)[:5]
+        ]
+        assert_scores_equal_oracle(graph, swaps)
+        for model in MODELS:
+            scores = graph.whatif_resize_worst_slack(swaps, model)
+            assert (scores == graph.worst_slack(model)).all()
+
+    def test_untimed_output_net(self):
+        design, parasitics = side_design()
+        graph = TimingGraph(
+            design,
+            dict(parasitics),
+            clock_period=PERIOD,
+            input_drive_resistance=INPUT_DRIVE,
+        )
+        assert "dead" not in graph.db.timed_nets()
+        library = standard_cell_library()
+        swaps = [("u_dangle", library["AND2_X4"])]
+        scores = assert_scores_equal_oracle(graph, swaps)
+        trial = TimingGraph(
+            design,
+            dict(parasitics),
+            clock_period=PERIOD,
+            input_drive_resistance=INPUT_DRIVE,
+        )
+        trial.resize_instance("u_dangle", library["AND2_X4"])
+        want = trial.worst_slack(DelayModel.LOWER_BOUND)
+        trial.resize_instance("u_dangle", library["AND2_X1"])  # shared Instance
+        assert scores[0] == pytest.approx(want, rel=1e-9)
+        assert want != graph.worst_slack(DelayModel.LOWER_BOUND)
+
+    def test_empty_cone(self):
+        """A clock buffer driving nothing: the swap touches no stage tree
+        and moves no arrival, so every score is the base worst slack."""
+        design, parasitics = side_design()
+        graph = TimingGraph(
+            design,
+            dict(parasitics),
+            clock_period=PERIOD,
+            input_drive_resistance=INPUT_DRIVE,
+        )
+        library = standard_cell_library()
+        swaps = [("u_clkbuf", library["BUF_X4"]), ("u_clkbuf", library["BUF_X2"])]
+        assert graph.db.whatif_cell_elements(swaps).forest is None
+        assert_scores_equal_oracle(graph, swaps)
+        for model in MODELS:
+            scores = graph.whatif_resize_worst_slack(swaps, model)
+            assert (scores == graph.worst_slack(model)).all()
+
+    def test_incompatible_footprint_is_refused(self):
+        """The what-if refuses exactly the swaps resize_instance refuses."""
+        design, parasitics = random_design(200, seed=3)
+        graph = TimingGraph(design, dict(parasitics))
+        library = standard_cell_library()
+        assert graph.db.instances["u0"].cell.name == "XOR2_X4"
+        with pytest.raises(AnalysisError, match="pin interface"):
+            graph.resize_instance("u0", library["INV_X1"])
+        with pytest.raises(AnalysisError, match="pin interface"):
+            graph.whatif_resize_worst_slack([("u0", library["INV_X1"])])
+        with pytest.raises(AnalysisError, match="unknown instance"):
+            graph.whatif_resize_worst_slack([("u_missing", library["INV_X1"])])

@@ -9,7 +9,9 @@ current offsets, pin loads summed in ``pin_index`` order.  After random ECO
 sequences -- cell swaps, same-size, larger and smaller ``update_net``
 trees, lumped -> tree and tree -> lumped -- every layout array must match it
 bit for bit, in RAM and store-backed.  Scenario solves and what-if scores
-must match a freshly built database of the edited design at 1e-12.
+must match a freshly built database of the edited design at 1e-12, and the
+cone-local what-if must equal the full-forest oracle on the same graph bit
+for bit.
 """
 
 import tempfile
@@ -28,6 +30,7 @@ from repro.scenarios import Scenario, ScenarioSet, scaled_parasitics
 from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel, compile_stage
 from repro.sta.parasitics import lumped, rc_tree_parasitics
+from tests.graph.whatif_oracle import full_forest_whatif
 
 #: A small shard size so store-backed designs span several shards.
 SMALL_SHARD = 48
@@ -223,10 +226,10 @@ class TestEcoSequences:
             swaps.append((name, cell))
         reference = TimingGraph(fresh, clock_period=PERIOD)
         for model in MODELS:
-            assert_close(
-                graph.whatif_resize_worst_slack(swaps, model),
-                reference.whatif_resize_worst_slack(swaps, model),
-            )
+            scores = graph.whatif_resize_worst_slack(swaps, model)
+            assert_close(scores, reference.whatif_resize_worst_slack(swaps, model))
+            oracle = full_forest_whatif(graph, swaps, model)
+            assert scores.tobytes() == oracle.tobytes(), model
 
     @HYPOTHESIS
     @given(design_seed=st.integers(0, 2**16), ecos=eco_sequences)

@@ -138,6 +138,38 @@ def test_solve_failure_fans_out_to_waiters(workload, hang_guard):
     assert len(scores) == 1
 
 
+def test_bad_request_fails_alone_in_its_tick(workload, hang_guard):
+    """A bogus and a good submit in one tick: only the bogus one fails."""
+    from repro.core.exceptions import AnalysisError
+
+    good = resizable_instances(workload, 1)
+    direct = workload.direct_graph()
+    bad = [(good[0][0], LIBRARY["DFF_X1"])]  # changes the pin interface
+
+    async def main():
+        session = make_session(workload)
+        batcher = WhatIfBatcher(session, tick=0.005)
+        results = await asyncio.gather(
+            batcher.submit(
+                [("no_such_instance", LIBRARY["INV_X2"])], DelayModel.UPPER_BOUND
+            ),
+            batcher.submit(good, DelayModel.UPPER_BOUND),
+            batcher.submit(bad, DelayModel.UPPER_BOUND),
+            return_exceptions=True,
+        )
+        await batcher.close()
+        return results, batcher.stats
+
+    (unknown, (scores, version), refused), stats = asyncio.run(main())
+    assert isinstance(unknown, AnalysisError)
+    assert isinstance(refused, AnalysisError)
+    expected = direct.whatif_resize_worst_slack(good)
+    assert version == 0
+    assert scores == [float(expected[0])]
+    assert stats.batches == 1
+    assert stats.solved_swaps == 1
+
+
 def test_closed_batcher_refuses_and_fails_pending(workload, hang_guard):
     async def main():
         session = make_session(workload)
