@@ -4,28 +4,32 @@ A :class:`TimingGraph` compiles a :class:`~repro.graph.DesignDB` into flat
 edge arrays -- one vertex per pin, *net arcs* from each driver pin to each
 load pin, *cell arcs* from each input (or clock) pin to the output pin -- and
 levelizes the DAG once.  Arrival times for **all pins and all three delay
-models at once** are then computed by per-level vectorized relaxations
-(``np.maximum.at`` over each level's edge bucket on a ``(V, 3)`` matrix)
-instead of the legacy engine's per-vertex dict updates over a networkx graph.
-Required times and per-pin slacks come from the mirrored backward sweep.
+models at once** are then computed one level at a time by a single relaxation
+step (:meth:`TimingGraph._relax_level`: gather the level's in-edges through
+the CSR arrays, add their delays, take one segment max per vertex and clamp
+at ``0.0``) instead of the legacy engine's per-vertex dict updates over a
+networkx graph.  Required times and per-pin slacks come from the mirrored
+backward sweep (:meth:`TimingGraph._required_tensor`: a segment min over
+out-edges, then a min with the endpoint's own required time).
 
 Net-arc delays are extracted from the database's single batched
 :class:`~repro.flat.FlatForest` solve: the Elmore column reads ``T_De``
 directly, the two bound columns come from one batched evaluation of
-eqs. (14)-(17) over every sink of every net.  Cell arcs carry the cell's
-intrinsic delay in every column, and clock-net arcs are zero (ideal clock
-network), exactly as :class:`~repro.sta.analysis.TimingAnalyzer` -- which is
-kept, unchanged, as the parity oracle; the property tests pin the two engines
-together at 1e-12 relative tolerance.
+eqs. (14)-(17) over every sink of every net (:func:`_wire_delays`, which
+every wire-delay evaluation of this module goes through).  Cell arcs carry
+the cell's intrinsic delay in every column, and clock-net arcs are zero
+(ideal clock network), exactly as :class:`~repro.sta.analysis.TimingAnalyzer`
+-- which is kept, unchanged, as the parity oracle; the property tests pin
+the two engines together at 1e-12 relative tolerance.
 
 Incremental ECO re-timing
 -------------------------
 :meth:`update_net` re-solves exactly one stage tree in the forest, patches
 that net's arc delays, and re-propagates arrivals only through the *downstream
 cone*: one level-synchronous relaxation (:meth:`TimingGraph._relax_cone`)
-re-evaluates the affected vertices of each level exactly (a segment max over
-their in-edges, the same reduction the full sweep performs, so the result is
-identical to a from-scratch run) and stops at any vertex whose arrival did
+re-evaluates the affected vertices of each level exactly (the full sweep's
+own :meth:`TimingGraph._relax_level` step, so the result is identical to a
+from-scratch run) and stops at any vertex whose arrival did
 not change.  :meth:`resize_instance` does the same for a cell swap (drive
 resistance, input loads and intrinsic delay all change).  The batched
 what-if (:meth:`TimingGraph.whatif_resize_worst_slack`) runs the same
@@ -193,6 +197,45 @@ def _csr_gather(
     return index[flat], first
 
 
+def _wire_delays(
+    tp: np.ndarray,
+    tde: np.ndarray,
+    tre: np.ndarray,
+    live: np.ndarray,
+    thresholds: np.ndarray,
+    model: DelayModel,
+) -> np.ndarray:
+    """``(S, rows)`` wire delays under one model, per-scenario thresholds.
+
+    ``tp``/``tde``/``tre``/``live`` are ``(S, rows)`` sink-row times and the
+    mask of rows whose stage carries capacitance.  Elmore is ``tde``
+    itself.  For a bound, scenarios sharing a threshold are evaluated in
+    one batched call; rows that are not live stay at zero delay.  The
+    bound functions are looked up in this module's namespace at call time,
+    so a wrapper installed there sees every evaluation.
+    """
+    if model is DelayModel.ELMORE:
+        return tde
+    bound = (
+        delay_upper_bound_batch
+        if model is DelayModel.UPPER_BOUND
+        else delay_lower_bound_batch
+    )
+    out = np.zeros(tde.shape)
+    for threshold in np.unique(thresholds):
+        rows = live & (thresholds == threshold)[:, np.newaxis]
+        if np.any(rows):
+            out[rows] = bound(tp[rows], tde[rows], tre[rows], [threshold])[:, 0]
+    return out
+
+
+def _cell_arcs(cell: Cell) -> List[Tuple[str, str]]:
+    """``(from pin, arc label)`` of each timing arc into ``cell``'s output."""
+    if cell.is_sequential:
+        return [(cell.clock_pin, f"{cell.name} CK->Q")]
+    return [(pin, f"{cell.name} {pin}->Y") for pin in cell.inputs]
+
+
 class TimingGraph:
     """Array-compiled timing graph of a whole design, all delay models at once."""
 
@@ -231,29 +274,18 @@ class TimingGraph:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def _net_arc_delays(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """(rows, 3) wire delays for sink rows of the database's table.
-
-        ``rows`` restricts the (batched) bound evaluation to a subset -- the
-        incremental path computes delays only for an edited net's sinks.
-        """
+    def _net_arc_delays(self, rows: Union[slice, np.ndarray]) -> np.ndarray:
+        """(rows, 3) wire delays for sink rows of the database's table."""
         sinks = self._db.sinks
-        tp, tde, tre = sinks.tp, sinks.tde, sinks.tre
-        live = sinks.live
-        if rows is not None:
-            tp, tde, tre, live = tp[rows], tde[rows], tre[rows], live[rows]
-        delays = np.zeros((len(tde), 3))
-        delays[:, _MODEL_COLUMN[DelayModel.ELMORE]] = tde
-        if np.any(live):
-            upper = delay_upper_bound_batch(
-                tp[live], tde[live], tre[live], [self._threshold]
-            )[:, 0]
-            lower = delay_lower_bound_batch(
-                tp[live], tde[live], tre[live], [self._threshold]
-            )[:, 0]
-            delays[live, _MODEL_COLUMN[DelayModel.UPPER_BOUND]] = upper
-            delays[live, _MODEL_COLUMN[DelayModel.LOWER_BOUND]] = lower
-        return delays
+        tp, tde, tre, live = (
+            column[np.newaxis, rows]
+            for column in (sinks.tp, sinks.tde, sinks.tre, sinks.live)
+        )
+        thresholds = np.array([self._threshold])
+        return np.stack(
+            [_wire_delays(tp, tde, tre, live, thresholds, m)[0] for m in _MODELS],
+            axis=1,
+        )
 
     def _build_edges(self) -> None:
         db = self._db
@@ -314,13 +346,7 @@ class TimingGraph:
             output = vertex(f"{name}/{cell.output}")
             indices = self._cell_edges.setdefault(name, [])
             intrinsic = cell.intrinsic_delay
-            if cell.is_sequential:
-                pins = (cell.clock_pin,)
-                arcs = (f"{cell.name} CK->Q",)
-            else:
-                pins = cell.inputs
-                arcs = [f"{cell.name} {pin}->Y" for pin in pins]
-            for pin, arc in zip(pins, arcs):
+            for pin, arc in _cell_arcs(cell):
                 edge = len(edge_src)
                 indices.append(edge)
                 intrinsic_edges.append(edge)
@@ -350,16 +376,18 @@ class TimingGraph:
         self._edge_delay = delays
 
     def _levelize(self) -> None:
-        """Longest-path levels + per-level edge buckets + in/out CSR.
+        """Longest-path levels, the vertices of each level, and in/out CSR.
 
         Kahn's algorithm, but one numpy *wave* at a time: the whole ready
-        frontier relaxes its out-edges with one gather/scatter, so the Python
-        cost is O(logic depth), not O(V + E).
+        frontier releases its out-edges with one gather, so the Python cost
+        is O(logic depth), not O(V + E).  A vertex becomes ready in the wave
+        after its last predecessor, so its wave index is its longest-path
+        level, and each wave's frontier is exactly one level's vertex set.
         """
         n = self._vertex_count
         src = self._edge_src
         dst = self._edge_dst
-        # CSR adjacency (also reused by the incremental cone walks).
+        # CSR adjacency, shared by the level sweeps and the cone walks.
         self._out_idx = np.argsort(src, kind="stable")
         out_counts = np.bincount(src, minlength=n)
         self._out_ptr = np.concatenate(([0], np.cumsum(out_counts)))
@@ -368,57 +396,23 @@ class TimingGraph:
         self._in_ptr = np.concatenate(([0], np.cumsum(in_counts)))
 
         level = np.zeros(n, dtype=np.int64)
+        levels: List[np.ndarray] = []
         remaining = in_counts.copy()
         frontier = np.flatnonzero(remaining == 0)
-        seen = 0
         while frontier.size:
-            seen += int(frontier.size)
-            lengths = out_counts[frontier]
-            total = int(lengths.sum())
-            if total == 0:
-                break
-            starts = self._out_ptr[frontier]
-            # Flatten the frontier's CSR ranges into one edge-index vector.
-            ends = np.cumsum(lengths)
-            flat = (
-                np.repeat(starts, lengths)
-                + np.arange(total)
-                - np.repeat(ends - lengths, lengths)
-            )
-            edges = self._out_idx[flat]
-            successors = dst[edges]
-            np.maximum.at(level, successors, np.repeat(level[frontier] + 1, lengths))
-            decrements = np.bincount(successors, minlength=n)
+            level[frontier] = len(levels)
+            levels.append(frontier)
+            out_edges, _ = _csr_gather(self._out_ptr, self._out_idx, frontier)
+            decrements = np.bincount(dst[out_edges], minlength=n)
             remaining -= decrements
             frontier = np.flatnonzero((remaining == 0) & (decrements > 0))
-        if seen != n:
+        if sum(len(vertices) for vertices in levels) != n:
             raise AnalysisError(
                 "the timing graph has a combinational loop; break it before analysis"
             )
         self._level = level
-        self._max_level = int(level.max()) if n else 0
-
-        # Forward buckets: edges grouped by destination level (ascending).
-        if self._edge_count:
-            dst_level = level[self._edge_dst]
-            order = np.argsort(dst_level, kind="stable")
-            counts = np.bincount(dst_level, minlength=self._max_level + 1)
-            self._forward_buckets = [
-                bucket
-                for bucket in np.split(order, np.cumsum(counts)[:-1])
-                if len(bucket)
-            ]
-            src_level = level[self._edge_src]
-            order = np.argsort(src_level, kind="stable")
-            counts = np.bincount(src_level, minlength=self._max_level + 1)
-            self._backward_buckets = [
-                bucket
-                for bucket in np.split(order, np.cumsum(counts)[:-1])
-                if len(bucket)
-            ]
-        else:
-            self._forward_buckets = []
-            self._backward_buckets = []
+        #: ``_levels[k]``: the vertices of level ``k``, ascending.
+        self._levels = levels
 
         # Endpoints: primary-output ports and flip-flop D pins, legacy order.
         endpoints: List[str] = list(self._db.design.primary_outputs)
@@ -442,45 +436,98 @@ class TimingGraph:
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
+    def _relax_level(
+        self,
+        frontier: np.ndarray,
+        arrivals: np.ndarray,
+        delay: np.ndarray,
+        overlay: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        overrides: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> np.ndarray:
+        """New arrivals of one level's ``frontier``: the forward step.
+
+        Gathers the frontier's in-edges through the CSR arrays, adds their
+        delays to their sources' arrivals, and takes one segment max per
+        vertex, clamped at ``0.0``.  ``arrivals`` ``(V, ...)`` and ``delay``
+        ``(E, ...)`` share their trailing shape (a broadcast view will do).
+        ``overlay`` ``(moved, work)`` reads a source's arrival from
+        ``work`` where ``moved`` is set; ``overrides`` ``(edges, values)``
+        stands ``values[i]`` in for ``delay[edges[i]]`` (``edges`` sorted).
+        Every frontier vertex must have an in-edge.
+        """
+        in_edges, first = _csr_gather(self._in_ptr, self._in_idx, frontier)
+        src = self._edge_src[in_edges]
+        candidates = arrivals[src]
+        if overlay is not None:
+            moved, work = overlay
+            hit = moved[src]
+            if np.count_nonzero(hit):
+                candidates[hit] = work[src[hit]]
+        step = delay[in_edges]
+        if overrides is not None:
+            edges, values = overrides
+            at = np.searchsorted(edges, in_edges)
+            np.minimum(at, len(edges) - 1, out=at)
+            found = edges[at] == in_edges
+            if np.count_nonzero(found):
+                step[found] = values[at[found]]
+        candidates += step
+        value = np.maximum.reduceat(candidates, first, axis=0)
+        np.maximum(value, 0.0, out=value)
+        return value
+
     def _propagate_tensor(self, delay: np.ndarray) -> np.ndarray:
         """Forward arrival sweep for any ``(edges, ...)`` delay tensor.
 
         The trailing axes ride along for free: the single-scenario run uses
-        ``(E, 3)``, a scenario batch ``(E, S, 3)`` and the what-if evaluator
-        ``(E, S)`` -- one set of per-level gather/scatters serves them all.
+        ``(E, 3)``, a scenario batch ``(E, S, 3)`` and one model's pin
+        slacks ``(E, S)`` -- one :meth:`_relax_level` per level above the
+        sources serves them all.
         """
         arrivals = np.zeros((self._vertex_count,) + delay.shape[1:])
-        src = self._edge_src
-        dst = self._edge_dst
-        for bucket in self._forward_buckets:
-            candidates = arrivals[src[bucket]] + delay[bucket]
-            np.maximum.at(arrivals, dst[bucket], candidates)
+        for frontier in self._levels[1:]:
+            arrivals[frontier] = self._relax_level(frontier, arrivals, delay)
         return arrivals
 
-    def _propagate(self) -> np.ndarray:
-        return self._propagate_tensor(self._edge_delay)
+    def _required_tensor(
+        self, delay: np.ndarray, periods: Union[float, np.ndarray]
+    ) -> np.ndarray:
+        """Backward required-time sweep for any ``(edges, ...)`` delay tensor.
+
+        Endpoints start at ``periods`` (a scalar, or one value per trailing
+        scenario), every other vertex at ``+inf``.  Level by level from the
+        top, each vertex with out-edges takes one segment min of
+        ``required[dst] - delay`` over them, then the min with its own
+        starting value (an endpoint may also drive a cone that reaches no
+        endpoint).
+        """
+        required = np.full((self._vertex_count,) + delay.shape[1:], np.inf)
+        if len(self._endpoint_vertices):
+            required[self._endpoint_vertices] = periods
+        fans_out = self._out_ptr[1:] > self._out_ptr[:-1]
+        for frontier in reversed(self._levels[:-1]):
+            frontier = frontier[fans_out[frontier]]
+            out_edges, first = _csr_gather(self._out_ptr, self._out_idx, frontier)
+            candidates = required[self._edge_dst[out_edges]] - delay[out_edges]
+            value = np.minimum.reduceat(candidates, first, axis=0)
+            np.minimum(value, required[frontier], out=value)
+            required[frontier] = value
+        return required
 
     @property
     def arrivals_matrix(self) -> np.ndarray:
         """Arrival times, shape ``(pins, 3)`` -- columns Elmore, upper, lower."""
         if self._arrivals is None:
-            self._arrivals = self._propagate()
+            self._arrivals = self._propagate_tensor(self._edge_delay)
         return self._arrivals
 
     @property
     def required_matrix(self) -> np.ndarray:
         """Required times, shape ``(pins, 3)``; ``+inf`` off any endpoint cone."""
         if self._required is None:
-            required = np.full((self._vertex_count, 3), np.inf)
-            if len(self._endpoint_vertices):
-                required[self._endpoint_vertices] = self._clock_period
-            src = self._edge_src
-            dst = self._edge_dst
-            delay = self._edge_delay
-            for bucket in reversed(self._backward_buckets):
-                candidates = required[dst[bucket]] - delay[bucket]
-                np.minimum.at(required, src[bucket], candidates)
-            self._required = required
+            self._required = self._required_tensor(
+                self._edge_delay, self._clock_period
+            )
         return self._required
 
     # ------------------------------------------------------------------
@@ -647,62 +694,27 @@ class TimingGraph:
     # ------------------------------------------------------------------
     # Scenario-batched analysis
     # ------------------------------------------------------------------
-    def _scenario_bound_matrix(
+    def _scenario_edge_delays(
         self,
         table: ScenarioSinkTable,
         thresholds: np.ndarray,
-        model: DelayModel,
+        models: Sequence[DelayModel] = _MODELS,
     ) -> np.ndarray:
-        """``(S, rows)`` wire delays for one bound model, per-scenario thresholds.
-
-        Scenarios sharing a threshold are evaluated in one batched bound
-        call; rows whose stage carries no capacitance in a scenario stay at
-        zero delay, mirroring the single-scenario ``live`` handling.
-        """
-        bound = (
-            delay_upper_bound_batch
-            if model is DelayModel.UPPER_BOUND
-            else delay_lower_bound_batch
-        )
-        out = np.zeros(table.tde.shape)
-        live = table.live
-        for threshold in np.unique(thresholds):
-            group = thresholds == threshold
-            group_live = live[group]
-            if not np.any(group_live):
-                continue
-            values = bound(
-                table.tp[group][group_live],
-                table.tde[group][group_live],
-                table.tre[group][group_live],
-                [threshold],
-            )[:, 0]
-            block = out[group]
-            block[group_live] = values
-            out[group] = block
-        return out
-
-    def _scenario_edge_delays(
-        self, table: ScenarioSinkTable, thresholds: np.ndarray
-    ) -> np.ndarray:
-        """``(edges, S, 3)`` delay tensor: scenario wire delays, shared cell arcs."""
+        """``(edges, S, len(models))`` delays: scenario wires, shared cell arcs."""
         s = table.scenario_count
+        columns = [_MODEL_COLUMN[model] for model in models]
         delays = np.broadcast_to(
-            self._edge_delay[:, np.newaxis, :], (self._edge_count, s, 3)
+            self._edge_delay[:, np.newaxis, columns],
+            (self._edge_count, s, len(columns)),
         ).copy()
         edges, rows = self._net_edge_rows
         if len(edges):
-            delays[edges, :, _MODEL_COLUMN[DelayModel.ELMORE]] = table.tde[:, rows].T
-            delays[edges, :, _MODEL_COLUMN[DelayModel.UPPER_BOUND]] = (
-                self._scenario_bound_matrix(table, thresholds, DelayModel.UPPER_BOUND)[
-                    :, rows
-                ].T
-            )
-            delays[edges, :, _MODEL_COLUMN[DelayModel.LOWER_BOUND]] = (
-                self._scenario_bound_matrix(table, thresholds, DelayModel.LOWER_BOUND)[
-                    :, rows
-                ].T
-            )
+            live = table.live
+            for slot, model in enumerate(models):
+                wire = _wire_delays(
+                    table.tp, table.tde, table.tre, live, thresholds, model
+                )
+                delays[edges, :, slot] = wire[:, rows].T
         return delays
 
     def analyze_scenarios(
@@ -809,17 +821,8 @@ class TimingGraph:
         table = self._db.solve_scenarios(scenarios, engine=engine)
         thresholds = scenarios.thresholds(self._threshold)
         periods = scenarios.clock_periods(self._clock_period)
-        column = _MODEL_COLUMN[model]
-        delays = self._scenario_edge_delays(table, thresholds)[:, :, column]
-        arrivals = self._propagate_tensor(delays)
-        required = np.full(arrivals.shape, np.inf)
-        if len(self._endpoint_vertices):
-            required[self._endpoint_vertices] = periods
-        src = self._edge_src
-        dst = self._edge_dst
-        for bucket in reversed(self._backward_buckets):
-            np.minimum.at(required, src[bucket], required[dst[bucket]] - delays[bucket])
-        slack = required - arrivals
+        delays = self._scenario_edge_delays(table, thresholds, (model,))[:, :, 0]
+        slack = self._required_tensor(delays, periods) - self._propagate_tensor(delays)
         return {name: slack[i] for i, name in enumerate(self._vertex_names)}
 
     def whatif_resize_worst_slack(
@@ -863,22 +866,14 @@ class TimingGraph:
             times = planes.forest.solve_batch(
                 edge_r=planes.edge_r, node_c=planes.node_c, count=s, engine=engine
             )
-            wire = times.tde[:, planes.sink_nodes]
-            if model is not DelayModel.ELMORE:
-                sinks = self._db.sinks
-                windows = [self._db.sink_rows(net) for net in planes.nets]
-                table = ScenarioSinkTable(
-                    scenario_names=[name for name, _ in swaps],
-                    nets=[net for window in windows for net in sinks.nets[window]],
-                    pins=[pin for window in windows for pin in sinks.pins[window]],
-                    tp=times.tp[:, planes.sink_tree],
-                    tde=wire,
-                    tre=times.tre[:, planes.sink_nodes],
-                    total_capacitance=times.total_capacitance[:, planes.sink_tree],
-                )
-                wire = self._scenario_bound_matrix(
-                    table, np.full(s, self._threshold), model
-                )
+            wire = _wire_delays(
+                times.tp[:, planes.sink_tree],
+                times.tde[:, planes.sink_nodes],
+                times.tre[:, planes.sink_nodes],
+                times.total_capacitance[:, planes.sink_tree] > 0.0,
+                np.full(s, self._threshold),
+                model,
+            )
         # Swapped instances' cell arcs take the candidate's intrinsic delay.
         cell_edges = sorted(
             {edge for name, _ in swaps for edge in self._cell_edges.get(name, [])}
@@ -897,7 +892,12 @@ class TimingGraph:
 
         base = self.arrivals_matrix[:, column]
         cone, values, _ = self._relax_cone(
-            self._edge_dst[edges], base, self._edge_delay[:, column], edges, overrides
+            self._edge_dst[edges],
+            np.broadcast_to(base[:, np.newaxis], (self._vertex_count, s)),
+            np.broadcast_to(
+                self._edge_delay[:, column, np.newaxis], (self._edge_count, s)
+            ),
+            (edges, overrides),
         )
         ends = self._endpoint_vertices
         in_cone = np.zeros(self._vertex_count, dtype=bool)
@@ -919,10 +919,7 @@ class TimingGraph:
     def _patch_net_delays(self, net: str) -> np.ndarray:
         """Refresh one timed net's arc delays from the sink table."""
         edges = np.asarray(self._net_edges[net], dtype=np.int64)
-        rows = self._db.sink_rows(net)
-        self._edge_delay[edges] = self._net_arc_delays(
-            np.arange(rows.start, rows.stop)
-        )
+        self._edge_delay[edges] = self._net_arc_delays(self._db.sink_rows(net))
         return edges
 
     def _relax_cone(
@@ -930,36 +927,28 @@ class TimingGraph:
         seeds: np.ndarray,
         arrivals: np.ndarray,
         delay: np.ndarray,
-        edges: Optional[np.ndarray] = None,
-        overrides: Optional[np.ndarray] = None,
+        overrides: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Re-relax the fan-out cone of ``seeds`` level by level, read-only.
 
         ``arrivals`` ``(V, ...)`` are the arrivals before the change and
-        ``delay`` ``(E, ...)`` the edge delays, with ``overrides[i]``
-        standing in for ``delay[edges[i]]`` (``edges`` sorted).  Trailing
-        axes broadcast and ride along: the ECO relaxes ``(V, 3)`` arrivals
-        under ``(E, 3)`` delays, the what-if a ``(V,)`` model column under
-        ``(k, S)`` candidate overrides.
+        ``delay`` ``(E, ...)`` the edge delays; ``overrides`` ``(edges,
+        values)`` stands ``values[i]`` in for ``delay[edges[i]]`` (``edges``
+        sorted).  All share their trailing shape: the ECO relaxes ``(V, 3)``
+        arrivals under ``(E, 3)`` delays, the what-if broadcast views of one
+        model column under ``(k, S)`` candidate overrides.
 
-        Each level gathers its vertices' in-edges through the CSR arrays
-        and takes one segment max with ``0.0`` -- the reduction the full
-        forward sweep performs, so every value is bitwise a from-scratch
-        propagation's.  Vertices whose new arrival equals the old one stop
-        the walk.  Seeds must be edge destinations, so every vertex of the
-        cone has an in-edge.  Returns ``(vertices, values, visited)``: the
-        vertices whose arrival changed (in level order), their new
-        arrivals, and the number of vertices re-evaluated.
+        Each level's pending vertices take one :meth:`_relax_level` -- the
+        step the full forward sweep performs, so every value is bitwise a
+        from-scratch propagation's -- reading the sources that already
+        moved from the overlay.  Vertices whose new arrival equals the old
+        one stop the walk.  Seeds must be edge destinations, so every
+        vertex of the cone has an in-edge.  Returns ``(vertices, values,
+        visited)``: the vertices whose arrival changed (in level order),
+        their new arrivals, and the number of vertices re-evaluated.
         """
-        shape = np.broadcast_shapes(
-            arrivals.shape[1:],
-            delay.shape[1:],
-            () if overrides is None else overrides.shape[1:],
-        )
-        lead = (slice(None),) + (np.newaxis,) * (len(shape) + 1 - arrivals.ndim)
-        step_lead = (slice(None),) + (np.newaxis,) * (len(shape) + 1 - delay.ndim)
         n = self._vertex_count
-        work = np.empty((n,) + shape)
+        work = np.empty(arrivals.shape)
         moved = np.zeros(n, dtype=bool)
         level = self._level
         seeds = np.asarray(seeds, dtype=np.int64)
@@ -978,25 +967,14 @@ class TimingGraph:
             frontier = keys[:cut] - floor
             keys = keys[cut:]
             visited += cut
-            in_edges, first = _csr_gather(self._in_ptr, self._in_idx, frontier)
-            src = self._edge_src[in_edges]
-            candidates = np.empty((len(in_edges),) + shape)
-            candidates[...] = arrivals[src][lead]
-            hit = moved[src]
-            if np.count_nonzero(hit):
-                candidates[hit] = work[src[hit]]
-            step = delay[in_edges][step_lead]
-            if floor <= override_until:
-                at = np.searchsorted(edges, in_edges)
-                np.minimum(at, len(edges) - 1, out=at)
-                found = edges[at] == in_edges
-                if np.count_nonzero(found):
-                    step = np.broadcast_to(step, candidates.shape).copy()
-                    step[found] = overrides[at[found]]
-            candidates += step
-            value = np.maximum.reduceat(candidates, first, axis=0)
-            np.maximum(value, 0.0, out=value)
-            changed = value != arrivals[frontier][lead]
+            value = self._relax_level(
+                frontier,
+                arrivals,
+                delay,
+                (moved, work),
+                overrides if floor <= override_until else None,
+            )
+            changed = value != arrivals[frontier]
             if changed.ndim > 1:
                 changed = changed.reshape(cut, -1).any(axis=1)
             if not np.count_nonzero(changed):
@@ -1056,12 +1034,8 @@ class TimingGraph:
         affected = self._db.update_instance_cell(instance, cell)
         seeds = [self._edge_dst[self._patch_net_delays(net)] for net in affected]
         swapped = self._db.instances[instance].cell
-        if swapped.is_sequential:
-            labels = [f"{swapped.name} CK->Q"]
-        else:
-            labels = [f"{swapped.name} {pin}->Y" for pin in swapped.inputs]
         cell_edges = self._cell_edges.get(instance, [])
-        for edge, label in zip(cell_edges, labels):
+        for edge, (_, label) in zip(cell_edges, _cell_arcs(swapped)):
             self._edge_delay[edge, :] = swapped.intrinsic_delay
             self._edge_arcs[edge] = label
         seeds.append(self._edge_dst[np.asarray(cell_edges, dtype=np.int64)])

@@ -5,7 +5,10 @@ swap touches and re-relaxes just the arrivals it changes.  These two
 functions are the earlier whole-design form of the same computation: one
 ``(S, N)`` element plane per candidate over the entire stage forest, one
 batched solve of all of it, and one ``(edges, S)`` propagation of the whole
-graph.  Tests hold the cone-local scores to these bit for bit.
+graph.  The wire bounds and the propagation come from
+:mod:`tests.graph.relax_oracle`, so the oracle runs none of the graph's
+own relaxation or bound code.  Tests hold the cone-local scores to these
+bit for bit.
 """
 
 from typing import Optional, Sequence, Tuple
@@ -16,6 +19,8 @@ from repro.core.exceptions import AnalysisError
 from repro.graph import DesignDB, ScenarioSinkTable, TimingGraph
 from repro.sta.cells import Cell
 from repro.sta.delaycalc import DelayModel
+
+from tests.graph.relax_oracle import propagate_tensor, scenario_bound_matrix
 
 _MODEL_COLUMN = {
     DelayModel.ELMORE: 0,
@@ -102,7 +107,7 @@ def full_forest_whatif(
             tre=times.tre[:, layout.sink_nodes],
             total_capacitance=total,
         )
-        wire = graph._scenario_bound_matrix(
+        wire = scenario_bound_matrix(
             table, np.full(len(swaps), graph._threshold), model
         )
     delays = np.broadcast_to(
@@ -115,7 +120,7 @@ def full_forest_whatif(
     for index, (instance, cell) in enumerate(swaps):
         for edge in graph._cell_edges.get(instance, []):
             delays[edge, index] = cell.intrinsic_delay
-    arrivals = graph._propagate_tensor(delays)
+    arrivals = propagate_tensor(graph, delays)
     if len(graph._endpoint_vertices):
         worst = arrivals[graph._endpoint_vertices].max(axis=0)
     else:

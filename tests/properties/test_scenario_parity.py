@@ -2,8 +2,9 @@
 
 For random designs and random scenario sets (corner derates, Monte-Carlo
 perturbations, threshold / clock-period overrides, per-net scales), the
-scenario-batched analysis must equal -- at 1e-12 relative tolerance, for all
-three delay models -- a per-scenario loop that materializes each scenario as
+scenario-batched analysis must equal -- worst slack at 1e-12 of
+``max(|slack|, clock period)``, verdicts exactly, for all three delay
+models -- a per-scenario loop that materializes each scenario as
 scaled inputs (:func:`repro.scenarios.scaled_design` /
 :func:`~repro.scenarios.scaled_parasitics`) and re-runs the single-scenario
 :class:`~repro.graph.TimingGraph` from scratch.  The equivalence must
@@ -14,7 +15,7 @@ the database's current state exactly.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.tree import RCTree
@@ -95,15 +96,26 @@ def _random_edit(rng, graph, parasitics):
 
 
 def _assert_scenario_parity(graph, design, parasitics, scenarios):
+    """Worst slack at 1e-12 of ``max(|slack|, clock period)``, verdicts exact.
+
+    Slack is ``period - arrival``, so near zero it is a difference of two
+    numbers of the period's magnitude and carries their rounding: the
+    batched planes derate a net's summed pin load (``(sum pin) * c``)
+    where the materialized oracle sums derated pins (``sum(pin * c)``),
+    and one ULP of ``T_De`` that way is one ULP of an arrival, which can
+    exceed 1e-12 of a slack of ~1e-13 s.  Bounding by the period states
+    the contract on the operands' magnitude; the verdict stays exact.
+    """
     report = graph.analyze_scenarios(scenarios)
     for index, scenario in enumerate(scenarios):
+        period = scenario.clock_period or PERIOD
         reference = TimingGraph(
             scaled_design(design, scenario),
             {
                 name: scaled_parasitics(record, scenario)
                 for name, record in parasitics.items()
             },
-            clock_period=scenario.clock_period or PERIOD,
+            clock_period=period,
             threshold=(
                 THRESHOLD if scenario.threshold is None else scenario.threshold
             ),
@@ -112,7 +124,7 @@ def _assert_scenario_parity(graph, design, parasitics, scenarios):
         for column, model in enumerate(MODELS):
             want = reference.worst_slack(model)
             got = float(report.worst_slack[index, column])
-            assert abs(got - want) <= 1e-12 * max(abs(want), 1e-18), (
+            assert abs(got - want) <= 1e-12 * max(abs(want), period), (
                 scenario.name,
                 model,
             )
@@ -121,6 +133,7 @@ def _assert_scenario_parity(graph, design, parasitics, scenarios):
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**20), st.integers(0, 2**20))
+@example(441, 0)  # slack 1.4e-13 s, one arrival ULP apart (see above)
 def test_scenario_batch_equals_single_engine_loop(design_seed, sweep_seed):
     design, parasitics = random_design(30, seed=design_seed, sequential_fraction=0.2)
     parasitics = dict(parasitics)
