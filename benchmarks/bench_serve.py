@@ -3,27 +3,27 @@
 The load generator drives a live :class:`repro.serve.TimingServer` over
 real sockets, two ways:
 
-* **serialized** -- one client, requests issued strictly one at a time
-  against a zero-tick server: every what-if pays its own round trip,
-  executor hop, sub-forest solve of the stage trees its swap touches and
-  cone relaxation of the arrivals it changes -- the per-request floor a
-  naive service would give every caller;
+* **serialized** -- one client, requests issued strictly one at a time:
+  every what-if pays its own round trip, executor hop, sub-forest solve of
+  the stage trees its swap touches and cone relaxation of the arrivals it
+  changes -- the per-request floor a naive service would give every
+  caller;
 * **coalesced** -- ``N_CLIENTS`` concurrent clients (>= 64 per the
-  acceptance bar; 128 here) against a ticked server: requests landing
-  within the coalescing window merge into one candidates-as-scenarios
-  call of :meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`, so
-  the whole batch shares one sub-forest solve and one ``(cone, S)``
+  acceptance bar; 128 here): requests that arrive while a batch is
+  solving merge into the next candidates-as-scenarios call of
+  :meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`, so the
+  whole batch shares one sub-forest solve and one ``(cone, S)``
   relaxation.
 
-Both modes answer from identical session state (nothing mutates), so
-every response -- serialized, coalesced, whatever batch it rode in -- is
-checked against a direct in-process ``whatif_resize_worst_slack`` call at
-rtol 1e-12 (in practice the scenario columns are bitwise independent and
-the match is exact).  Throughput is requests/second over the whole burst;
-latency is per-request wall time with p50/p99 reported.  The acceptance
-assertion is **coalesced throughput >= 3x serialized** -- the whole point
-of the batcher is that throughput *rises* under concurrency instead of
-queueing linearly.
+Both modes run the same server and answer from identical session state
+(nothing mutates), so every response -- serialized, coalesced, whatever
+batch it rode in -- is checked against a direct in-process
+``whatif_resize_worst_slack`` call at rtol 1e-12 (in practice the scenario
+columns are bitwise independent and the match is exact).  Throughput is
+requests/second over the whole burst; latency is per-request wall time
+with p50/p99 reported.  The acceptance assertion is **coalesced
+throughput >= 3x serialized** -- the whole point of the batcher is that
+throughput *rises* under concurrency instead of queueing linearly.
 """
 
 import asyncio
@@ -44,7 +44,6 @@ N_INSTANCES = 300
 N_CLIENTS = int(os.environ.get("REPRO_BENCH_SERVE_CLIENTS", "128"))
 REQUESTS_PER_CLIENT = 4
 N_REQUESTS = N_CLIENTS * REQUESTS_PER_CLIENT
-TICK = 0.003
 DEADLINE = 300.0
 LIBRARY = standard_cell_library()
 
@@ -85,8 +84,8 @@ def _swap_for(candidates, index):
 
 
 async def _serialized_burst(payload, candidates):
-    """One client, one request at a time, zero-tick server: the floor."""
-    server = TimingServer(port=0, tick=0.0)
+    """One client, one request at a time: the floor."""
+    server = TimingServer(port=0)
     await server.start()
     client = ServeClient("127.0.0.1", server.port)
     try:
@@ -109,8 +108,8 @@ async def _serialized_burst(payload, candidates):
 
 
 async def _coalesced_burst(payload, candidates):
-    """N_CLIENTS concurrent clients against a ticked, coalescing server."""
-    server = TimingServer(port=0, tick=TICK)
+    """N_CLIENTS concurrent clients, coalesced behind each solve."""
+    server = TimingServer(port=0)
     await server.start()
     admin = ServeClient("127.0.0.1", server.port)
     clients = []
@@ -204,14 +203,14 @@ def test_coalesced_throughput_beats_serialized_loop(benchmark, workload, report)
 
     rows = [
         (
-            "serialized (1 client, tick=0)",
+            "serialized (1 client)",
             serial_rps,
             _percentile(serial_lat, 0.50) * 1e3,
             _percentile(serial_lat, 0.99) * 1e3,
             1.0,
         ),
         (
-            f"coalesced ({N_CLIENTS} clients, tick={TICK * 1e3:g} ms)",
+            f"coalesced ({N_CLIENTS} clients)",
             coal_rps,
             _percentile(coal_lat, 0.50) * 1e3,
             _percentile(coal_lat, 0.99) * 1e3,

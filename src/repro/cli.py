@@ -40,13 +40,13 @@ Subcommands
     the design.  Exit status 1 when the (overall) verdict is FAIL, 2 when
     it is INDETERMINATE.
 
-``serve [--host H] [--port P] [--tick SECONDS]``
+``serve [--host H] [--port P]``
     Run the timing-as-a-service HTTP/JSON server (:mod:`repro.serve`):
     clients load designs into named warm sessions and issue ECO edits,
     slack/corner queries and coalesced what-if scoring over keep-alive
-    connections.  ``--tick`` sets the what-if coalescing window,
-    ``--engine`` the default kernel backend for session solves
-    (overridable per session at creation).
+    connections.  What-ifs that arrive while a batch is solving are
+    merged into the next batch.  ``--engine`` sets the default kernel
+    backend for session solves (overridable per session at creation).
 """
 
 from __future__ import annotations
@@ -193,7 +193,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     run_server(
         args.host,
         args.port,
-        tick=args.tick,
         engine=None if args.engine in (None, "auto") else args.engine,
         executor_workers=args.executor_workers,
     )
@@ -289,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8787,
         help="bind port (default 8787; 0 picks an ephemeral port)",
-    )
-    serve.add_argument(
-        "--tick", type=float, default=0.002,
-        help="what-if coalescing window in seconds (default 2 ms; 0 still "
-        "coalesces requests that pile up during a solve but adds no latency)",
     )
     serve.add_argument(
         "--engine", default=None,

@@ -9,8 +9,8 @@ design once into a :class:`~repro.graph.DesignDB` /
 serialized writer, slack and corner queries, and what-if resize scoring.
 
 The piece that makes throughput *rise* under load is request coalescing
-(:class:`~repro.serve.batcher.WhatIfBatcher`): what-if queries arriving
-within a configurable tick are merged into one candidates-as-scenarios
+(:class:`~repro.serve.batcher.WhatIfBatcher`): what-if queries that
+arrive while a batch is solving are merged into one candidates-as-scenarios
 call of :meth:`~repro.graph.TimingGraph.whatif_resize_worst_slack`, which
 solves only the stage trees the swaps touch and re-relaxes only the
 arrivals they change, so sixty-four concurrent clients share one

@@ -7,20 +7,21 @@ one ``(cone, S)`` re-relaxation of the arrivals they change, so a server
 that solves each client's what-if alone pays that fixed per-call cost --
 sub-forest gather, kernel dispatch, one level loop over the cone -- once
 per client instead of once per round.  The :class:`WhatIfBatcher` closes
-that gap: ``submit()`` checks the request's swaps (unknown instance,
-changed pin interface) so a bad request fails alone, parks them in a
-pending list and resolves a future later; a flush task fires one *tick*
-(default a couple of milliseconds) after the first request of a round,
-drains everything that accumulated, groups it by delay model,
-concatenates the swap lists, and runs one batched what-if per model in the
-executor -- then slices the score vector back out to each caller's future.
-A failure inside that solve still fails every request of the group.
+that gap without a timer, like a group commit: ``submit()`` checks the
+request's swaps (unknown instance, changed pin interface) so a bad request
+fails alone, parks them in a pending list and starts a drain task when
+none is running.  The drain takes everything parked, groups it by delay
+model, concatenates the swap lists, runs one batched what-if per model
+through :meth:`~repro.serve.session.Session.call` -- then slices the score
+vector back out to each caller's future.  It repeats while requests are
+parked and exits when the list is empty.  A failure inside a solve still
+fails every request of its group.
 
 Two properties make this correct and live:
 
-* The event loop is single-threaded, so "check pending / schedule flush"
-  and "drain pending / clear task" are atomic -- no request can fall
-  between a drain and the task teardown.
+* The event loop is single-threaded, so "park / start the drain" and
+  "find the list empty / clear the task" are atomic -- no request can fall
+  between the drain's last check and its exit.
 * The solve runs under the session lock, so batched what-ifs serialize
   with ECO writes exactly like every other operation; and because scenario
   columns (and member trees) are computed independently in the vectorized
@@ -28,11 +29,12 @@ Two properties make this correct and live:
   alone against the same state -- bitwise whenever both solves auto-select
   the same backend, to the backends' shared 1e-12 otherwise.
 
-While one batch is solving, new arrivals open the next round and
-accumulate behind the lock -- under load the batch size grows naturally
-with concurrency, which is why throughput *rises* instead of collapsing.
-A tick of ``0`` still coalesces whatever piles up during a solve, but adds
-no artificial latency (the benchmark's serialized baseline).
+The first request of an idle batcher is solved at once.  While one batch
+is solving, new arrivals park and become the next batch -- under load the
+batch size grows with concurrency, which is why throughput *rises*
+instead of collapsing.  :meth:`WhatIfBatcher.close` refuses new requests
+and waits for the drain, so every parked request is answered and no solve
+outlives its session.
 """
 
 from __future__ import annotations
@@ -80,14 +82,13 @@ class _Pending:
 
 
 class WhatIfBatcher:
-    """Tick-coalesced front end to one session's what-if kernel."""
+    """Self-clocking front end to one session's what-if kernel."""
 
-    def __init__(self, session: Session, *, tick: float = 0.002, executor=None):
+    def __init__(self, session: Session, *, executor=None):
         self._session = session
-        self._tick = tick
         self._executor = executor
         self._pending: List[_Pending] = []
-        self._flush_task: Optional[asyncio.Task] = None
+        self._drain_task: Optional[asyncio.Task] = None
         self._closed = False
         self.stats = BatchStats()
 
@@ -96,13 +97,13 @@ class WhatIfBatcher:
     ) -> Tuple[List[float], int]:
         """Score ``swaps``; returns ``(scores, session_version)``.
 
-        The call coalesces with every other ``submit`` that lands within
-        the same tick (or while a previous batch is still solving).  The
-        returned version is the session version the scores were computed
-        against, for clients correlating what-ifs with ECO history.  Swaps
-        naming an unknown instance or changing a cell's pin interface
-        raise :class:`~repro.core.exceptions.AnalysisError` before
-        anything is enqueued.
+        The call coalesces with every other ``submit`` parked while a
+        previous batch is solving.  The returned version is the session
+        version the scores were computed against, for clients correlating
+        what-ifs with ECO history.  Swaps naming an unknown instance or
+        changing a cell's pin interface raise
+        :class:`~repro.core.exceptions.AnalysisError` before anything is
+        enqueued.
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
@@ -115,24 +116,19 @@ class WhatIfBatcher:
         entry = _Pending(list(swaps), model)
         self._pending.append(entry)
         self.stats.requests += 1
-        if self._flush_task is None:
-            self._flush_task = asyncio.ensure_future(self._flush_after_tick())
+        if self._drain_task is None:
+            self._drain_task = asyncio.ensure_future(self._drain())
         return await entry.future
 
-    async def _flush_after_tick(self) -> None:
+    async def _drain(self) -> None:
         try:
-            if self._tick > 0:
-                await asyncio.sleep(self._tick)
             while self._pending:
-                batch = self._pending
-                self._pending = []
+                batch, self._pending = self._pending, []
                 await self._solve_batch(batch)
         finally:
             # No await between the last pending-check and this clear: the
-            # next submit() sees task=None and opens a fresh round.
-            self._flush_task = None
-            if self._pending and not self._closed:
-                self._flush_task = asyncio.ensure_future(self._flush_after_tick())
+            # next submit() sees task=None and starts a fresh drain.
+            self._drain_task = None
 
     async def _solve_batch(self, batch: List[_Pending]) -> None:
         """One coalesced round: group by model, solve, slice, resolve."""
@@ -143,18 +139,15 @@ class WhatIfBatcher:
         by_model: Dict[DelayModel, List[_Pending]] = {}
         for entry in batch:
             by_model.setdefault(entry.model, []).append(entry)
-        loop = asyncio.get_running_loop()
         session = self._session
         for model, entries in by_model.items():
             merged: List[Tuple[str, Cell]] = []
             for entry in entries:
                 merged.extend(entry.swaps)
             try:
-                async with session.lock:
-                    version = session.version
-                    scores = await loop.run_in_executor(
-                        self._executor, session.whatif_scores, merged, model
-                    )
+                scores, version = await session.call(
+                    self._executor, session.whatif_scores, merged, model
+                )
             except Exception as error:  # noqa: BLE001 - fan the failure out
                 for entry in entries:
                     if not entry.future.done():
@@ -171,17 +164,7 @@ class WhatIfBatcher:
                 offset += width
 
     async def close(self) -> None:
-        """Stop accepting work and fail anything still parked."""
+        """Refuse new requests, then wait until every parked one is answered."""
         self._closed = True
-        task = self._flush_task
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            self._flush_task = None
-        pending, self._pending = self._pending, []
-        for entry in pending:
-            if not entry.future.done():
-                entry.future.set_exception(RuntimeError("batcher closed"))
+        if self._drain_task is not None:
+            await self._drain_task

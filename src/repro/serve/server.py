@@ -3,12 +3,13 @@
 :class:`TimingServer` is a hand-rolled HTTP/1.1 keep-alive server on
 :func:`asyncio.start_server` -- stdlib only, no framework.  Handler
 coroutines are traffic plumbing: they parse payloads through
-:mod:`repro.serve.schema`, take the session lock, and hand the actual
-compute (a synchronous :class:`~repro.serve.session.Session` method) to a
-thread-pool executor.  No handler coroutine calls a solve/sweep kernel or
-ECO hook directly -- reprolint RL009 rejects the module if one does -- so
-the event loop never blocks on a forest sweep and stays responsive to
-other clients while one is solving.
+:mod:`repro.serve.schema` and pass the actual compute (a synchronous
+:class:`~repro.serve.session.Session` method) to
+:meth:`~repro.serve.session.Session.call`, which takes the session lock,
+runs it in a thread-pool executor and stamps the version.  No handler
+coroutine calls a solve/sweep kernel or ECO hook directly -- reprolint
+RL009 rejects the module if one does -- so the event loop never blocks on
+a forest sweep and stays responsive to other clients while one is solving.
 
 Routes (all bodies JSON)::
 
@@ -81,13 +82,11 @@ class TimingServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        tick: float = 0.002,
         engine: Optional[str] = None,
         executor_workers: int = 4,
     ):
         self._host = host
         self._port = port
-        self._tick = tick
         self._engine = engine
         self.registry = SessionRegistry()
         self._batchers: Dict[str, WhatIfBatcher] = {}
@@ -314,9 +313,7 @@ class TimingServer:
         except ServeError:
             session.close()
             raise
-        self._batchers[name] = WhatIfBatcher(
-            session, tick=self._tick, executor=self._executor
-        )
+        self._batchers[name] = WhatIfBatcher(session, executor=self._executor)
         return {
             "ok": True,
             "session": name,
@@ -353,12 +350,13 @@ class TimingServer:
     ) -> Dict[str, Any]:
         session = await self.registry.get(name)
         parasitics = parasitics_from_payload(payload)
-        loop = asyncio.get_running_loop()
-        async with session.lock:
-            cone = await loop.run_in_executor(
-                self._executor, session.apply_update_net, parasitics.net, parasitics
-            )
-            version = session.bump()
+        cone, version = await session.call(
+            self._executor,
+            session.apply_update_net,
+            parasitics.net,
+            parasitics,
+            write=True,
+        )
         return {
             "ok": True,
             "net": parasitics.net,
@@ -374,12 +372,9 @@ class TimingServer:
         if not isinstance(instance, str) or not instance:
             raise ServeError("payload field 'instance' must be a non-empty string")
         cell = cell_from_payload(payload.get("cell"), session.library)
-        loop = asyncio.get_running_loop()
-        async with session.lock:
-            cone = await loop.run_in_executor(
-                self._executor, session.apply_resize_instance, instance, cell
-            )
-            version = session.bump()
+        cone, version = await session.call(
+            self._executor, session.apply_resize_instance, instance, cell, write=True
+        )
         return {
             "ok": True,
             "instance": instance,
@@ -401,12 +396,9 @@ class TimingServer:
             or not all(isinstance(pin, str) for pin in pins)
         ):
             raise ServeError("'pins' must be a list of pin-name strings")
-        loop = asyncio.get_running_loop()
-        async with session.lock:
-            version = session.version
-            result = await loop.run_in_executor(
-                self._executor, session.slack_payload, model, pins
-            )
+        result, version = await session.call(
+            self._executor, session.slack_payload, model, pins
+        )
         result.update({"ok": True, "version": version})
         return result
 
@@ -415,12 +407,9 @@ class TimingServer:
     ) -> Dict[str, Any]:
         session = await self.registry.get(name)
         model = model_from_payload(payload, DelayModel.UPPER_BOUND)
-        loop = asyncio.get_running_loop()
-        async with session.lock:
-            version = session.version
-            summary = await loop.run_in_executor(
-                self._executor, session.summary_payload, model
-            )
+        summary, version = await session.call(
+            self._executor, session.summary_payload, model
+        )
         return {"ok": True, "version": version, "summary": summary}
 
     async def _query_corners(
@@ -436,16 +425,9 @@ class TimingServer:
         except RCTreeError as error:
             raise ServeError(f"bad scenario spec: {error}") from None
         with_paths = bool(payload.get("paths", False))
-        loop = asyncio.get_running_loop()
-        async with session.lock:
-            version = session.version
-            report = await loop.run_in_executor(
-                self._executor,
-                session.corners_payload,
-                scenarios,
-                model,
-                with_paths,
-            )
+        report, version = await session.call(
+            self._executor, session.corners_payload, scenarios, model, with_paths
+        )
         return {"ok": True, "version": version, "report": report}
 
     async def _query_whatif(
@@ -472,17 +454,12 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 8787,
     *,
-    tick: float = 0.002,
     engine: Optional[str] = None,
     executor_workers: int = 4,
 ) -> None:
     """Blocking entry point: start a :class:`TimingServer` and serve forever."""
     server = TimingServer(
-        host,
-        port,
-        tick=tick,
-        engine=engine,
-        executor_workers=executor_workers,
+        host, port, engine=engine, executor_workers=executor_workers
     )
 
     async def main() -> None:

@@ -9,9 +9,10 @@ increasing ``version`` counter stamped on every operation so concurrent
 clients (and the linearizability test oracle) can reconstruct the serial
 order the lock imposed.
 
-The compute methods here are plain synchronous functions: the server's
-handler coroutines hand them to a thread-pool executor while holding the
-session lock, so the event loop keeps accepting traffic during a solve but
+The compute methods here are plain synchronous functions.  Every route and
+the what-if batcher run them through one coroutine, :meth:`Session.call`,
+which takes the lock, hands the method to a thread-pool executor and stamps
+the version, so the event loop keeps accepting traffic during a solve but
 no two operations ever interleave on the same graph.  Because the lock is
 held across the executor hop, a session behaves exactly like a
 single-threaded :class:`~repro.graph.TimingGraph` -- which is what the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph import DesignDB, TimingGraph
 from repro.serve.schema import ServeError
@@ -77,7 +78,25 @@ class Session:
         self.version = next(self._versions)
         return self.version
 
-    # -- synchronous compute, run in the executor under ``self.lock`` -------
+    async def call(
+        self, executor, compute: Callable[..., Any], *args: Any, write: bool = False
+    ) -> Tuple[Any, int]:
+        """Run ``compute(*args)`` in ``executor`` under the session lock.
+
+        Returns ``(result, version)``.  A read returns the version it was
+        computed against; a write (an ECO, ``write=True``) bumps the version
+        after it has applied and returns the new one.  Both are taken under
+        the lock, so the version order is the serial order of the session.
+        """
+        loop = asyncio.get_running_loop()
+        async with self.lock:
+            version = self.version
+            result = await loop.run_in_executor(executor, compute, *args)
+            if write:
+                version = self.bump()
+        return result, version
+
+    # -- synchronous compute, run in the executor by :meth:`call` ------------
 
     def summary_payload(self, model: DelayModel) -> Dict[str, Any]:
         """Full design summary (per-endpoint slacks, worst path) as JSON."""

@@ -229,15 +229,17 @@ class TestDesignLevel:
             )
 
     def test_cli_jobs_flag(self, capsys):
-        # Neither subcommand has a --jobs option: passing one is a usage
+        # Neither subcommand has a --jobs option, and serve has no --tick
+        # (its what-if batcher clocks itself): passing one is a usage
         # error, not a silently ignored flag.
         from repro.cli import main
 
         for argv in (
             ["timing", "--netlist", "design.json", "--period", "1", "--jobs", "2"],
             ["serve", "--jobs", "2"],
+            ["serve", "--tick", "0.002"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
-            assert "--jobs" in capsys.readouterr().err
+            assert argv[-2] in capsys.readouterr().err

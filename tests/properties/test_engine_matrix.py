@@ -398,7 +398,7 @@ def _run_server_arm(engine, store_dir, hang_guard):
         overrides["store_dir"] = store_dir
 
     async def main():
-        server = TimingServer(port=0, tick=0.001)
+        server = TimingServer(port=0)
         await server.start()
         client = ServeClient("127.0.0.1", server.port)
         try:

@@ -156,7 +156,7 @@ def test_concurrent_traffic_matches_serial_replay(seed, hang_guard):
     log = _OpLog()
 
     async def main():
-        server = TimingServer(port=0, tick=0.001)
+        server = TimingServer(port=0)
         await server.start()
         clients = []
         try:

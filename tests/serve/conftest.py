@@ -73,9 +73,9 @@ def serve_harness(hang_guard):
     scenario runs and closed after.  Returns the scenario's return value.
     """
 
-    def run(scenario, *, tick=0.0, timeout=SCENARIO_DEADLINE, **server_kwargs):
+    def run(scenario, *, timeout=SCENARIO_DEADLINE, **server_kwargs):
         async def main():
-            server = TimingServer(port=0, tick=tick, **server_kwargs)
+            server = TimingServer(port=0, **server_kwargs)
             await server.start()
             client = ServeClient("127.0.0.1", server.port)
             try:

@@ -1,6 +1,7 @@
 """The coalescing batcher: correctness, batching behavior, failure fan-out."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -10,6 +11,9 @@ from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
 
 LIBRARY = standard_cell_library()
+#: Seconds a test waits for a parked request after close(); a pending
+#: future fails the test through this deadline instead of hanging it.
+CLOSE_DEADLINE = 5.0
 
 
 def make_session(workload, **kwargs):
@@ -27,7 +31,7 @@ def test_batched_scores_equal_direct_solo_calls(workload, hang_guard):
 
     async def main():
         session = make_session(workload)
-        batcher = WhatIfBatcher(session, tick=0.005)
+        batcher = WhatIfBatcher(session)
         results = await asyncio.gather(
             *[
                 batcher.submit([swap], DelayModel.UPPER_BOUND)
@@ -42,7 +46,7 @@ def test_batched_scores_equal_direct_solo_calls(workload, hang_guard):
         expected = direct.whatif_resize_worst_slack([swap])
         assert version == 0
         assert scores == [float(expected[0])]
-    # All six submits landed inside one tick: they must have coalesced.
+    # All six submits parked before the drain's first step: they coalesced.
     assert stats.requests == 6
     assert stats.batches < 6
     assert stats.max_batch_requests > 1
@@ -55,7 +59,7 @@ def test_multi_swap_submissions_slice_correctly(workload, hang_guard):
 
     async def main():
         session = make_session(workload)
-        batcher = WhatIfBatcher(session, tick=0.005)
+        batcher = WhatIfBatcher(session)
         first, second = await asyncio.gather(
             batcher.submit(swaps[:4], DelayModel.UPPER_BOUND),
             batcher.submit(swaps[4:], DelayModel.UPPER_BOUND),
@@ -75,7 +79,7 @@ def test_mixed_models_solve_separately_but_coalesce(workload, hang_guard):
 
     async def main():
         session = make_session(workload)
-        batcher = WhatIfBatcher(session, tick=0.005)
+        batcher = WhatIfBatcher(session)
         upper, elmore = await asyncio.gather(
             batcher.submit([swaps[0]], DelayModel.UPPER_BOUND),
             batcher.submit([swaps[1]], DelayModel.ELMORE),
@@ -96,12 +100,12 @@ def test_mixed_models_solve_separately_but_coalesce(workload, hang_guard):
 
 
 def test_requests_during_solve_coalesce_into_next_round(workload, hang_guard):
-    """Zero tick: arrivals during an in-flight solve form the next batch."""
+    """Arrivals during an in-flight solve form the next batch."""
     swaps = resizable_instances(workload, 8)
 
     async def main():
         session = make_session(workload)
-        batcher = WhatIfBatcher(session, tick=0.0)
+        batcher = WhatIfBatcher(session)
         tasks = []
         for swap in swaps:
             tasks.append(
@@ -124,7 +128,7 @@ def test_requests_during_solve_coalesce_into_next_round(workload, hang_guard):
 def test_solve_failure_fans_out_to_waiters(workload, hang_guard):
     async def main():
         session = make_session(workload)
-        batcher = WhatIfBatcher(session, tick=0.005)
+        batcher = WhatIfBatcher(session)
         bogus = [("no_such_instance", LIBRARY["INV_X2"])]
         with pytest.raises(Exception):
             await batcher.submit(bogus, DelayModel.UPPER_BOUND)
@@ -138,8 +142,8 @@ def test_solve_failure_fans_out_to_waiters(workload, hang_guard):
     assert len(scores) == 1
 
 
-def test_bad_request_fails_alone_in_its_tick(workload, hang_guard):
-    """A bogus and a good submit in one tick: only the bogus one fails."""
+def test_bad_request_fails_alone_in_its_batch(workload, hang_guard):
+    """A bogus and a good submit in one batch: only the bogus one fails."""
     from repro.core.exceptions import AnalysisError
 
     good = resizable_instances(workload, 1)
@@ -148,7 +152,7 @@ def test_bad_request_fails_alone_in_its_tick(workload, hang_guard):
 
     async def main():
         session = make_session(workload)
-        batcher = WhatIfBatcher(session, tick=0.005)
+        batcher = WhatIfBatcher(session)
         results = await asyncio.gather(
             batcher.submit(
                 [("no_such_instance", LIBRARY["INV_X2"])], DelayModel.UPPER_BOUND
@@ -170,19 +174,66 @@ def test_bad_request_fails_alone_in_its_tick(workload, hang_guard):
     assert stats.solved_swaps == 1
 
 
-def test_closed_batcher_refuses_and_fails_pending(workload, hang_guard):
+def test_closed_batcher_refuses_and_answers_pending(workload, hang_guard):
+    """close() answers what is already parked, then refuses new requests."""
+    swap = resizable_instances(workload, 1)
+    direct = workload.direct_graph()
+
     async def main():
         session = make_session(workload)
-        batcher = WhatIfBatcher(session, tick=60.0)  # never flushes on its own
-        swap = resizable_instances(workload, 1)
+        batcher = WhatIfBatcher(session)
         pending = asyncio.ensure_future(
             batcher.submit(swap, DelayModel.UPPER_BOUND)
         )
         await asyncio.sleep(0)
         await batcher.close()
-        with pytest.raises(RuntimeError):
-            await pending
+        result = await asyncio.wait_for(pending, CLOSE_DEADLINE)
         with pytest.raises(RuntimeError):
             await batcher.submit(swap, DelayModel.UPPER_BOUND)
+        return result
 
-    asyncio.run(main())
+    scores, version = asyncio.run(main())
+    assert version == 0
+    assert scores == [float(direct.whatif_resize_worst_slack(swap)[0])]
+
+
+def test_close_during_solve_answers_the_batch(workload, hang_guard):
+    """close() while a batch is in the executor still answers that batch.
+
+    The solve is held at a gate inside the executor, so close() is called
+    with the batch provably in flight.  Its waiter must resolve within a
+    deadline, and the session lock must stay held until the solve returns.
+    """
+    swap = resizable_instances(workload, 1)
+    direct = workload.direct_graph()
+    started = threading.Event()
+    gate = threading.Event()
+
+    async def main():
+        session = make_session(workload)
+        solve = session.whatif_scores
+
+        def gated(swaps, model):
+            started.set()
+            gate.wait(CLOSE_DEADLINE)
+            return solve(swaps, model)
+
+        session.whatif_scores = gated
+        batcher = WhatIfBatcher(session)
+        pending = asyncio.ensure_future(
+            batcher.submit(swap, DelayModel.UPPER_BOUND)
+        )
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, started.wait, CLOSE_DEADLINE)
+        closing = asyncio.ensure_future(batcher.close())
+        await asyncio.sleep(0.05)
+        lock_held = session.lock.locked()
+        gate.set()
+        result = await asyncio.wait_for(pending, CLOSE_DEADLINE)
+        await asyncio.wait_for(closing, CLOSE_DEADLINE)
+        return lock_held, result
+
+    lock_held, (scores, version) = asyncio.run(main())
+    assert lock_held
+    assert version == 0
+    assert scores == [float(direct.whatif_resize_worst_slack(swap)[0])]

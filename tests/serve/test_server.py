@@ -1,6 +1,9 @@
 """The HTTP server: lifecycle, parity with direct calls, and error mapping."""
 
 import asyncio
+import json
+import queue
+import threading
 
 import pytest
 
@@ -11,6 +14,8 @@ from repro.sta.delaycalc import DelayModel
 from repro.sta.parasitics import lumped
 
 LIBRARY = standard_cell_library()
+#: Seconds a gated solve waits for its permit before it runs anyway.
+GATE_DEADLINE = 20.0
 
 
 def test_health_and_session_lifecycle(workload, serve_harness):
@@ -142,7 +147,7 @@ def test_whatif_matches_direct_graph_and_coalesces(workload, serve_harness):
         info = await client.session_info("d")
         return responses, info
 
-    responses, info = serve_harness(scenario, tick=0.01)
+    responses, info = serve_harness(scenario)
     expected = direct.whatif_resize_worst_slack(swaps)
     for response, value in zip(responses, expected):
         assert response["scores"] == [float(value)]
@@ -150,6 +155,91 @@ def test_whatif_matches_direct_graph_and_coalesces(workload, serve_harness):
     assert stats["requests"] == 6
     assert stats["batches"] < 6
     assert stats["max_batch_requests"] > 1
+
+
+def test_client_dropped_mid_batch_leaves_the_others_served(
+    workload, serve_harness
+):
+    """A client that disconnects while its what-if solves harms no one.
+
+    Every solve waits in the executor for a permit, so the test knows which
+    batch is solving: a first what-if holds the drain while the next four
+    park, and those four then solve together.  One of them is a raw
+    connection that is reset while its batch is in the executor.  The other
+    three must still get the direct scores, and the server must go on
+    answering ``/healthz`` and what-ifs.
+    """
+    direct = workload.direct_graph()
+    swaps = workload.resizable_instances(5)
+    expected = [float(x) for x in direct.whatif_resize_worst_slack(swaps)]
+    entered = queue.Queue()
+    permits = threading.Semaphore(0)
+
+    async def scenario(server, client):
+        await client.create_session(workload.session_payload("d"))
+        session = await server.registry.get("d")
+        solve = session.whatif_scores
+
+        def gated(batch, model):
+            entered.put(len(batch))
+            permits.acquire(timeout=GATE_DEADLINE)
+            return solve(batch, model)
+
+        session.whatif_scores = gated
+        loop = asyncio.get_running_loop()
+
+        async def next_solve_width():
+            return await loop.run_in_executor(
+                None, entered.get, True, GATE_DEADLINE
+            )
+
+        clients = []
+        for _ in range(4):
+            extra = ServeClient("127.0.0.1", server.port)
+            await extra.connect()
+            clients.append(extra)
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        try:
+            def ask(extra, swap):
+                instance, cell = swap
+                return asyncio.ensure_future(
+                    extra.whatif("d", [[instance, cell.name]])
+                )
+
+            holder = ask(clients[0], swaps[0])
+            assert await next_solve_width() == 1
+            others = [ask(extra, swap) for extra, swap in zip(clients[1:], swaps[2:])]
+            body = json.dumps({"swaps": [[swaps[1][0], swaps[1][1].name]]})
+            writer.write(
+                b"POST /sessions/d/query/whatif HTTP/1.1\r\n"
+                b"Content-Length: %d\r\n\r\n%s"
+                % (len(body), body.encode("utf-8"))
+            )
+            await writer.drain()
+            while (await client.session_info("d"))["batching"]["requests"] < 5:
+                await asyncio.sleep(0.005)
+            permits.release()
+            assert await next_solve_width() == 4
+            writer.transport.abort()
+            await asyncio.sleep(0.05)
+            permits.release(1000)
+            answered = await asyncio.gather(holder, *others)
+            health = await client.healthz()
+            follow_up = await clients[1].whatif(
+                "d", [[swaps[0][0], swaps[0][1].name]]
+            )
+            return answered, health, follow_up
+        finally:
+            permits.release(1000)
+            writer.close()
+            for extra in clients:
+                await extra.close()
+
+    answered, health, follow_up = serve_harness(scenario)
+    got = [response["scores"] for response in answered]
+    assert got == [[expected[0]]] + [[value] for value in expected[2:]]
+    assert health == {"ok": True, "sessions": 1}
+    assert follow_up["scores"] == [expected[0]]
 
 
 def test_store_backed_session_serves_queries_and_ecos(
