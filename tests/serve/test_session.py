@@ -5,7 +5,8 @@ Two sessions, each on a design whose forest alone clears
 Numba kernels.  Corner and what-if queries of both sessions run at once in
 one thread-pool executor; every answer must equal a serial numpy solve of
 the same query to 1e-12.  Numba is optional, so the test skips without it
-(CI's service job installs it).
+(CI's service job installs it) and wherever the kernels are disabled or
+fail to compile, since auto-selection cannot pick them there.
 """
 
 import asyncio
@@ -14,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.flat.native import native_ready, native_status
 from repro.generators.random_designs import random_design
 from repro.graph import DesignDB, TimingGraph
 from repro.parallel import AUTO_NATIVE_CELLS, resolve_engine
@@ -66,6 +68,8 @@ def _worst_slacks(report):
 def test_two_native_sessions_in_parallel_match_serial_numpy(hang_guard):
     pytest.importorskip("numba")
     hang_guard(DEADLINE)
+    if not native_ready():
+        pytest.skip(f"native kernels unusable: {native_status()}")
     scenarios = ScenarioSet.from_dict(SPEC)
     designs = [random_design(N_INSTANCES, seed=seed) for seed in (1, 2)]
     sessions = [
