@@ -108,11 +108,7 @@ from repro.graph import (
     ScenarioTimingReport,
     TimingGraph,
 )
-from repro.parallel import (
-    available_backends,
-    register_backend,
-    solve_forest_batch,
-)
+from repro.parallel import ENGINES, solve_forest_batch
 from repro.scenarios import (
     ParameterPlane,
     Scenario,
@@ -176,9 +172,8 @@ __all__ = [
     "ParameterPlane",
     "scaled_design",
     "scaled_parasitics",
-    # kernel backends
-    "available_backends",
-    "register_backend",
+    # kernel engines
+    "ENGINES",
     "solve_forest_batch",
     # algebra
     "TwoPort",

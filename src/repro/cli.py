@@ -29,8 +29,8 @@ Subcommands
     ``--corners FILE.json`` additionally analyses a whole
     :class:`~repro.scenarios.ScenarioSet` (named corners with R/C/drive
     derates, per-net scales, threshold/period overrides) in one batched pass
-    and reports per-scenario results; ``--engine NAME`` pins a registered
-    :mod:`repro.parallel` kernel backend for that sweep (``auto``,
+    and reports per-scenario results; ``--engine NAME`` pins one of the
+    :mod:`repro.parallel` engines for that sweep (``auto``,
     ``numpy``, ``contract``, ``native`` -- the last is the Numba
     JIT-compiled kernel path, degrading to ``numpy`` where Numba is
     unavailable; the default auto-selects by sweep size and depth).
@@ -46,7 +46,7 @@ Subcommands
     slack/corner queries and coalesced what-if scoring over keep-alive
     connections.  What-ifs that arrive while a batch is solving are
     merged into the next batch.  ``--engine`` sets the default kernel
-    backend for session solves (overridable per session at creation).
+    engine for session solves (overridable per session at creation).
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from repro.core.bounds import delay_bounds
 from repro.core.certify import Verdict, certify
 from repro.core.timeconstants import characteristic_times_all
 from repro.experiments.runner import run_all
+from repro.parallel.backends import ENGINES
 from repro.spicefmt.reader import read_spice
 from repro.utils.units import format_engineering
 
@@ -158,7 +159,7 @@ def _cmd_timing(args: argparse.Namespace) -> int:
 
         with open(args.corners, "r", encoding="utf-8") as handle:
             scenarios = ScenarioSet.from_dict(json.load(handle))
-        # --engine pins a backend outright; the default leaves engine
+        # --engine pins an engine outright; the default leaves engine
         # auto-selection (by sweep size and depth pathology) to
         # repro.parallel.
         engine = None if args.engine in (None, "auto") else args.engine
@@ -263,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timing.add_argument(
         "--engine", default=None,
-        choices=["auto", "numpy", "contract", "native"],
-        help="kernel backend for the corner-sweep solve; requires --corners "
+        choices=("auto",) + ENGINES,
+        help="kernel engine for the corner-sweep solve; requires --corners "
         "(default: auto-select by sweep size and depth; 'native' runs the "
         "JIT-compiled kernels and falls back to 'numpy' without Numba)",
     )
@@ -291,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine", default=None,
-        choices=["auto", "numpy", "contract", "native"],
-        help="default kernel backend for session solves (sessions may "
+        choices=("auto",) + ENGINES,
+        help="default kernel engine for session solves (sessions may "
         "override at creation; 'native' falls back to 'numpy' without Numba)",
     )
     serve.add_argument(

@@ -22,11 +22,12 @@ replaces the whole call sequence:
 Numba is **never a hard dependency**.  The import is probed once at module
 import; :func:`native_status` reports ``"ok"``, ``"numba-missing"``,
 ``"disabled"`` (the ``REPRO_DISABLE_NATIVE=1`` escape hatch) or
-``"jit-failed"``, and every consumer -- the ``"native"`` backend in
-:mod:`repro.parallel.engine`, the auto-selection in
-:mod:`repro.parallel.backends` -- degrades to the numpy kernels when
-:func:`native_ready` is False, recording why in
-:func:`repro.parallel.backends.last_selection`.
+``"jit-failed"``.  The engine checks :func:`native_ready` once per solve
+(:mod:`repro.parallel.backends`), degrades to the numpy kernels when it is
+False -- recording why in :func:`repro.parallel.backends.last_selection`
+-- and otherwise calls the unchecked bodies (``_sweep_impl``,
+``_contract_impl``) per scenario chunk; the public checked functions
+below are for direct callers.
 
 The kernels declare ``cache=True`` so the machine-code artifact persists on
 disk: the compile cost is paid once per machine, and later processes load
@@ -39,12 +40,12 @@ which the ``workqueue`` layer does not support.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import AnalysisError
-from repro.flat.contraction import Round, jump_schedule, sweep_scenarios_contract
+from repro.flat.contraction import Round, sweep_scenarios_contract
 
 __all__ = [
     "NATIVE_DISABLE_ENV",
@@ -412,52 +413,3 @@ def sweep_scenarios_contract_native(
     if not native_ready():
         raise AnalysisError(f"native kernels unavailable ({native_status()})")
     return _contract_impl(parent, edge_r, edge_c, node_c, schedule)
-
-
-def native_sweeps_for(
-    parent: np.ndarray,
-    levels: Sequence[np.ndarray],
-    deep: bool,
-) -> "_NativeSweep":
-    """A reusable compiled two-pass kernel for one forest.
-
-    ``deep`` selects the contraction rounds (the depth-robust choice the
-    engine makes via :func:`repro.parallel.backends.should_contract`);
-    otherwise the fused level sweep runs.  Topology products -- the packed
-    level order or the jump schedule -- are computed once here and reused
-    by every scenario chunk of the solve.
-    """
-    return _NativeSweep(parent, levels, deep)
-
-
-class _NativeSweep:
-    """Callable with the engine's substitute-kernel signature.
-
-    Precomputes the topology products at construction so chunked solves
-    pay them once.
-    """
-
-    def __init__(
-        self, parent: np.ndarray, levels: Sequence[np.ndarray], deep: bool
-    ) -> None:
-        self._deep = deep
-        self._schedule: Optional[List[Round]] = None
-        self._levels = list(levels)
-        if deep:
-            self._schedule = jump_schedule(parent)
-
-    def __call__(
-        self,
-        parent: np.ndarray,
-        edge_r: np.ndarray,
-        edge_c: np.ndarray,
-        node_c: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Run the selected compiled kernel over one chunk's planes."""
-        if self._deep:
-            return sweep_scenarios_contract_native(
-                parent, edge_r, edge_c, node_c, schedule=self._schedule
-            )
-        return sweep_scenarios_native(
-            self._levels, parent, edge_r, edge_c, node_c
-        )

@@ -1,19 +1,20 @@
-"""Kernel backends and the scenario-batched forest solve.
+"""Kernel engines and the scenario-batched forest solve.
 
 The Penfield-Rubinstein passes are linear-time; this layer picks the
 kernels that run them and bounds their working set:
 
 * :mod:`repro.parallel.sharding` -- the pure scenario-chunk planner that
   caps each ``(N, S)`` working plane;
-* :mod:`repro.parallel.backends` -- the kernel-backend registry (``"numpy"``
-  reference level sweeps, ``"contract"`` pointer-jumping contraction for
-  depth-pathological forests, ``"native"`` Numba JIT-compiled kernels that
-  degrade to numpy without Numba) and the size/depth auto-selection every
-  ``engine=`` parameter funnels through, observable via
-  :func:`last_selection`;
-* :mod:`repro.parallel.engine` -- :func:`solve_forest_batch`, which runs
-  the chosen backend chunk by chunk in the calling thread, with
-  numerically identical results (to 1e-12) regardless of backend.
+* :mod:`repro.parallel.backends` -- the fixed engine table
+  :data:`ENGINES` (``"numpy"`` reference level sweeps, ``"contract"``
+  pointer-jumping contraction for depth-pathological forests, ``"native"``
+  Numba JIT-compiled kernels that degrade to numpy without Numba) and the
+  size/depth auto-selection every ``engine=`` parameter funnels through,
+  observable via :func:`last_selection`;
+* :mod:`repro.parallel.engine` -- :func:`solve_forest_batch`, which picks
+  the kernel once per solve and runs it chunk by chunk in the calling
+  thread, with numerically identical results (to 1e-12) regardless of
+  engine.
 
 Every solve runs in-process; ``"native"`` spreads each sweep across cores
 with Numba's ``prange``.  Callers never import this package directly for
@@ -28,12 +29,9 @@ The layer map lives in ``docs/architecture.md``.
 from repro.parallel.backends import (
     AUTO_NATIVE_CELLS,
     CONTRACT_DEPTH_RATIO,
-    KernelBackend,
-    available_backends,
-    get_backend,
+    ENGINES,
     last_selection,
     record_selection,
-    register_backend,
     resolve_engine,
     should_contract,
 )
@@ -57,13 +55,10 @@ __all__ = [
     "DEFAULT_CHUNK_CELLS",
     "MAX_CHUNK_CELLS",
     "default_chunk_cells",
+    "ENGINES",
     "ForestStructure",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
     "last_selection",
     "record_selection",
-    "register_backend",
     "resolve_engine",
     "scenario_chunks",
     "should_contract",

@@ -1,8 +1,8 @@
-"""Kernel-backend registry: how a scenario-batched forest solve executes.
+"""The engine table: which kernels a scenario-batched forest solve can run.
 
-A *backend* is a strategy for running the characteristic-time level sweeps
-over the ``(N, S)`` element planes of a forest.  Every backend runs in the
-calling thread:
+An *engine* is one way to run the characteristic-time level sweeps over
+the ``(N, S)`` element planes of a forest.  There are exactly three, named
+in :data:`ENGINES`, and every one runs in the calling thread:
 
 * ``"numpy"`` -- the serial vectorized kernels.  Always available, always
   the reference.
@@ -23,38 +23,36 @@ Callers normally pass ``engine=None`` (or ``"auto"``) and let
 kernels (compiled rounds when the native kernels are warm), sweeps of at
 least ``AUTO_NATIVE_CELLS`` cells go to the compiled kernels when those
 are usable, and everything else stays on ``"numpy"``.  An *explicit*
-``engine="contract"`` / ``"native"`` is always honoured, so parity tests
-exercise every path.
+``engine="contract"`` / ``"native"`` is always honoured (``"native"`` on
+the reference kernels when Numba cannot run it), so parity tests exercise
+every path.
 
-Every solve records which backend it chose (:func:`last_selection`), and
-an explicit request that degrades to another backend warns on stderr.
-
-The registry is open: :func:`register_backend` lets an experiment register
-another strategy under a new name without touching the call sites, which
-all go through ``engine="<name>"`` string selection.
+Every solve records which engine it chose (:func:`last_selection`), and
+an explicit request that degrades to another engine warns on stderr.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.exceptions import AnalysisError
 
 __all__ = [
     "AUTO_NATIVE_CELLS",
     "CONTRACT_DEPTH_RATIO",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
+    "ENGINES",
     "last_selection",
     "record_selection",
-    "register_backend",
     "resolve_engine",
     "should_contract",
 ]
+
+#: The engine names, reference first.  Every ``engine=`` parameter, the
+#: CLI ``--engine`` choices and the service's session schema accept these
+#: (plus ``"auto"``).
+ENGINES = ("numpy", "contract", "native")
 
 #: Smallest ``nodes x scenarios`` plane for which ``engine=None`` prefers
 #: the JIT-compiled kernels when they are usable: high enough that
@@ -69,52 +67,6 @@ AUTO_NATIVE_CELLS = 1 << 16
 #: contraction rounds win outright.  Tunable: benchmarks may lower it, and
 #: tests monkeypatch it to force either side of the decision.
 CONTRACT_DEPTH_RATIO = 32.0
-
-
-@dataclass(frozen=True)
-class KernelBackend:
-    """One registered execution strategy for the scenario-batched solve.
-
-    ``solver`` has the engine signature ``solver(structure, base, planes,
-    count, chunk)`` (see :func:`repro.parallel.engine.solve_forest_batch`,
-    which dispatches to it).
-    """
-
-    name: str
-    solver: Callable
-    description: str = ""
-
-
-_REGISTRY: Dict[str, KernelBackend] = {}
-
-
-def register_backend(
-    name: str,
-    solver: Callable,
-    *,
-    description: str = "",
-) -> KernelBackend:
-    """Register (or replace) a named backend and return its record."""
-    if not name or name == "auto":
-        raise AnalysisError(f"backend name {name!r} is reserved")
-    backend = KernelBackend(name=name, solver=solver, description=description)
-    _REGISTRY[name] = backend
-    return backend
-
-
-def get_backend(name: str) -> KernelBackend:
-    """Look up a backend by name; unknown names list the alternatives."""
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise AnalysisError(
-            f"unknown engine {name!r}; available: {', '.join(available_backends())}"
-        )
-    return backend
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
 
 
 def _native_ready() -> bool:
@@ -161,15 +113,15 @@ def record_selection(
     depth: int = 0,
     reason: str = "",
 ) -> None:
-    """Note which backend a solve chose; warn when a request degraded.
+    """Note which engine a solve chose; warn when a request degraded.
 
-    Called by :func:`repro.parallel.engine.solve_forest_batch` after every
-    resolution.  ``reason`` is non-empty only when the resolved backend is
-    not the requested one for a *capability* reason -- today, an explicit
+    Called by :func:`repro.parallel.engine.solve_forest_batch` once per
+    solve.  ``reason`` is non-empty only when the resolved engine is not
+    the requested one for a *capability* reason -- today, an explicit
     ``engine="native"`` degrading to ``"numpy"`` because Numba is missing,
     disabled or failed to compile.  The record is readable back via
     :func:`last_selection`.  An *explicit* request that ran on a different
-    backend also prints one warning line to stderr.
+    engine also prints one warning line to stderr.
     """
     record = {
         "requested": requested if requested is not None else "auto",
@@ -182,7 +134,7 @@ def record_selection(
     _LAST_SELECTION[:] = [record]
     if reason and requested not in (None, "auto") and requested != resolved:
         # An *explicit* engine request silently running on a different
-        # backend is the one selection users must hear about: a parity run
+        # engine is the one selection users must hear about: a parity run
         # believed to exercise "native" may in fact be re-measuring numpy.
         print(
             f"repro.engine: warning: requested engine {requested!r} "
@@ -195,7 +147,7 @@ def last_selection() -> Optional[Dict[str, object]]:
     """The most recent engine-selection record, or ``None`` before any solve.
 
     Keys: ``requested`` (the caller's ``engine=`` value, ``"auto"`` when it
-    was left to the resolver), ``engine`` (the backend that actually ran),
+    was left to the resolver), ``engine`` (the engine that actually ran),
     ``nodes``, ``scenarios``, ``depth`` and ``reason`` (empty
     unless the request was degraded for a capability reason -- e.g. why a
     ``"native"`` request ran on ``"numpy"``).  The auto-selection and
@@ -204,34 +156,51 @@ def last_selection() -> Optional[Dict[str, object]]:
     return dict(_LAST_SELECTION[0]) if _LAST_SELECTION else None
 
 
+def _decide(
+    engine: Optional[str], cells: int, nodes: int, depth: int
+) -> Tuple[str, bool, str]:
+    """``(engine, deep, reason)`` for one solve -- the whole kernel decision.
+
+    ``deep`` is :func:`should_contract` of the forest (the compiled kernels
+    run contraction rounds when it holds); ``reason`` is non-empty when an
+    explicit ``"native"`` fell back to ``"numpy"``.  The only caller of the
+    readiness probe and of :func:`should_contract`, each at most once.
+    """
+    name = "auto" if engine is None else engine
+    if name != "auto" and name not in ENGINES:
+        raise AnalysisError(
+            f"unknown engine {name!r}; available: {', '.join(ENGINES)}"
+        )
+    deep = should_contract(depth, nodes)
+    if name == "contract" or name == "numpy":
+        return name, deep, ""
+    if (name == "native" or cells >= AUTO_NATIVE_CELLS) and _native_ready():
+        return "native", deep, ""
+    if name == "native":
+        from repro.flat.native import native_status
+
+        return "numpy", deep, f"native kernels unavailable ({native_status()})"
+    return ("contract" if deep else "numpy"), deep, ""
+
+
 def resolve_engine(
     engine: Optional[str] = None,
     *,
     cells: int = 0,
     nodes: int = 0,
     depth: int = 0,
-) -> KernelBackend:
-    """Pick the backend for a sweep of ``cells`` elements.
+) -> str:
+    """The engine name a sweep of ``cells`` elements runs on.
 
-    ``engine=None`` / ``"auto"`` first checks the depth pathology: a forest
+    ``engine=None`` / ``"auto"`` prefers the compiled kernels for a sweep
+    of at least :data:`AUTO_NATIVE_CELLS` cells when they are ready (they
+    run contraction rounds on deep forests themselves); otherwise a forest
     with ``depth / log2(nodes) >= CONTRACT_DEPTH_RATIO`` (see
-    :func:`should_contract`) leaves the level sweeps -- for the compiled
-    contraction rounds of ``"native"`` when those are warm and the sweep
-    clears :data:`AUTO_NATIVE_CELLS`, else for the ``"contract"`` kernels,
-    whose round count is O(log N) instead of O(depth).  Otherwise a sweep
-    of at least :data:`AUTO_NATIVE_CELLS` cells runs the compiled kernels
-    when they are ready; the default remains ``"numpy"``.  Explicit names
-    are honoured as-is.
+    :func:`should_contract`) goes to ``"contract"``, whose round count is
+    O(log N) instead of O(depth), and everything else to ``"numpy"``.
+    Explicit names are honoured, except that ``"native"`` resolves to
+    ``"numpy"`` where the compiled kernels are unusable.  A name outside
+    :data:`ENGINES` raises :class:`~repro.core.exceptions.AnalysisError`
+    listing the choices.
     """
-    name = engine if engine is not None else "auto"
-    if name == "auto":
-        native_ok = (
-            "native" in _REGISTRY and cells >= AUTO_NATIVE_CELLS and _native_ready()
-        )
-        if "contract" in _REGISTRY and should_contract(depth, nodes):
-            name = "native" if native_ok else "contract"
-        elif native_ok:
-            name = "native"
-        else:
-            name = "numpy"
-    return get_backend(name)
+    return _decide(engine, cells, nodes, depth)[0]

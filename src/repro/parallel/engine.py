@@ -8,13 +8,14 @@ do the scenario-batched callers (:meth:`repro.flat.FlatForest.solve_batch`,
 which carries :meth:`repro.graph.DesignDB.solve_scenarios`,
 :meth:`repro.graph.TimingGraph.analyze_scenarios`,
 :func:`repro.apps.corners.corner_sweep` and the CLI's ``timing --corners``
-along).  It normalizes the element planes, picks a backend through
-:func:`repro.parallel.backends.resolve_engine`, and runs the paper's two
+along).  It normalizes the element planes, picks the kernel once
+(:func:`_select_kernel`, over the engine table
+:data:`repro.parallel.backends.ENGINES`), and runs the paper's two
 characteristic-time passes chunk by chunk over the scenario axis.  Outside
-the backends registered here, the only other implementation of the passes
-is the dict engine of :mod:`repro.core`, kept as the independent oracle.
+the three engines, the only other implementation of the passes is the dict
+engine of :mod:`repro.core`, kept as the independent oracle.
 
-Every backend runs in the calling thread and keeps no state between
+Every engine runs in the calling thread and keeps no state between
 solves, so concurrent solves on different forests are independent.  The
 scenario axis is processed in bounded chunks
 (:func:`repro.parallel.sharding.scenario_chunks`), so a 256-scenario sweep
@@ -29,7 +30,8 @@ which simply reads the forest's current arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,23 +43,16 @@ from repro.flat.scenarios import (
     level_buckets,
     sweep_scenarios,
 )
-from repro.parallel.backends import (
-    record_selection,
-    register_backend,
-    resolve_engine,
-    should_contract,
-)
+from repro.parallel.backends import _decide, record_selection
 from repro.parallel.sharding import scenario_chunks
 
 __all__ = ["ForestStructure", "solve_forest_batch", "shutdown_pools"]
 
-#: A substitute two-pass kernel: ``(parent, er, ec, nc)`` node-major
-#: matrices in, ``(rkk, c_down, tde, tre)`` out (the contraction sweeps
-#: with their jump schedule baked in).
-SweepFn = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-]
+#: What every two-pass kernel returns: ``(rkk, c_down, tde, tre)``.
+SweepResult = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: A solve's two-pass kernel: ``(parent, er, ec, nc)`` node-major matrices
+#: in, with its topology products (level buckets or jump schedule) baked in.
+SweepFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], SweepResult]
 #: The forest's base element arrays, in ``(edge_r, edge_c, node_c)`` order.
 BasePlanes = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: Normalized scenario planes (outputs of :func:`normalize_plane`), same order.
@@ -137,27 +132,21 @@ def _chunk_matrix(
 
 def _solve_range(
     parent: np.ndarray,
-    levels: Sequence[np.ndarray],
     starts: np.ndarray,
     er: np.ndarray,
     ec: np.ndarray,
     nc: np.ndarray,
-    sweep: Optional[SweepFn] = None,
+    sweep: SweepFn,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The forest kernel over one chunk of scenario columns.
 
     ``parent`` marks roots ``-1``, ``starts`` is the first-node index of
     each member tree.  Returns ``(ree, tde, tre, tp, total)`` with the
     node-indexed arrays shaped like ``er`` and the per-tree reductions
-    shaped ``(trees, S)``.  ``sweep`` substitutes an alternative two-pass
-    kernel with the :func:`sweep_scenarios` signature minus ``levels`` (the
-    contraction and compiled kernels), which keeps the documented 1e-12
-    parity with the level sweeps.
+    shaped ``(trees, S)``.  ``sweep`` is the two-pass kernel the solve
+    selected (:func:`_select_kernel`).
     """
-    if sweep is None:
-        rkk, _, tde, tre = sweep_scenarios(levels, parent, er, ec, nc)
-    else:
-        rkk, _, tde, tre = sweep(parent, er, ec, nc)
+    rkk, _, tde, tre = sweep(parent, er, ec, nc)
     rkk_parent = rkk[np.maximum(parent, 0)]
     # A root has no parent edge: its gathered "parent" row above is whatever
     # node sits at index 0.  Base forests keep root edge elements at zero so
@@ -171,29 +160,62 @@ def _solve_range(
 
 
 # ----------------------------------------------------------------------
-# Backends ("numpy", "contract" and "native")
+# Kernel selection and chunked execution
 # ----------------------------------------------------------------------
+def _select_kernel(
+    engine: Optional[str], structure: ForestStructure, count: int
+) -> SweepFn:
+    """The one kernel decision of a solve: resolve, record, build the sweep.
+
+    Resolves ``engine`` over :data:`~repro.parallel.backends.ENGINES`
+    (auto-selection, and the fallback of an explicit ``"native"`` to
+    ``"numpy"`` where the compiled kernels are unusable), records the
+    selection and its reason, and returns the two-pass kernel for that
+    engine with its topology products baked in: the level buckets for the
+    level sweeps, the jump schedule for contraction rounds (``"contract"``,
+    and ``"native"`` on depth-pathological forests).  The checks are done
+    here once, so the unchecked compiled bodies run per chunk.
+    """
+    n = structure.node_count
+    levels = structure.levels
+    if levels is not None:
+        depth = len(levels) - 1
+    else:
+        depth = int(structure.depth.max()) if n else 0
+    name, deep, reason = _decide(engine, n * count, n, depth)
+    record_selection(
+        engine, name, nodes=n, scenarios=count, depth=depth, reason=reason
+    )
+    contract: Callable[..., SweepResult] = sweep_scenarios_contract
+    level_sweep: Callable[..., SweepResult] = sweep_scenarios
+    if name == "native":
+        # Imported only here: this is what pays the one-time Numba import.
+        from repro.flat.native import _contract_impl, _sweep_impl
+
+        contract, level_sweep = _contract_impl, _sweep_impl
+    if name == "contract" or (name == "native" and deep):
+        return partial(contract, schedule=jump_schedule(structure.parent))
+    if levels is None:
+        levels = level_buckets(structure.depth)
+    return partial(level_sweep, levels)
+
+
 def _solve_serial(
     structure: ForestStructure,
     base: BasePlanes,
     planes: ScenarioPlanes,
     count: int,
     chunk: Optional[int],
-    sweep: Optional[SweepFn] = None,
+    sweep: SweepFn,
 ) -> ScenarioForestTimes:
-    """Chunked execution of the forest kernel in the calling thread.
+    """Chunked execution of the selected kernel in the calling thread.
 
-    ``sweep=None`` runs the level sweeps (the ``"numpy"`` reference path);
-    a ``sweep`` callable substitutes another two-pass kernel -- the
-    contraction backend passes the pointer-jumping sweeps with their jump
-    schedule baked in, so chunked solves pay the topology pass once.
+    The topology products live in ``sweep`` (see :func:`_select_kernel`),
+    so chunked solves pay them once.
     """
     n = structure.node_count
     trees = structure.tree_count
     parent = structure.parent
-    levels = structure.levels
-    if levels is None and sweep is None:
-        levels = level_buckets(structure.depth)
     starts = np.asarray(structure.offsets[:-1], dtype=np.int64)
     chunks = scenario_chunks(count, n, chunk=chunk)
     base_er, base_ec, base_nc = base
@@ -204,9 +226,7 @@ def _solve_serial(
         er = _chunk_matrix(plane_er, base_er, 0, count, n)
         ec = _chunk_matrix(plane_ec, base_ec, 0, count, n)
         nc = _chunk_matrix(plane_nc, base_nc, 0, count, n)
-        ree, tde, tre, tp, total = _solve_range(
-            parent, levels, starts, er, ec, nc, sweep=sweep
-        )
+        ree, tde, tre, tp, total = _solve_range(parent, starts, er, ec, nc, sweep)
         return ScenarioForestTimes(
             tp=tp.T, tde=tde.T, tre=tre.T, ree=ree.T, total_capacitance=total.T
         )
@@ -220,9 +240,7 @@ def _solve_serial(
         er = _chunk_matrix(plane_er, base_er, lo, hi, n)
         ec = _chunk_matrix(plane_ec, base_ec, lo, hi, n)
         nc = _chunk_matrix(plane_nc, base_nc, lo, hi, n)
-        ree, tde, tre, tp, total = _solve_range(
-            parent, levels, starts, er, ec, nc, sweep=sweep
-        )
+        ree, tde, tre, tp, total = _solve_range(parent, starts, er, ec, nc, sweep)
         out_ree[:, lo:hi] = ree
         out_tde[:, lo:hi] = tde
         out_tre[:, lo:hi] = tre
@@ -237,114 +255,12 @@ def _solve_serial(
     )
 
 
-def _solve_numpy(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    chunk: Optional[int],
-) -> ScenarioForestTimes:
-    """Chunked serial execution of the level sweeps (the reference path)."""
-    return _solve_serial(structure, base, planes, count, chunk)
-
-
-def _contract_sweep(parent: np.ndarray) -> SweepFn:
-    """The contraction kernel with its jump schedule precomputed.
-
-    The schedule depends only on topology, so one pass serves every
-    scenario chunk of a solve.
-    """
-    schedule = jump_schedule(parent)
-
-    def sweep(
-        parent_: np.ndarray, er: np.ndarray, ec: np.ndarray, nc: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return sweep_scenarios_contract(parent_, er, ec, nc, schedule=schedule)
-
-    return sweep
-
-
-def _solve_contract(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    chunk: Optional[int],
-) -> ScenarioForestTimes:
-    """Chunked serial execution of the pointer-jumping contraction kernels."""
-    return _solve_serial(
-        structure, base, planes, count, chunk, sweep=_contract_sweep(structure.parent)
-    )
-
-
-def _native_sweep_for(
-    parent: np.ndarray, levels: Sequence[np.ndarray]
-) -> Optional[SweepFn]:
-    """A compiled two-pass kernel for one forest, or ``None``.
-
-    ``None`` means the compiled kernels are unusable here (Numba missing,
-    disabled via ``REPRO_DISABLE_NATIVE``, or a JIT failure) and the caller
-    should fall through to the numpy kernels.  Deep forests (per
-    :func:`repro.parallel.backends.should_contract`) get the compiled
-    contraction rounds, everything else the fused compiled level sweep.
-    """
-    from repro.flat import native
-
-    if not native.native_ready():
-        return None
-    deep = should_contract(len(levels) - 1, int(parent.shape[0]))
-    return native.native_sweeps_for(parent, levels, deep)
-
-
-def _solve_native(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    chunk: Optional[int],
-) -> ScenarioForestTimes:
-    """Chunked execution of the JIT-compiled kernels.
-
-    The compiled sweep runs through the same chunked driver as every other
-    backend; Numba's ``prange`` spreads each sweep across cores.  If the
-    kernels turn out unusable the numpy path runs --
-    :func:`solve_forest_batch` normally swaps the backend (and records the
-    reason) before ever dispatching here, so this is a second belt.
-    """
-    levels = structure.levels
-    if levels is None:
-        levels = level_buckets(structure.depth)
-    sweep = _native_sweep_for(structure.parent, levels)
-    if sweep is None:
-        return _solve_numpy(structure, base, planes, count, chunk)
-    return _solve_serial(structure, base, planes, count, chunk, sweep=sweep)
-
-
 def shutdown_pools() -> None:
     """Kept for callers that release execution resources; a no-op.
 
-    Every backend runs in the calling thread, so there are no worker pools
+    Every engine runs in the calling thread, so there are no worker pools
     or shared-memory blocks to release.
     """
-
-
-register_backend(
-    "numpy",
-    _solve_numpy,
-    description="vectorized level sweeps, in-process (the reference path)",
-)
-register_backend(
-    "contract",
-    _solve_contract,
-    description="pointer-jumping tree contraction: O(log N) rounds "
-    "regardless of depth, for chain-heavy forests",
-)
-register_backend(
-    "native",
-    _solve_native,
-    description="Numba JIT-compiled fused sweeps, prange-parallel across "
-    "cores; degrades to numpy without Numba",
-)
 
 
 # ----------------------------------------------------------------------
@@ -364,37 +280,19 @@ def solve_forest_batch(
     ``base`` carries the forest's resident ``(edge_r, edge_c, node_c)``
     arrays; ``planes`` the caller's overrides in
     :meth:`~repro.flat.FlatTree.solve_batch` form (``None`` / ``(S,)`` /
-    ``(S, N)`` each).  ``engine`` selects a registered backend by name
-    (``None`` auto-selects by sweep size and depth pathology) and
-    ``scenario_chunk`` overrides the bounded-memory chunk width.  Every
-    backend returns numerically identical (to 1e-12)
-    :class:`~repro.flat.scenarios.ScenarioForestTimes` -- backend choice is
-    an execution detail, never a semantics change.  The selection is
-    recorded (:func:`repro.parallel.backends.last_selection`); an explicit
-    request that degrades to another backend warns on stderr.
+    ``(S, N)`` each).  ``engine`` names one of
+    :data:`~repro.parallel.backends.ENGINES` (``None`` auto-selects by
+    sweep size and depth pathology) and ``scenario_chunk`` overrides the
+    bounded-memory chunk width.  Every engine returns numerically identical
+    (to 1e-12) :class:`~repro.flat.scenarios.ScenarioForestTimes` -- the
+    choice is an execution detail, never a semantics change.  The selection
+    is recorded (:func:`repro.parallel.backends.last_selection`); an
+    explicit request that degrades to another engine warns on stderr.
     """
     count = int(count)
     if count < 1:
         raise AnalysisError(f"scenario count must be >= 1, got {count}")
     n = structure.node_count
     planes = tuple(normalize_plane(plane, n, count) for plane in planes)
-    if structure.levels is not None:
-        depth = len(structure.levels) - 1
-    else:
-        depth = int(structure.depth.max()) if n else 0
-    backend = resolve_engine(engine, cells=n * count, nodes=n, depth=depth)
-    reason = ""
-    if backend.name == "native":
-        from repro.flat import native
-
-        if not native.native_ready():
-            # Auto-selection never picks an unready "native", so this is an
-            # *explicit* request on a machine without usable Numba: honour
-            # the solve with the reference kernels and record why, instead
-            # of failing a pipeline over an optional accelerator.
-            reason = f"native kernels unavailable ({native.native_status()})"
-            backend = resolve_engine("numpy")
-    record_selection(
-        engine, backend.name, nodes=n, scenarios=count, depth=depth, reason=reason
-    )
-    return backend.solver(structure, base, planes, count, scenario_chunk)
+    sweep = _select_kernel(engine, structure, count)
+    return _solve_serial(structure, base, planes, count, scenario_chunk, sweep)

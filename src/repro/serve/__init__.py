@@ -17,7 +17,7 @@ arrivals they change, so sixty-four concurrent clients share one
 sub-forest solve and one cone relaxation instead of paying sixty-four.
 All solve work runs in a thread-pool executor -- handler coroutines never
 touch a kernel directly (enforced by reprolint RL009) -- and engine
-selection flows through the :mod:`repro.parallel` backend registry
+selection flows through the :mod:`repro.parallel` engine table
 unchanged.
 
 Everything is stdlib (``asyncio`` + hand-rolled HTTP/1.1): the server adds

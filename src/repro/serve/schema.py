@@ -37,7 +37,7 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.tree import RCTree
-from repro.parallel import available_backends
+from repro.parallel import ENGINES
 from repro.sta.cells import Cell, standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import Design, design_from_dict
@@ -286,16 +286,17 @@ def swaps_from_payload(
 
 
 def engine_from_payload(payload: Mapping, default: Optional[str]) -> Optional[str]:
-    """The optional ``engine`` field, checked against the backend registry.
+    """The optional ``engine`` field, checked against the engine table.
 
     ``None`` and ``"auto"`` leave the choice to auto-selection; any other
-    value must name a registered backend, so a misspelt engine is refused
-    when the session loads instead of failing every later solve.
+    value must be one of :data:`repro.parallel.ENGINES`, so a misspelt
+    engine is refused when the session loads instead of failing every
+    later solve.
     """
     value = payload.get("engine", default)
-    if value is None or value == "auto" or value in available_backends():
+    if value is None or value == "auto" or value in ENGINES:
         return value
-    choices = ", ".join(("auto",) + available_backends())
+    choices = ", ".join(("auto",) + ENGINES)
     raise ServeError(
         f"unknown engine {value!r}; choose one of: {choices}",
         code="unknown_engine",

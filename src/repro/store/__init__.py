@@ -6,7 +6,7 @@ files plus a small JSON manifest (:mod:`repro.store.format`); ingest
 streams trees into shards with O(shard) peak RSS
 (:class:`~repro.store.ShardStoreWriter`, :mod:`repro.store.ingest`); and
 :class:`~repro.store.StoredForest` solves shard-by-shard through the
-ordinary :mod:`repro.parallel` backend registry while keeping the
+ordinary :mod:`repro.parallel` engines while keeping the
 resident set bounded by the hot-shard LRU, the scenario chunk and one
 shard's result window.
 
@@ -35,7 +35,7 @@ from repro.store.format import (
     depths_from_parent,
     release_memmap,
 )
-from repro.store.forest import DEFAULT_HOT_SHARDS, HOT_SHARDS_ENV, StoredForest
+from repro.store.forest import DEFAULT_HOT_SHARDS, StoredForest
 from repro.store.ingest import ingest_blocks, ingest_spef
 from repro.store.writer import DEFAULT_SHARD_NODES, ShardStoreWriter
 
@@ -50,7 +50,6 @@ __all__ = [
     "depths_from_parent",
     "release_memmap",
     "DEFAULT_HOT_SHARDS",
-    "HOT_SHARDS_ENV",
     "StoredForest",
     "ingest_blocks",
     "ingest_spef",

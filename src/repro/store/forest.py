@@ -5,8 +5,8 @@
 shard file holds the node-major planes of a contiguous run of whole
 trees; a solve walks the shards, materializes one at a time (through a
 bounded hot-shard LRU), hands its arrays to the ordinary
-:func:`repro.parallel.solve_forest_batch` engine registry -- numpy,
-contract or native per shard -- and streams the results into a
+:func:`repro.parallel.solve_forest_batch` engine -- numpy, contract or
+native per shard -- and streams the results into a
 memory-mapped result file.  The resident set is O(shard +
 scenario_chunk) no matter how large the design is, because every mapping
 is released as soon as its window has been consumed (see :func:`repro.store.format.release_memmap`).
@@ -55,30 +55,12 @@ from repro.store.format import (
 )
 from repro.store.writer import _validate_block
 
-#: Environment override for the hot-shard LRU capacity.
-HOT_SHARDS_ENV = "REPRO_STORE_HOT_SHARDS"
-
-#: Default number of materialized shards kept hot.  Four shards at the
+#: Number of materialized shards kept hot.  Four shards at the
 #: default shard size is ~25 MiB of planes -- enough that an ECO loop
 #: hammering a locality cluster never re-reads, small enough to leave the
 #: laptop-RAM budget to the solve temporaries.
 DEFAULT_HOT_SHARDS = 4
 
-
-def _hot_shards_from_env() -> int:
-    """The LRU capacity from ``REPRO_STORE_HOT_SHARDS``, or the default."""
-    raw = os.environ.get(HOT_SHARDS_ENV, "")
-    if not raw:
-        return DEFAULT_HOT_SHARDS
-    try:
-        hot_shards = int(raw)
-    except ValueError:
-        raise AnalysisError(
-            f"{HOT_SHARDS_ENV} must be an integer shard count, got {raw!r}"
-        )
-    if hot_shards < 1:
-        raise AnalysisError(f"{HOT_SHARDS_ENV} must be >= 1, got {hot_shards}")
-    return hot_shards
 
 #: A per-shard plane factory: ``(shard_index, node_lo, node_hi)`` ->
 #: ``(edge_r, edge_c, node_c)`` in :func:`normalize_plane`-accepted shapes
@@ -212,19 +194,12 @@ class StoredForest:
     swap it in behind ``store_dir=`` without changing any caller.
     """
 
-    def __init__(
-        self, directory: str, *, hot_shards: Optional[int] = None
-    ) -> None:
+    def __init__(self, directory: str) -> None:
         self._directory = os.fspath(directory)
         self._manifest = Manifest.load(self._directory)
         # The shard list is the authoritative layout; every mutation goes
         # through replace_tree -> _invalidate_shard (RL004 contract).
         self._shards: List[ShardRecord] = self._manifest.shards
-        if hot_shards is None:
-            hot_shards = _hot_shards_from_env()
-        if hot_shards < 1:
-            raise AnalysisError(f"hot_shards must be >= 1, got {hot_shards}")
-        self._hot_limit = hot_shards
         self._hot: "OrderedDict[int, _HotShard]" = OrderedDict()
         self._layout_cache: Optional[dict] = None
 
@@ -344,7 +319,7 @@ class StoredForest:
         record = self._shards[shard]
         hot = _load_hot_shard(self._shard_path(shard), record)
         self._hot[shard] = hot
-        while len(self._hot) > self._hot_limit:
+        while len(self._hot) > DEFAULT_HOT_SHARDS:
             self._hot.popitem(last=False)
         return hot
 

@@ -371,8 +371,10 @@ class ShardStoreWriter:
         index = len(self._manifest.shards)
         file_name = f"shard-{index:05d}.bin"
         path = os.path.join(self._directory, file_name)
-        write_shard_file(path, parent, depth, starts, edge_r, edge_c, node_c)
+        # Recorded before the write: a write that fails part-way (disk full,
+        # file-size limit) leaves a partial file that abort() must remove.
         self._written_files.append(path)
+        write_shard_file(path, parent, depth, starts, edge_r, edge_c, node_c)
         nodes = int(parent.shape[0])
         level_counts = np.bincount(depth, minlength=1)
         self._manifest.shards.append(
@@ -386,12 +388,21 @@ class ShardStoreWriter:
         )
 
     def close(self) -> Manifest:
-        """Flush the remaining buffer and write the manifest."""
+        """Flush the remaining buffer and write the manifest.
+
+        A failure here (no trees, or an ``OSError`` from the last shard or
+        manifest write) rolls the store back like :meth:`abort` before it
+        propagates.
+        """
         self._check_open()
-        self._drain(final=True)
-        if not self._manifest.shards:
-            raise AnalysisError("a shard store needs at least one tree")
-        self._manifest.save(self._directory)
+        try:
+            self._drain(final=True)
+            if not self._manifest.shards:
+                raise AnalysisError("a shard store needs at least one tree")
+            self._manifest.save(self._directory)
+        except BaseException:
+            self.abort()
+            raise
         self._closed = True
         return self._manifest
 

@@ -2,7 +2,8 @@
 
 ``tools/check_docs.py`` verifies that every module named in ``README.md`` and
 ``docs/*.md`` imports, that every ``path:line`` anchor points into an
-existing file, that every relative markdown link resolves, and that the
+existing file, that every relative markdown link resolves, that the engine
+table of ``docs/architecture.md`` has a row for every engine, and that the
 engine-layer packages carry full public docstrings (which feeds the
 generated ``docs/api.md``).  CI runs the tool standalone; this test runs
 the same checks under pytest so a stale doc reference fails the ordinary
@@ -39,6 +40,18 @@ def test_docs_exist():
     assert "performance.md" in names
     assert "architecture.md" in names
     assert "api.md" in names
+
+
+def test_engine_table_missing_row_is_reported():
+    tool = _load_tool()
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    assert tool.check_engine_table(text) == []
+    without_contract = "\n".join(
+        line for line in text.splitlines() if not line.startswith('| `"contract"`')
+    )
+    problems = tool.check_engine_table(without_contract)
+    assert len(problems) == 1
+    assert "'contract'" in problems[0]
 
 
 def test_engine_layers_fully_docstringed():

@@ -15,7 +15,7 @@ from repro.core.exceptions import AnalysisError
 from repro.generators import random_design, random_flat_tree, random_forest
 from repro.generators import random_scenarios
 from repro.graph import TimingGraph
-from repro.parallel import available_backends, solve_forest_batch
+from repro.parallel import ENGINES, solve_forest_batch
 
 TIME_FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 
@@ -129,12 +129,12 @@ class TestEngineParity:
 class TestIncrementalInvalidation:
     def test_replace_tree_reflected_by_every_engine(self):
         forest = random_forest(20, seed=9)
-        for engine in available_backends():
+        for engine in ENGINES:
             forest.solve_batch(count=4, engine=engine)
         forest.replace_tree(7, random_flat_tree(seed=123))
         serial = forest.solve_batch(count=4)
         assert serial.tde.shape[1] == forest.node_count
-        for engine in available_backends():
+        for engine in ENGINES:
             assert_times_close(forest.solve_batch(count=4, engine=engine), serial)
 
     def test_structure_tracks_current_layout(self):

@@ -34,7 +34,7 @@ from repro.core.tree import RCTree
 from repro.flat import FlatForest
 from repro.generators import random_design, random_scenarios
 from repro.graph import TimingGraph
-from repro.parallel import available_backends, solve_forest_batch
+from repro.parallel import ENGINES, solve_forest_batch
 from repro.sta.cells import standard_cell_library
 from repro.sta.parasitics import lumped, rc_tree_parasitics
 
@@ -49,7 +49,7 @@ FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 
 #: The engines compared against the ``numpy`` reference.  The ``native``
 #: arm compiles where Numba exists and degrades to numpy where it does not.
-ENGINE_ARMS = ("contract", "native")
+ENGINE_ARMS = tuple(engine for engine in ENGINES if engine != "numpy")
 
 
 def _planes(forest, count, rng):
@@ -231,7 +231,7 @@ def test_threaded_solves_match_serial_numpy():
     The timing service runs solves on a thread-pool executor, so a solve
     must not share mutable state with a concurrent solve of another forest.
     Each thread owns one forest (a different topology mix per thread) and
-    solves it under every registered backend, several rounds, all threads
+    solves it under every engine, several rounds, all threads
     released together; every result must equal that forest's serial
     ``numpy`` solve.
     """
@@ -254,7 +254,7 @@ def test_threaded_solves_match_serial_numpy():
     def worker(index):
         start.wait()
         for _ in range(ROUNDS):
-            for engine in available_backends():
+            for engine in ENGINES:
                 got = forests[index].solve_batch(*planes[index], engine=engine)
                 _assert_times_close(got, want[index], (index, engine))
         return index
@@ -358,13 +358,13 @@ def test_every_engine_agrees_on_pathological_topologies(design_seed, sweep_seed)
 # ----------------------------------------------------------------------
 #
 # The service tier must be engine-transparent: a session pinned to any
-# registered backend answers byte-for-byte like a direct in-process graph
-# using that backend, whether the session is in-RAM or store-backed.
+# engine answers byte-for-byte like a direct in-process graph using that
+# engine, whether the session is in-RAM or store-backed.
 # These arms are deterministic (no hypothesis): the interesting axis is
 # the engine x storage product, not the topology distribution, and each
 # arm spins up a real server.
 
-SERVER_ENGINE_ARMS = ("numpy", "contract", "native")
+SERVER_ENGINE_ARMS = ENGINES
 
 
 def _serve_workload():

@@ -79,7 +79,7 @@ def test_two_native_sessions_in_parallel_match_serial_numpy(hang_guard):
     for session in sessions:
         nodes = session.db.forest.node_count
         assert nodes >= AUTO_NATIVE_CELLS
-        assert resolve_engine(None, cells=nodes, nodes=nodes).name == "native"
+        assert resolve_engine(None, cells=nodes, nodes=nodes) == "native"
     swaps = [_candidates(design, 8) for design, _ in designs]
 
     async def main():

@@ -1,14 +1,19 @@
 """Tests for the incremental shard-store writer: format round-trip,
-tree-boundary shard cuts, transactional abort, and input validation."""
+tree-boundary shard cuts, transactional abort (also when a shard write
+fails part-way), and input validation."""
 
+import errno
+import glob
 import os
 
 import numpy as np
 import pytest
 
 from repro.core.exceptions import AnalysisError
-from repro.generators import RandomTreeConfig, random_flat_tree
+from repro.generators import RandomTreeConfig, random_design, random_flat_tree
+from repro.graph import DesignDB
 from repro.store import MANIFEST_NAME, Manifest, ShardStoreWriter
+from repro.store import writer as writer_module
 from repro.store.format import read_shard_arrays
 
 
@@ -150,6 +155,49 @@ class TestTransactional:
             manifest = writer.close()
         assert manifest.tree_count == 1
         assert os.path.exists(os.path.join(directory, MANIFEST_NAME))
+
+
+class TestWriteFault:
+    """A shard write that fails part-way must not leave a partial store.
+
+    The fault is the one a full disk or a file-size limit produces: the
+    shard file exists (possibly empty) when the write raises.
+    """
+
+    @pytest.fixture
+    def disk_full(self, monkeypatch):
+        def write_then_fail(path, *arrays):
+            with open(path, "wb") as handle:
+                handle.write(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+
+        monkeypatch.setattr(writer_module, "write_shard_file", write_then_fail)
+
+    @staticmethod
+    def _leftovers(directory):
+        return sorted(
+            glob.glob(os.path.join(directory, "shard-*.bin"))
+            + glob.glob(os.path.join(directory, MANIFEST_NAME))
+            + glob.glob(os.path.join(directory, "*.tmp"))
+        )
+
+    def test_failed_flush_removes_the_partial_shard(self, tmp_path, disk_full):
+        directory = str(tmp_path / "s")
+        with pytest.raises(OSError) as caught:
+            with ShardStoreWriter(directory, shard_nodes=8) as writer:
+                for tree in _flat_trees(4):
+                    writer.add_flat_tree(tree)
+        assert caught.value.errno == errno.ENOSPC
+        assert self._leftovers(directory) == []
+
+    def test_failed_design_ingest_leaves_no_store_files(self, tmp_path, disk_full):
+        # A small design fits one shard, written when the ingest closes.
+        design, parasitics = random_design(300, seed=3)
+        directory = str(tmp_path / "store")
+        with pytest.raises(OSError) as caught:
+            DesignDB(design, parasitics, store_dir=directory)
+        assert caught.value.errno == errno.ENOSPC
+        assert self._leftovers(directory) == []
 
 
 class TestValidation:

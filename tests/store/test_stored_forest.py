@@ -13,6 +13,7 @@ from repro.core.exceptions import AnalysisError
 from repro.flat import FlatForest
 from repro.generators import RandomTreeConfig, random_flat_tree
 from repro.store import ShardStoreWriter, StoredForest
+from repro.store import forest as store_forest
 from repro.store.format import UNSOLVED
 
 RTOL = 1e-12
@@ -136,19 +137,13 @@ class TestSolveParity:
 
 class TestHotShardLru:
     def test_lru_bounds_resident_shards(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_HOT_SHARDS", "2")
+        monkeypatch.setattr(store_forest, "DEFAULT_HOT_SHARDS", 2)
         directory = _build_store(tmp_path, _trees(12, seed=5), shard_nodes=30)
         stored = StoredForest(directory)
         assert stored.shard_count >= 4
         for shard in range(stored.shard_count):
             stored.materialize(shard)
             assert stored.hot_shard_count <= 2
-
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_malformed_env_names_the_variable(self, workload, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_STORE_HOT_SHARDS", raw)
-        with pytest.raises(AnalysisError, match="REPRO_STORE_HOT_SHARDS"):
-            StoredForest(workload[1].directory)
 
     def test_materialize_is_cached(self, workload):
         _, stored = workload

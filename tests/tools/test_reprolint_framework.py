@@ -185,9 +185,10 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
 
     assert main(["--list-rules"]) == 0
     listing = capsys.readouterr().out
-    for rule_id in ("RL001", "RL002", "RL004", "RL005", "RL006"):
+    for rule_id in ("RL001", "RL002", "RL004", "RL006"):
         assert rule_id in listing
     assert "RL003" not in listing
+    assert "RL005" not in listing
 
 
 def test_cli_write_then_check_baseline(tmp_path, capsys):

@@ -117,7 +117,7 @@ class TestDtypeDiscipline:
             tmp_path,
             "repro/parallel/engine.py",
             """
-            def _solve_numpy(plane):
+            def _solve_serial(plane):
                 return plane.tolist()
             """,
         )
@@ -352,68 +352,6 @@ class TestFlatTreeContract:
             """,
         )
         assert "RL004" not in rules_fired(result)
-
-
-# ----------------------------------------------------------------------
-# RL005 registry sync
-# ----------------------------------------------------------------------
-REGISTRY_SOURCE = """
-def register_backend(name, fn):
-    pass
-
-register_backend("numpy", None)
-register_backend("native", None)
-"""
-
-CLI_IN_SYNC = """
-def build(parser):
-    parser.add_argument("--engine", choices=["auto", "numpy", "native"])
-"""
-
-CLI_DRIFTED = """
-def build(parser):
-    parser.add_argument("--engine", choices=["auto", "numpy"])
-"""
-
-DOCS_IN_SYNC = '| `"numpy"` | one process |\n| `"native"` | compiled |\n'
-DOCS_DRIFTED = '| `"numpy"` | one process |\n'
-
-MATRIX_IN_SYNC = 'ARMS = ("numpy", "native")\n'
-MATRIX_DRIFTED = 'ARMS = ("numpy",)\n'
-
-
-def build_repo(tmp_path, cli, docs, matrix):
-    """A miniature repo with a registry module and its three mirrors."""
-    (tmp_path / "src/repro/parallel").mkdir(parents=True)
-    (tmp_path / "docs").mkdir()
-    (tmp_path / "tests/properties").mkdir(parents=True)
-    (tmp_path / "src/repro/parallel/engine.py").write_text(REGISTRY_SOURCE)
-    if cli is not None:
-        (tmp_path / "src/repro/cli.py").write_text(cli)
-    if docs is not None:
-        (tmp_path / "docs/architecture.md").write_text(docs)
-    if matrix is not None:
-        (tmp_path / "tests/properties/test_engine_matrix.py").write_text(matrix)
-    return run_paths(
-        [tmp_path / "src/repro/parallel"],
-        config=make_config(repo_root=tmp_path),
-    )
-
-
-class TestRegistrySync:
-    def test_fires_on_drift_in_every_mirror(self, tmp_path):
-        result = build_repo(tmp_path, CLI_DRIFTED, DOCS_DRIFTED, MATRIX_DRIFTED)
-        messages = [f.message for f in result.findings if f.rule == "RL005"]
-        assert len(messages) == 3
-        assert all("native" in message for message in messages)
-
-    def test_fires_on_missing_mirror_file(self, tmp_path):
-        result = build_repo(tmp_path, None, DOCS_IN_SYNC, MATRIX_IN_SYNC)
-        assert "RL005" in rules_fired(result)
-
-    def test_silent_when_mirrors_in_sync(self, tmp_path):
-        result = build_repo(tmp_path, CLI_IN_SYNC, DOCS_IN_SYNC, MATRIX_IN_SYNC)
-        assert "RL005" not in rules_fired(result)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,9 @@ Scans ``README.md`` and every ``docs/*.md`` for
 * relative markdown links (``[text](docs/paper_map.md)``) -- the target file
   must exist.
 
+The engine table of ``docs/architecture.md`` must have a row for every
+name in :data:`repro.parallel.ENGINES` (:func:`check_engine_table`).
+
 Additionally audits the engine-layer packages and the linter
 (:data:`DOCSTRING_PACKAGES`: ``repro.flat``, ``repro.graph``,
 ``repro.scenarios``, ``repro.parallel``, ``repro.serve``,
@@ -54,6 +57,8 @@ FILE_ANCHOR = re.compile(
 )
 #: [text](relative/target) markdown links (external URLs are skipped).
 MARKDOWN_LINK = re.compile(r"\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
+#: The document whose engine table documents every kernel engine.
+ENGINE_TABLE_DOC = "docs/architecture.md"
 
 
 def doc_files() -> List[Path]:
@@ -99,6 +104,26 @@ def check_markdown_link(source: Path, link: str) -> str:
     if not target.exists():
         return f"{source.name} -> {link}: target does not exist"
     return ""
+
+
+def check_engine_table(text: str) -> List[str]:
+    """One problem per name in ``ENGINES`` without a row in the engine table.
+
+    A row is a markdown table line whose first cell is the quoted name
+    (``| `"numpy"` | ...``).
+    """
+    from repro.parallel import ENGINES
+
+    first_cells = {
+        line.split("|")[1].strip()
+        for line in text.splitlines()
+        if line.startswith("|")
+    }
+    return [
+        f"{ENGINE_TABLE_DOC}: engine {name!r} has no row in the engine table"
+        for name in ENGINES
+        if f'`"{name}"`' not in first_cells
+    ]
 
 
 def _docstring_package_modules() -> List[str]:
@@ -189,6 +214,9 @@ def collect_failures() -> List[Tuple[Path, str]]:
             problem = check_markdown_link(doc, match.group(1))
             if problem:
                 failures.append((doc, problem))
+    table_doc = REPO_ROOT / ENGINE_TABLE_DOC
+    for problem in check_engine_table(table_doc.read_text(encoding="utf-8")):
+        failures.append((table_doc, problem))
     return failures
 
 

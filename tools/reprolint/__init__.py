@@ -3,8 +3,7 @@
 The engine stack (flat -> graph -> scenarios -> parallel -> contraction)
 rests on correctness rules that used to live only in prose: kernel modules
 must not loop over the node/scenario axes in Python, cache-bearing classes
-must invalidate on every mutating write, the engine registry must stay in
-sync with the CLI / docs / test matrix, and every benchmark must pin
+must invalidate on every mutating write, and every benchmark must pin
 itself to a parity oracle in the same run it measures.  ``reprolint``
 turns each of those conventions into a machine-checked rule over the
 stdlib :mod:`ast` -- no third-party dependencies -- and runs as a CI
@@ -30,11 +29,13 @@ RL002     explicit ``dtype=`` on array allocations in kernel modules; no
           ``.tolist()`` / ``float()`` scalarization in hot kernel paths
 RL004     cache-invalidation contract: mutating methods of the
           cache-bearing classes must invalidate (declarative table)
-RL005     engine-registry completeness: registered backends must appear
-          in the CLI ``--engine`` choices, the docs engine table and the
-          cross-engine test matrix
 RL006     oracle pinning: every ``benchmarks/bench_*.py`` test that
           measures must assert against its oracle in the same run
+RL007     JIT kernels declare ``cache=True``; accelerator imports (Numba)
+          stay guarded
+RL008     memmap lifetime: raw ``np.memmap`` only inside the store
+          package, and every mapping released or finalized
+RL009     serve handlers: no kernel, solve or ECO call on the event loop
 ========  ===============================================================
 """
 
@@ -43,7 +44,6 @@ from tools.reprolint.core import (
     LintConfig,
     LintResult,
     Module,
-    Project,
     Rule,
     run_paths,
 )
@@ -53,7 +53,6 @@ __all__ = [
     "LintConfig",
     "LintResult",
     "Module",
-    "Project",
     "Rule",
     "run_paths",
 ]

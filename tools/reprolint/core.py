@@ -3,14 +3,12 @@
 The design is a single-pass visitor dispatcher: every scanned file is parsed
 once, its AST is walked once, and each node is handed only to the rules that
 declared interest in that node type (:attr:`Rule.node_types`).  Rules are
-small classes; cross-file rules (the registry-sync check) use the
-:meth:`Rule.finish_project` hook, which runs after every module has been
-visited and sees the whole :class:`Project`.
+small classes with per-module hooks; every rule sees one module at a time.
 
 Everything a rule needs to know about the repository -- which modules count
-as kernels, which classes carry caches, where the engine registry and its
-mirrors live -- is carried by a :class:`LintConfig`, so the fixture tests in
-``tests/tools/`` can point the same rules at synthetic trees.
+as kernels, which classes carry caches, where the benchmarks and the
+service live -- is carried by a :class:`LintConfig`, so the fixture tests
+in ``tests/tools/`` can point the same rules at synthetic trees.
 """
 
 from __future__ import annotations
@@ -62,11 +60,11 @@ class LintConfig:
 
     The defaults describe *this* repository; the fixture tests build
     configs pointing at synthetic trees (``dataclasses.replace`` keeps that
-    a one-liner).  Paths in ``kernel_modules`` and the RL005 resource
-    fields are posix suffixes matched against each scanned file's path.
+    a one-liner).  Paths in ``kernel_modules`` are posix suffixes matched
+    against each scanned file's path.
     """
 
-    #: Root used to resolve the RL005 resources and to relativize paths.
+    #: Root used to relativize paths.
     repo_root: Path = field(default_factory=_default_repo_root)
     #: Modules holding the vectorized solve kernels (RL001/RL002 scope).
     kernel_modules: Tuple[str, ...] = (
@@ -89,9 +87,6 @@ class LintConfig:
         "subtree_sums",
         "_solve_range",
         "_solve_serial",
-        "_solve_numpy",
-        "_solve_contract",
-        "_solve_native",
         "solve_forest_batch",
         "sweep_scenarios_native",
         "sweep_scenarios_contract_native",
@@ -125,12 +120,6 @@ class LintConfig:
     jit_import_modules: Tuple[str, ...] = ("numba",)
     #: RL004 contract table (see :class:`CacheContract`).
     contracts: Tuple[CacheContract, ...] = ()
-    #: RL005 resources: the registry module (suffix) and its three mirrors
-    #: (paths relative to ``repo_root``).
-    registry_module: str = "repro/parallel/engine.py"
-    cli_module_path: str = "src/repro/cli.py"
-    docs_engine_table_path: str = "docs/architecture.md"
-    engine_matrix_test_path: str = "tests/properties/test_engine_matrix.py"
     #: RL006 scope: directory name + filename prefix of benchmark modules.
     bench_dir: str = "benchmarks"
     bench_prefix: str = "bench_"
@@ -278,22 +267,6 @@ class Module:
         return finding.rule in self.line_disables.get(finding.line, set())
 
 
-class Project:
-    """Every module of one lint run plus shared configuration."""
-
-    def __init__(self, modules: Sequence[Module], config: LintConfig):
-        self.modules = list(modules)
-        self.config = config
-        self._by_rel = {module.rel: module for module in self.modules}
-
-    def find_module(self, suffix: str) -> Optional[Module]:
-        """The scanned module whose path ends with ``suffix``, if any."""
-        for module in self.modules:
-            if module.matches(suffix):
-                return module
-        return None
-
-
 def is_jit_decorated(node: ast.AST, jit_names: Sequence[str]) -> bool:
     """True when a function definition carries a JIT decorator.
 
@@ -391,9 +364,6 @@ class Rule:
     def finish_module(self, module: Module, config: LintConfig) -> None:
         """Hook after ``module``'s AST walk ends."""
 
-    def finish_project(self, project: Project) -> None:
-        """Hook after every module has been walked (cross-file rules)."""
-
     # ------------------------------------------------------------------
     # Reporting helpers
     # ------------------------------------------------------------------
@@ -418,15 +388,6 @@ class Rule:
                 line=line,
                 col=col,
                 snippet=module.source_line(line),
-            )
-        )
-
-    def report_resource(self, path: str, message: str) -> None:
-        """Record a finding against a non-scanned resource (docs, config)."""
-        self.findings.append(
-            Finding(
-                rule=self.rule_id, message=message, path=path, line=0, col=0,
-                snippet="",
             )
         )
 
@@ -578,7 +539,6 @@ def run_paths(
                     snippet="",
                 )
             )
-    project = Project(modules, config)
     for module in modules:
         active = [rule for rule in rules if rule.applies_to(module, config)]
         if not active:
@@ -588,14 +548,13 @@ def run_paths(
         _Dispatcher(module, active, config).walk()
         for rule in active:
             rule.finish_module(module, config)
-    for rule in rules:
-        rule.finish_project(project)
 
     raw = [finding for rule in rules for finding in rule.findings]
+    by_rel = {module.rel: module for module in modules}
     suppressed: List[Finding] = []
     visible: List[Finding] = []
     for finding in sorted(raw, key=Finding.sort_key):
-        module = project._by_rel.get(finding.path)
+        module = by_rel.get(finding.path)
         if module is not None and module.is_suppressed(finding):
             suppressed.append(finding)
         else:

@@ -18,7 +18,6 @@ from tools.reprolint.rules.dtype_discipline import DtypeDisciplineRule
 from tools.reprolint.rules.kernel_purity import KernelPurityRule
 from tools.reprolint.rules.memmap_lifetime import MemmapLifetimeRule
 from tools.reprolint.rules.native_kernels import NativeKernelRule
-from tools.reprolint.rules.registry_sync import RegistrySyncRule
 from tools.reprolint.rules.serve_handlers import ServeHandlerRule
 
 #: Every shipped rule, in id order.
@@ -26,7 +25,6 @@ RULE_CLASSES: List[Type[Rule]] = [
     KernelPurityRule,
     DtypeDisciplineRule,
     CacheInvalidationRule,
-    RegistrySyncRule,
     BenchOracleRule,
     NativeKernelRule,
     MemmapLifetimeRule,
@@ -45,7 +43,6 @@ __all__ = [
     "KernelPurityRule",
     "DtypeDisciplineRule",
     "CacheInvalidationRule",
-    "RegistrySyncRule",
     "BenchOracleRule",
     "NativeKernelRule",
     "MemmapLifetimeRule",
