@@ -31,6 +31,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.exceptions import AnalysisError
 from repro.core.timeconstants import CharacteristicTimes
 from repro.core.tree import RCTree
 from repro.flat.batchbounds import delay_bounds_batch, voltage_bounds_batch
@@ -103,7 +104,7 @@ class FlatForest:
         *,
         depth: np.ndarray,
         is_output: np.ndarray,
-        names: List[str],
+        names: Optional[List[str]],
     ) -> "FlatForest":
         """Adopt a pre-concatenated block of trees; the forest owns the arrays.
 
@@ -111,7 +112,10 @@ class FlatForest:
         takes: ``starts`` holds each tree's first node plus the node-count
         sentinel, ``parent`` is block-local with ``-1`` at every tree start,
         every tree is in topological order, ``depth`` is the per-node depth
-        within its own tree and ``names`` holds one name per node.  Nothing
+        within its own tree and ``names`` holds one name per node, or is
+        ``None`` for a forest without node names (a store shard:
+        :meth:`repro.store.StoredForest.materialize`), which solves and
+        splices like any other but builds no member trees.  Nothing
         is copied or validated: block compilers emit valid arrays by
         construction.  Member trees (:meth:`tree`) are built from the
         forest's slices on first access.
@@ -156,7 +160,7 @@ class FlatForest:
             np.arange(self._tree_count, dtype=np.int64), np.diff(starts)
         )
         #: Node names over the concatenated numbering (``None``: the member
-        #: trees, all present, name their own nodes).
+        #: trees, if present, name their own nodes).
         self._names = names
         self._rebucket()
         self._times: Optional[ForestTimes] = None
@@ -190,10 +194,14 @@ class FlatForest:
         """One member flat tree, built from its forest slice on first access."""
         member = self._trees[tree_index]
         if member is None:
+            if self._names is None:
+                raise AnalysisError(
+                    "this forest keeps no node names (a store shard), so it"
+                    " builds no member trees"
+                )
             window = self.tree_slice(tree_index)
             parent = self._parent[window] - window.start
             parent[0] = -1
-            assert self._names is not None  # list-built forests keep members
             member = FlatTree(
                 self._names[window],
                 parent,
@@ -282,32 +290,60 @@ class FlatForest:
         if not 0 <= tree_index < self._tree_count:
             raise IndexError(f"tree index {tree_index} out of range")
         lo, hi = int(self._offsets[tree_index]), int(self._offsets[tree_index + 1])
-        delta = len(tree) - (hi - lo)
+        self._splice(
+            tree_index,
+            tree._parent,
+            tree._depth,
+            tree._edge_r,
+            tree._edge_c,
+            tree._node_c,
+            tree._is_output,
+        )
+        if self._names is not None:
+            self._names[lo:hi] = tree._names
+        self._trees[tree_index] = tree
+
+    def _splice(
+        self,
+        tree_index: int,
+        parent: np.ndarray,
+        depth: np.ndarray,
+        edge_r: np.ndarray,
+        edge_c: np.ndarray,
+        node_c: np.ndarray,
+        is_output: np.ndarray,
+    ) -> None:
+        """Splice one tree's arrays (``parent`` tree-local) over member ``tree_index``.
+
+        The array form of :meth:`replace_tree`, shared with
+        :meth:`repro.store.StoredForest.replace_tree`, whose shards carry
+        no member trees or names.  The member slot is left empty.
+        """
+        lo, hi = int(self._offsets[tree_index]), int(self._offsets[tree_index + 1])
+        delta = len(parent) - (hi - lo)
         # Buckets depend on depth alone: a same-shape member keeps them.
-        same_levels = delta == 0 and np.array_equal(self._depth[lo:hi], tree._depth)
+        same_levels = delta == 0 and np.array_equal(self._depth[lo:hi], depth)
 
         def splice(old: np.ndarray, new: np.ndarray) -> np.ndarray:
             return np.concatenate([old[:lo], new, old[hi:]])
 
-        shifted = tree._parent.copy()
+        shifted = parent.copy()
         shifted[1:] += lo
         tail = self._parent[hi:].copy()
         # Roots keep -1; every other tail index shifts with the size change.
         tail[tail >= 0] += delta
         self._parent = np.concatenate([self._parent[:lo], shifted, tail])
-        self._depth = splice(self._depth, tree._depth)
-        self._edge_r = splice(self._edge_r, tree._edge_r)
-        self._edge_c = splice(self._edge_c, tree._edge_c)
-        self._node_c = splice(self._node_c, tree._node_c)
-        self._is_output = splice(self._is_output, tree._is_output)
+        self._depth = splice(self._depth, depth)
+        self._edge_r = splice(self._edge_r, edge_r)
+        self._edge_c = splice(self._edge_c, edge_c)
+        self._node_c = splice(self._node_c, node_c)
+        self._is_output = splice(self._is_output, is_output)
         self._tree_id = splice(
-            self._tree_id, np.full(len(tree), tree_index, dtype=np.int64)
+            self._tree_id, np.full(len(parent), tree_index, dtype=np.int64)
         )
         self._offsets[tree_index + 1 :] += delta
         self._n += delta
-        if self._names is not None:
-            self._names[lo:hi] = tree._names
-        self._trees[tree_index] = tree
+        self._trees[tree_index] = None
         if not same_levels:
             self._rebucket()
         self._times = None
@@ -358,7 +394,6 @@ class FlatForest:
         *,
         count: Optional[int] = None,
         engine: Optional[str] = None,
-        scenario_chunk: Optional[int] = None,
     ) -> ScenarioForestTimes:
         """Characteristic times of every tree under ``S`` parameterizations.
 
@@ -374,9 +409,10 @@ class FlatForest:
         (``"numpy"`` level sweeps, ``"contract"`` pointer jumping,
         ``"native"`` Numba JIT-compiled kernels, degrading to ``"numpy"``
         without Numba; ``None`` auto-selects by sweep size and depth
-        pathology) and ``scenario_chunk`` overrides the bounded-memory
-        chunk width.  Every backend returns numerically identical results
-        (to 1e-12 for ``"contract"`` and ``"native"``).
+        pathology).  The scenario axis runs in bounded-memory chunks
+        (:func:`repro.parallel.scenario_chunks`).  Every backend returns
+        numerically identical results (to 1e-12 for ``"contract"`` and
+        ``"native"``).
         """
         from repro.parallel import solve_forest_batch
 
@@ -387,7 +423,6 @@ class FlatForest:
             (edge_r, edge_c, node_c),
             s,
             engine=engine,
-            scenario_chunk=scenario_chunk,
         )
 
     def times_for(self, tree_index: int) -> FlatTimes:

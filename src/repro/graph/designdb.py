@@ -35,7 +35,10 @@ about one shard of nodes and each piece goes straight into a
 :class:`repro.store.ShardStoreWriter` (never a concatenated forest), and
 every solve runs shard-by-shard through :class:`repro.store.StoredForest`
 -- the same sink table, the same incremental updates, with working RSS
-bounded by one shard plus one scenario chunk instead of the design.
+bounded by one shard plus one scenario chunk instead of the design.  A
+store shard in RAM is a :class:`~repro.flat.FlatForest` too, so the
+scenario derate planes come from one function (:func:`_derate_planes`),
+run once over the in-RAM forest or once per shard.
 """
 
 from __future__ import annotations
@@ -201,17 +204,16 @@ class _ScenarioLayout:
     current node numbering.
     """
 
-    __slots__ = ("wire_c", "pin_c", "drive_nodes", "sink_nodes", "sink_tree")
+    __slots__ = ("wire_c", "pin_c", "sink_nodes", "sink_tree")
 
-    def __init__(self, wire_c, pin_c, drive_nodes, sink_nodes, sink_tree):
+    def __init__(self, wire_c, pin_c, sink_nodes, sink_tree):
         self.wire_c = wire_c  # (N,) wire-only node capacitance
         self.pin_c = pin_c  # (N,) pin-load capacitance merged at each node
-        self.drive_nodes = drive_nodes  # (trees,) node carrying the drive R edge
         self.sink_nodes = sink_nodes  # (rows,) forest node per sink-table row
         self.sink_tree = sink_tree  # (rows,) forest tree per sink-table row
 
-    def splice(self, tree_index: int, lo: int, hi: int, stage: _PendingStage) -> None:
-        """Replace tree ``tree_index``'s node window ``[lo, hi)`` by ``stage``.
+    def splice(self, lo: int, hi: int, stage: _PendingStage) -> None:
+        """Replace one tree's node window ``[lo, hi)`` by ``stage``.
 
         ``lo``/``hi`` are the window the forest splices, so a size change
         shifts every later node here exactly as it does there.  Sink rows
@@ -227,7 +229,6 @@ class _ScenarioLayout:
                 [self.pin_c[:lo], np.zeros(size), self.pin_c[hi:]]
             )
             self.sink_nodes[stage.rows.stop :] += delta
-            self.drive_nodes[tree_index + 1 :] += delta
         else:
             self.wire_c[lo:hi] = stage.wire_c
             self.pin_c[lo:hi] = 0.0
@@ -351,9 +352,9 @@ class _StageGather:
         )
 
 
-#: One block's piece of the scenario layout: wire capacitance, sink nodes,
-#: drive nodes and sink capacitances, in forest numbering.
-_LayoutPart = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: One block's piece of the scenario layout: wire capacitance, sink nodes
+#: and sink capacitances, in forest numbering.
+_LayoutPart = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _emit_block(
@@ -371,8 +372,6 @@ def _emit_block(
         (
             block.wire_c,
             block.sink_nodes + offset,
-            # Node 1 of every stage tree carries the drive-resistance edge.
-            block.starts[:-1] + (offset + 1),
             np.asarray(gather.sink_c, dtype=np.float64),
         )
     )
@@ -386,6 +385,36 @@ def _emit_block(
             depth=block.depth,
         )
     return block
+
+
+def _derate_planes(
+    forest: FlatForest,
+    first_tree: int,
+    tree_scale: np.ndarray,
+    scenarios,
+    wire_c: np.ndarray,
+    pin_c: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The effective ``(S, n)`` element planes of a stage forest.
+
+    ``forest`` holds the stage trees from ``first_tree`` on (the whole
+    design, or one store shard); ``tree_scale`` is the ``(trees, S)``
+    per-net scale and ``wire_c`` / ``pin_c`` the forest's slice of the
+    scenario layout.  Factor planes are built node-major -- ``(n, S)``,
+    the kernels' own orientation -- and returned as transposed views, so
+    the engine's contiguity pass costs nothing.
+    """
+    node_scale = tree_scale[first_tree : first_tree + len(forest)][forest._tree_id]
+    r_factor = node_scale * scenarios.r_derates[np.newaxis, :]
+    # Node 1 of every stage tree carries the drive-resistance edge.
+    r_factor[forest._offsets[:-1] + 1, :] = scenarios.drive_derates[np.newaxis, :]
+    c_derate = scenarios.c_derates[np.newaxis, :]
+    wire_factor = node_scale * c_derate
+    return (
+        (forest._edge_r[:, np.newaxis] * r_factor).T,
+        (forest._edge_c[:, np.newaxis] * wire_factor).T,
+        (wire_c[:, np.newaxis] * wire_factor + pin_c[:, np.newaxis] * c_derate).T,
+    )
 
 
 class DesignDB:
@@ -559,7 +588,7 @@ class DesignDB:
             )
             times = self._forest.solve()
         if times is not None:
-            wire_c, indices, drive_nodes, sink_c = (
+            wire_c, indices, sink_c = (
                 np.concatenate(column) for column in zip(*layout_parts)
             )
             tree_of_row = np.repeat(
@@ -572,7 +601,6 @@ class DesignDB:
             self._layout = _ScenarioLayout(
                 wire_c=wire_c,
                 pin_c=pin_c,
-                drive_nodes=drive_nodes,
                 sink_nodes=indices,
                 sink_tree=tree_of_row,
             )
@@ -635,7 +663,7 @@ class DesignDB:
                 offsets = target._offsets  # a store re-reads it after a splice
                 lo, hi = int(offsets[tree_index]), int(offsets[tree_index + 1])
                 target.replace_tree(tree_index, stage.flat)
-                self._layout.splice(tree_index, lo, hi, stage)
+                self._layout.splice(lo, hi, stage)
             self._pending.clear()
         return target
 
@@ -767,59 +795,36 @@ class DesignDB:
                 )
         layout = self._scenario_layout()
         forest = self._active_forest()
-        net_scale = scenarios.net_scales(self._timed_net_order)  # (S, trees)
-        c_derate = scenarios.c_derates[np.newaxis, :]
+        # (trees, S): each forest gathers its trees' rows from here.
+        tree_scale = np.ascontiguousarray(
+            scenarios.net_scales(self._timed_net_order).T
+        )
         if self._store is not None:
             store = forest
-            tree_scale = np.ascontiguousarray(net_scale.T)  # (trees, S)
-            r_derates = scenarios.r_derates[np.newaxis, :]
-            drive_derates = scenarios.drive_derates[np.newaxis, :]
 
             def planes_for(shard: int, node_lo: int, node_hi: int):
                 # One shard's effective (S, n) planes, fabricated on demand
-                # from the shard's own base arrays -- the sweep never holds
+                # from the shard's own hot forest -- the sweep never holds
                 # an (S, N) design-wide matrix.
-                hot = store.materialize(shard)
-                _, _, tree_lo, tree_hi = store.shard_bounds(shard)
-                counts = np.diff(hot.starts)
-                node_scale = np.repeat(
-                    tree_scale[tree_lo:tree_hi], counts, axis=0
-                )  # (n, S)
-                r_factor = node_scale * r_derates
-                # Node 1 of every stage tree carries the drive-R edge.
-                r_factor[hot.starts[:-1] + 1, :] = drive_derates
-                wire_factor = node_scale * c_derate
+                _, _, tree_lo, _ = store.shard_bounds(shard)
                 window = slice(node_lo, node_hi)
-                return (
-                    (hot.edge_r[:, np.newaxis] * r_factor).T,
-                    (hot.edge_c[:, np.newaxis] * wire_factor).T,
-                    (
-                        layout.wire_c[window, np.newaxis] * wire_factor
-                        + layout.pin_c[window, np.newaxis] * c_derate
-                    ).T,
+                return _derate_planes(
+                    store.materialize(shard),
+                    tree_lo,
+                    tree_scale,
+                    scenarios,
+                    layout.wire_c[window],
+                    layout.pin_c[window],
                 )
 
             times = store.solve_batch(
                 count=s, engine=engine, planes_for=planes_for
             )
         else:
-            # Factor planes are built node-major -- (N, S), the kernels' own
-            # orientation -- and passed as transposed views: the engine's
-            # contiguity pass then costs nothing instead of an (S, N)
-            # transpose.
-            node_scale = net_scale.T[forest._tree_id]  # (N, S)
-            r_factor = node_scale * scenarios.r_derates[np.newaxis, :]
-            r_factor[layout.drive_nodes, :] = scenarios.drive_derates[
-                np.newaxis, :
-            ]
-            wire_factor = node_scale * c_derate
             times = forest.solve_batch(
-                edge_r=(forest._edge_r[:, np.newaxis] * r_factor).T,
-                edge_c=(forest._edge_c[:, np.newaxis] * wire_factor).T,
-                node_c=(
-                    layout.wire_c[:, np.newaxis] * wire_factor
-                    + layout.pin_c[:, np.newaxis] * c_derate
-                ).T,
+                *_derate_planes(
+                    forest, 0, tree_scale, scenarios, layout.wire_c, layout.pin_c
+                ),
                 count=s,
                 engine=engine,
             )

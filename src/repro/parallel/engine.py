@@ -205,7 +205,6 @@ def _solve_serial(
     base: BasePlanes,
     planes: ScenarioPlanes,
     count: int,
-    chunk: Optional[int],
     sweep: SweepFn,
 ) -> ScenarioForestTimes:
     """Chunked execution of the selected kernel in the calling thread.
@@ -217,7 +216,7 @@ def _solve_serial(
     trees = structure.tree_count
     parent = structure.parent
     starts = np.asarray(structure.offsets[:-1], dtype=np.int64)
-    chunks = scenario_chunks(count, n, chunk=chunk)
+    chunks = scenario_chunks(count, n)
     base_er, base_ec, base_nc = base
     plane_er, plane_ec, plane_nc = planes
 
@@ -273,7 +272,6 @@ def solve_forest_batch(
     count: int,
     *,
     engine: Optional[str] = None,
-    scenario_chunk: Optional[int] = None,
 ) -> ScenarioForestTimes:
     """Solve every tree of a forest under ``count`` scenarios.
 
@@ -282,8 +280,9 @@ def solve_forest_batch(
     :meth:`~repro.flat.FlatTree.solve_batch` form (``None`` / ``(S,)`` /
     ``(S, N)`` each).  ``engine`` names one of
     :data:`~repro.parallel.backends.ENGINES` (``None`` auto-selects by
-    sweep size and depth pathology) and ``scenario_chunk`` overrides the
-    bounded-memory chunk width.  Every engine returns numerically identical
+    sweep size and depth pathology); the scenario axis runs in
+    :func:`~repro.parallel.sharding.scenario_chunks` of bounded memory.
+    Every engine returns numerically identical
     (to 1e-12) :class:`~repro.flat.scenarios.ScenarioForestTimes` -- the
     choice is an execution detail, never a semantics change.  The selection
     is recorded (:func:`repro.parallel.backends.last_selection`); an
@@ -295,4 +294,4 @@ def solve_forest_batch(
     n = structure.node_count
     planes = tuple(normalize_plane(plane, n, count) for plane in planes)
     sweep = _select_kernel(engine, structure, count)
-    return _solve_serial(structure, base, planes, count, scenario_chunk, sweep)
+    return _solve_serial(structure, base, planes, count, sweep)

@@ -63,7 +63,7 @@ def _available_memory_bytes() -> Optional[int]:
 
 
 def default_chunk_cells() -> int:
-    """The per-plane cell budget used when no explicit ``chunk`` is given.
+    """The per-plane cell budget of one scenario chunk.
 
     ``REPRO_CHUNK_BYTES`` in the environment wins and is exact: the budget
     is that many bytes of one float64 plane (at least one cell).  Otherwise
@@ -94,18 +94,15 @@ def default_chunk_cells() -> int:
     return int(min(MAX_CHUNK_CELLS, max(DEFAULT_CHUNK_CELLS, derived)))
 
 
-def scenario_chunks(
-    count: int, node_count: int, *, chunk: Optional[int] = None
-) -> List[Tuple[int, int]]:
+def scenario_chunks(count: int, node_count: int) -> List[Tuple[int, int]]:
     """Split ``count`` scenarios into evenly sized ``[lo, hi)`` chunks.
 
-    With ``chunk=None`` the width is chosen so one ``(N, chunk)`` float64
-    plane stays near :func:`default_chunk_cells` elements (memory-derived,
-    ``REPRO_CHUNK_BYTES``-overridable, never below
-    :data:`DEFAULT_CHUNK_CELLS`); pass an explicit ``chunk`` to override
-    (tests pin small chunks to exercise the loop).  The requested width is
-    an upper bound -- the actual widths are balanced (``ceil(count /
-    pieces)``) so the last chunk is never a sliver.
+    The width is chosen so one ``(N, chunk)`` float64 plane stays near
+    :func:`default_chunk_cells` elements (memory-derived, never below
+    :data:`DEFAULT_CHUNK_CELLS`); ``REPRO_CHUNK_BYTES`` pins it exactly
+    (tests and the out-of-core CI job pin small chunks that way).  That
+    width is an upper bound -- the actual widths are balanced
+    (``ceil(count / pieces)``) so the last chunk is never a sliver.
 
     A sweep of at most :data:`DEFAULT_CHUNK_CELLS` cells is one chunk
     without probing available memory (the derived budget never falls
@@ -113,17 +110,12 @@ def scenario_chunks(
     """
     if count < 1:
         raise AnalysisError(f"scenario count must be >= 1, got {count}")
-    if chunk is None:
-        if (
-            count * max(int(node_count), 1) <= DEFAULT_CHUNK_CELLS
-            and not os.environ.get(CHUNK_BYTES_ENV)
-        ):
-            return [(0, count)]
-        width = max(1, default_chunk_cells() // max(int(node_count), 1))
-    else:
-        width = int(chunk)
-        if width < 1:
-            raise AnalysisError(f"scenario_chunk must be >= 1, got {chunk}")
+    if (
+        count * max(int(node_count), 1) <= DEFAULT_CHUNK_CELLS
+        and not os.environ.get(CHUNK_BYTES_ENV)
+    ):
+        return [(0, count)]
+    width = max(1, default_chunk_cells() // max(int(node_count), 1))
     pieces = -(-count // width)  # ceil
     width = -(-count // pieces)
     return [(lo, min(lo + width, count)) for lo in range(0, count, width)]

@@ -5,8 +5,9 @@ store directory holds node-major ``np.memmap`` shard
 files plus a small JSON manifest (:mod:`repro.store.format`); ingest
 streams trees into shards with O(shard) peak RSS
 (:class:`~repro.store.ShardStoreWriter`, :mod:`repro.store.ingest`); and
-:class:`~repro.store.StoredForest` solves shard-by-shard through the
-ordinary :mod:`repro.parallel` engines while keeping the
+:class:`~repro.store.StoredForest` solves shard-by-shard -- each shard
+read into a :class:`~repro.flat.FlatForest`, so the level buckets, the
+engines and the ECO splice are the in-RAM ones -- while keeping the
 resident set bounded by the hot-shard LRU, the scenario chunk and one
 shard's result window.
 

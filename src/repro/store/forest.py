@@ -4,15 +4,18 @@
 :class:`repro.flat.FlatForest` for designs that do not fit in RAM.  Each
 shard file holds the node-major planes of a contiguous run of whole
 trees; a solve walks the shards, materializes one at a time (through a
-bounded hot-shard LRU), hands its arrays to the ordinary
-:func:`repro.parallel.solve_forest_batch` engine -- numpy, contract or
-native per shard -- and streams the results into a
-memory-mapped result file.  The resident set is O(shard +
-scenario_chunk) no matter how large the design is, because every mapping
+bounded hot-shard LRU) as a :class:`~repro.flat.FlatForest` adopted whole
+from the shard's arrays, solves it through
+:meth:`~repro.flat.FlatForest.solve_batch` -- numpy, contract or native
+per shard -- and streams the results into a
+memory-mapped result file.  The resident set is O(shard + scenario
+chunk) no matter how large the design is, because every mapping
 is released as soon as its window has been consumed (see :func:`repro.store.format.release_memmap`).
 
-Incremental ECO: :meth:`replace_tree` rewrites only the owning shard and
-bumps its generation; :meth:`solve` then re-runs exactly the shards whose
+Incremental ECO: :meth:`replace_tree` splices the owning shard's hot
+forest (the one splice :class:`~repro.flat.FlatForest` implements), writes
+it out under a new file name, commits it with the manifest and bumps the
+shard's generation; :meth:`solve` then re-runs exactly the shards whose
 generation moved past the persisted result generation -- a single-net
 edit on a million-instance design re-solves one shard.
 """
@@ -29,16 +32,12 @@ import numpy as np
 
 from repro.core.exceptions import AnalysisError
 from repro.flat.flattree import FlatTree, _scenario_count
-from repro.flat.forest import ForestTimes
-from repro.flat.scenarios import PlaneInput, ScenarioForestTimes, level_buckets
-from repro.parallel.engine import (
-    ForestStructure,
-    normalize_plane,
-    solve_forest_batch,
-)
+from repro.flat.forest import FlatForest, ForestTimes
+from repro.flat.scenarios import PlaneInput, ScenarioForestTimes
+from repro.parallel.engine import normalize_plane
 from repro.store.format import (
     INDEX_DTYPE,
-    depths_from_parent,
+    MANIFEST_NAME,
     RESULT_NODE_FIELDS,
     RESULTS_NAME,
     UNSOLVED,
@@ -97,68 +96,6 @@ class _ScratchFile:
         self._finalizer = weakref.finalize(self, _unlink_quietly, path)
 
 
-class _HotShard:
-    """One materialized shard: in-RAM planes plus lazy derived topology."""
-
-    __slots__ = (
-        "parent",
-        "depth",
-        "starts",
-        "edge_r",
-        "edge_c",
-        "node_c",
-        "_levels",
-        "_structure",
-    )
-
-    def __init__(
-        self,
-        parent: np.ndarray,
-        depth: np.ndarray,
-        starts: np.ndarray,
-        edge_r: np.ndarray,
-        edge_c: np.ndarray,
-        node_c: np.ndarray,
-    ) -> None:
-        self.parent = parent
-        self.depth = depth
-        self.starts = starts
-        self.edge_r = edge_r
-        self.edge_c = edge_c
-        self.node_c = node_c
-        self._levels: Optional[List[np.ndarray]] = None
-        self._structure: Optional[ForestStructure] = None
-
-    @property
-    def levels(self) -> List[np.ndarray]:
-        if self._levels is None:
-            self._levels = level_buckets(self.depth)
-        return self._levels
-
-    @property
-    def structure(self) -> ForestStructure:
-        if self._structure is None:
-            self._structure = ForestStructure(
-                parent=self.parent,
-                depth=self.depth,
-                offsets=self.starts,
-                levels=self.levels,
-            )
-        return self._structure
-
-
-def _load_hot_shard(path: str, record: ShardRecord) -> _HotShard:
-    arrays = read_shard_arrays(path, record.nodes, record.trees)
-    return _HotShard(
-        arrays["parent"],
-        arrays["depth"],
-        arrays["starts"],
-        arrays["edge_r"],
-        arrays["edge_c"],
-        arrays["node_c"],
-    )
-
-
 def _write_batch_windows(
     result_path: str,
     total_nodes: int,
@@ -200,7 +137,7 @@ class StoredForest:
         # The shard list is the authoritative layout; every mutation goes
         # through replace_tree -> _invalidate_shard (RL004 contract).
         self._shards: List[ShardRecord] = self._manifest.shards
-        self._hot: "OrderedDict[int, _HotShard]" = OrderedDict()
+        self._hot: "OrderedDict[int, FlatForest]" = OrderedDict()
         self._layout_cache: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -310,14 +247,28 @@ class StoredForest:
     # ------------------------------------------------------------------
     # Hot-shard LRU
     # ------------------------------------------------------------------
-    def materialize(self, shard: int) -> _HotShard:
-        """The shard's in-RAM planes, served from the bounded LRU."""
+    def materialize(self, shard: int) -> FlatForest:
+        """The shard as an in-RAM forest, served from the bounded LRU.
+
+        The :class:`~repro.flat.FlatForest` adopts the shard's arrays whole
+        (shard-local numbering; no node names, so no member trees).
+        """
         hot = self._hot.get(shard)
         if hot is not None:
             self._hot.move_to_end(shard)
             return hot
         record = self._shards[shard]
-        hot = _load_hot_shard(self._shard_path(shard), record)
+        arrays = read_shard_arrays(self._shard_path(shard), record.nodes, record.trees)
+        hot = FlatForest.from_block(
+            arrays["starts"],
+            arrays["parent"],
+            arrays["edge_r"],
+            arrays["edge_c"],
+            arrays["node_c"],
+            depth=arrays["depth"],
+            is_output=np.zeros(record.nodes, dtype=bool),
+            names=None,
+        )
         self._hot[shard] = hot
         while len(self._hot) > DEFAULT_HOT_SHARDS:
             self._hot.popitem(last=False)
@@ -328,10 +279,6 @@ class StoredForest:
         """Currently materialized shards (<= the LRU capacity)."""
         return len(self._hot)
 
-    def structure_of(self, shard: int) -> ForestStructure:
-        """The shard-local :class:`ForestStructure` (materializes it)."""
-        return self.materialize(shard).structure
-
     # ------------------------------------------------------------------
     # Solves
     # ------------------------------------------------------------------
@@ -339,9 +286,10 @@ class StoredForest:
         """Single-scenario times, persisted and incrementally maintained.
 
         Results live in ``results.bin``; only shards whose generation
-        moved past their solved generation are re-run -- each through
-        :func:`~repro.parallel.solve_forest_batch` at one scenario -- so
-        the cost of a solve after :meth:`replace_tree` is one shard, not
+        moved past their solved generation are re-run -- each by its hot
+        forest's :meth:`~repro.flat.FlatForest.solve_batch` at one
+        scenario, which caches no result planes in the LRU -- so the
+        cost of a solve after :meth:`replace_tree` is one shard, not
         the design.
         The returned node-indexed arrays are read-mode memmap views --
         reductions over them stream from disk.
@@ -369,13 +317,7 @@ class StoredForest:
             if results.solved[i] != record.generation
         ]
         for shard in dirty:
-            hot = self.materialize(shard)
-            times = solve_forest_batch(
-                hot.structure,
-                (hot.edge_r, hot.edge_c, hot.node_c),
-                (None, None, None),
-                1,
-            )
+            times = self.materialize(shard).solve_batch(count=1)
             node_lo, node_hi, tree_lo, tree_hi = self.shard_bounds(shard)
             node_window = slice(node_lo, node_hi)
             tree_window = slice(tree_lo, tree_hi)
@@ -430,7 +372,6 @@ class StoredForest:
         *,
         count: Optional[int] = None,
         engine: Optional[str] = None,
-        scenario_chunk: Optional[int] = None,
         planes_for: Optional[PlaneFactory] = None,
     ) -> ScenarioForestTimes:
         """Scenario-batched solve, shard by shard, out of core.
@@ -477,14 +418,8 @@ class StoredForest:
                     else plane[:, node_lo:node_hi]
                     for plane in planes
                 )
-            hot = self.materialize(shard)
-            times = solve_forest_batch(
-                hot.structure,
-                (hot.edge_r, hot.edge_c, hot.node_c),
-                shard_planes,
-                s,
-                engine=engine,
-                scenario_chunk=scenario_chunk,
+            times = self.materialize(shard).solve_batch(
+                *shard_planes, count=s, engine=engine
             )
             _write_batch_windows(scratch_path, total_nodes, s, node_lo, times)
             tp[tree_lo:tree_hi] = times.tp.T
@@ -514,74 +449,83 @@ class StoredForest:
         """Splice a recompiled tree in place; only its shard is rewritten.
 
         Mirrors :meth:`repro.flat.FlatForest.replace_tree` -- sizes may
-        differ.  A same-size replacement leaves every other shard's
-        persisted results valid (one-shard re-solve); a size change
-        shifts the global node numbering, so the whole result file is
-        invalidated (the shard files themselves stay put).
+        differ -- and runs the same splice on the shard's hot forest.  A
+        same-size replacement leaves every other shard's persisted results
+        valid (one-shard re-solve); a size change shifts the global node
+        numbering, so the whole result file is invalidated (the other shard
+        files stay put).
+
+        The spliced shard goes to a new file that the manifest save commits
+        (write, then rename); only then is the old file unlinked.  A failure
+        before the commit removes the new file, leaves the store as it was
+        and drops the shard from the LRU, so the next read is from disk.
         """
         if isinstance(tree, FlatTree):
-            parent = np.asarray(tree._parent, dtype=INDEX_DTYPE)
-            edge_r = np.asarray(tree._edge_r, dtype=np.float64)
-            edge_c = np.asarray(tree._edge_c, dtype=np.float64)
-            node_c = np.asarray(tree._node_c, dtype=np.float64)
-            depth = np.asarray(tree._depth, dtype=INDEX_DTYPE)
+            parent, depth = tree._parent, tree._depth
+            edge_r, edge_c, node_c = tree._edge_r, tree._edge_c, tree._node_c
         else:
             parent, edge_r, edge_c, node_c = (np.asarray(a) for a in tree)
             parent = parent.astype(INDEX_DTYPE)
+            edge_r, edge_c, node_c = (
+                a.astype(np.float64) for a in (edge_r, edge_c, node_c)
+            )
             size_arr = np.asarray([0, parent.shape[0]], dtype=INDEX_DTYPE)
-            _validate_block(size_arr, parent, None)
-            depth = depths_from_parent(parent)
+            depth = _validate_block(size_arr, parent, None)
         shard = self.shard_of_tree(tree_index)
         record = self._shards[shard]
         _, _, tree_lo, _ = self.shard_bounds(shard)
-        local_tree = tree_index - tree_lo
         hot = self.materialize(shard)
-        lo = int(hot.starts[local_tree])
-        hi = int(hot.starts[local_tree + 1])
-        size = int(parent.shape[0])
-        delta = size - (hi - lo)
-        new_parent = np.concatenate([hot.parent[:lo], parent, hot.parent[hi:]])
-        if delta and hi < hot.parent.shape[0]:
-            tail = slice(lo + size, None)
-            np.add(
-                new_parent[tail],
-                delta,
-                out=new_parent[tail],
-                where=new_parent[tail] >= 0,
+        old_nodes = hot.node_count
+        old_path = self._shard_path(shard)
+        results = self._manifest.results
+        solved = None if results is None else list(results.solved)
+        generation = record.generation + 1
+        file_name = f"shard-{shard:05d}-g{generation}.bin"
+        path = os.path.join(self._directory, file_name)
+        try:
+            hot._splice(
+                tree_index - tree_lo,
+                parent,
+                depth,
+                edge_r,
+                edge_c,
+                node_c,
+                np.zeros(parent.shape[0], dtype=bool),
             )
-        if size > 1:
-            grafted = slice(lo + 1, lo + size)
-            new_parent[grafted] += lo
-        new_depth = np.concatenate([hot.depth[:lo], depth, hot.depth[hi:]])
-        new_starts = hot.starts.copy()
-        new_starts[local_tree + 1 :] += delta
-        new_edge_r = np.concatenate([hot.edge_r[:lo], edge_r, hot.edge_r[hi:]])
-        new_edge_c = np.concatenate([hot.edge_c[:lo], edge_c, hot.edge_c[hi:]])
-        new_node_c = np.concatenate([hot.node_c[:lo], node_c, hot.node_c[hi:]])
-        write_shard_file(
-            self._shard_path(shard),
-            new_parent,
-            new_depth,
-            new_starts,
-            new_edge_r,
-            new_edge_c,
-            new_node_c,
-        )
-        level_counts = np.bincount(new_depth, minlength=1)
-        self._shards[shard] = ShardRecord(
-            file_name=record.file_name,
-            nodes=int(new_parent.shape[0]),
-            trees=record.trees,
-            depth=int(new_depth.max()) if new_parent.shape[0] else 0,
-            level_counts=[int(c) for c in level_counts],
-            generation=record.generation + 1,
-        )
-        self._invalidate_shard(shard, size_changed=bool(delta))
-        self._manifest.save(self._directory)
+            write_shard_file(
+                path,
+                hot._parent,
+                hot._depth,
+                hot._offsets,
+                hot._edge_r,
+                hot._edge_c,
+                hot._node_c,
+            )
+            self._shards[shard] = ShardRecord(
+                file_name=file_name,
+                nodes=hot.node_count,
+                trees=record.trees,
+                depth=int(hot._depth.max()),
+                level_counts=[int(c) for c in np.bincount(hot._depth, minlength=1)],
+                generation=generation,
+            )
+            self._invalidate_shard(shard, size_changed=hot.node_count != old_nodes)
+            self._manifest.save(self._directory)
+        except BaseException:
+            self._shards[shard] = record
+            if results is not None and solved is not None:
+                results.solved = solved
+            self._hot.pop(shard, None)
+            _unlink_quietly(path)
+            _unlink_quietly(os.path.join(self._directory, MANIFEST_NAME + ".tmp"))
+            raise
+        _unlink_quietly(old_path)
 
     def _invalidate_shard(self, shard: int, *, size_changed: bool) -> None:
-        """Drop every cache that could reflect the shard's old contents."""
-        self._hot.pop(shard, None)
+        """Drop every cache that could reflect the shard's old layout.
+
+        The shard's hot forest is the spliced one, so it stays in the LRU.
+        """
         self._layout_cache = None
         results = self._manifest.results
         if results is not None and len(results.solved) == len(self._shards):

@@ -1,9 +1,8 @@
 """The maintained scenario layout equals a from-scratch rebuild after any ECO.
 
 ``DesignDB`` builds its scenario layout (wire-only and pin-load capacitance
-per forest node, drive-resistance nodes, and each sink row's forest node and
-tree) once, from the stage blocks, and splices it together with the forest on
-every ECO.  The oracle is the per-entry rebuild the database used to run
+per forest node, and each sink row's forest node and tree) once, from the
+stage blocks, and splices it together with the forest on every ECO.  The oracle is the per-entry rebuild the database used to run
 after each edit: ``compile_stage`` per timed net, placed at the forest's
 current offsets, pin loads summed in ``pin_index`` order.  After random ECO
 sequences -- cell swaps, same-size, larger and smaller ``update_net``
@@ -38,7 +37,7 @@ LIBRARY = standard_cell_library()
 PERIOD = 2e-9
 INPUT_DRIVE = 90.0
 MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)
-LAYOUT_FIELDS = ("wire_c", "pin_c", "drive_nodes", "sink_nodes", "sink_tree")
+LAYOUT_FIELDS = ("wire_c", "pin_c", "sink_nodes", "sink_tree")
 ECO_KINDS = ("resize", "same", "grow", "shrink", "to_tree", "to_lumped")
 TABLE_FIELDS = ("tp", "tde", "tre", "total_capacitance")
 
@@ -71,8 +70,6 @@ def rebuild_layout(db):
     return {
         "wire_c": wire_c,
         "pin_c": pin_c,
-        # Node 1 of every stage tree carries the drive-resistance edge.
-        "drive_nodes": np.asarray(offsets[:-1] + 1, dtype=np.int64),
         "sink_nodes": np.asarray(sink_nodes, dtype=np.int64),
         "sink_tree": np.asarray(sink_tree, dtype=np.int64),
     }
@@ -272,11 +269,12 @@ class TestNamedEcos:
         db = graph.db
         net = db.timed_nets()[0]
         loads = [str(load) for load in db.nets[net].loads]
-        before = db._scenario_layout().drive_nodes.copy()
+        # Node 1 of every stage tree carries the drive-resistance edge.
+        before = db.forest._offsets[:-1] + 1
         grown = chain_parasitics(net, loads, base_size(db, net) + 4, 1.0, 0)
         graph.update_net(net, grown)
-        layout = db._scenario_layout()
-        assert (layout.drive_nodes[1:] == before[1:] + 4).all()
+        after = db.forest._offsets[:-1] + 1
+        assert (after[1:] == before[1:] + 4).all()
         assert_layout_matches_rebuild(db)
 
     def test_two_queued_ecos_splice_in_one_read(self, graph):

@@ -139,7 +139,7 @@ def check_store(db, shard_nodes):
         assert_bitwise(store.offsets, oracle.offsets)
         for shard in range(store.shard_count):
             got, want = store.materialize(shard), oracle.materialize(shard)
-            for name in ("starts", "parent", "depth", "edge_r", "edge_c", "node_c"):
+            for name in ("_offsets", "_parent", "_depth", "_edge_r", "_edge_c", "_node_c"):
                 assert_bitwise(getattr(got, name), getattr(want, name))
         expected = oracle_sinks(db, stages, oracle.solve(), oracle.offsets)
         offsets = oracle.offsets

@@ -16,6 +16,7 @@ from repro.generators import random_design, random_flat_tree, random_forest
 from repro.generators import random_scenarios
 from repro.graph import TimingGraph
 from repro.parallel import ENGINES, solve_forest_batch
+from repro.parallel.sharding import CHUNK_BYTES_ENV
 
 TIME_FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 
@@ -57,14 +58,16 @@ class TestEngineParity:
         contracted = forest.solve_batch(**planes, engine="contract")
         assert_times_close(contracted, serial)
 
-    def test_chunked_serial_matches_unchunked(self, forest, planes):
+    def test_chunked_serial_matches_unchunked(self, forest, planes, monkeypatch):
         serial = forest.solve_batch(**planes)
-        chunked = forest.solve_batch(**planes, engine="numpy", scenario_chunk=4)
+        monkeypatch.setenv(CHUNK_BYTES_ENV, str(8 * 4 * forest.node_count))
+        chunked = forest.solve_batch(**planes, engine="numpy")
         assert_times_equal(chunked, serial)
 
-    def test_chunked_contract_matches(self, forest, planes):
+    def test_chunked_contract_matches(self, forest, planes, monkeypatch):
         serial = forest.solve_batch(**planes)
-        chunked = forest.solve_batch(**planes, engine="contract", scenario_chunk=3)
+        monkeypatch.setenv(CHUNK_BYTES_ENV, str(8 * 3 * forest.node_count))
+        chunked = forest.solve_batch(**planes, engine="contract")
         assert_times_close(chunked, serial)
 
     def test_single_scenario_and_base_planes(self, forest):

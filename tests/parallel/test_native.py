@@ -26,6 +26,7 @@ from repro.flat.contraction import jump_schedule, path_sums, subtree_sums
 from repro.flat.scenarios import level_buckets, sweep_scenarios
 from repro.generators import random_forest
 from repro.parallel import AUTO_NATIVE_CELLS, last_selection, resolve_engine
+from repro.parallel.sharding import CHUNK_BYTES_ENV
 
 FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 
@@ -194,13 +195,14 @@ class TestStubKernels:
         assert record["engine"] == "native"
         assert record["reason"] == ""
 
-    def test_engine_native_single_scenario_and_chunk_one(self, stub_native):
+    def test_engine_native_single_scenario_and_chunk_one(
+        self, stub_native, monkeypatch
+    ):
         forest = random_forest(6, seed=23)
         er, ec, nc = _planes(forest, 1, seed=4)
         reference = forest.solve_batch(er, ec, nc, engine="numpy")
-        result = forest.solve_batch(
-            er, ec, nc, engine="native", scenario_chunk=1
-        )
+        monkeypatch.setenv(CHUNK_BYTES_ENV, str(8 * 1 * forest.node_count))
+        result = forest.solve_batch(er, ec, nc, engine="native")
         _assert_same(result, reference, exact=True)
 
     def test_engine_native_after_replace_tree(self, stub_native):
@@ -270,10 +272,10 @@ class TestRealNumba:
         assert last_selection()["engine"] == "native"
 
     def test_compiled_survives_eco_edit(self):
-        from repro.generators import random_flat_tree
+        from repro.generators import RandomTreeConfig, random_flat_tree
 
         forest = random_forest(10, seed=33)
-        forest.replace_tree(2, random_flat_tree(23, seed=7))
+        forest.replace_tree(2, random_flat_tree(7, RandomTreeConfig(nodes=23)))
         er, ec, nc = _planes(forest, 4, seed=14)
         reference = forest.solve_batch(er, ec, nc, engine="numpy")
         result = forest.solve_batch(er, ec, nc, engine="native")

@@ -16,8 +16,9 @@ class TestScenarioChunks:
     def test_single_chunk_when_small(self):
         assert scenario_chunks(16, 100) == [(0, 16)]
 
-    def test_explicit_chunk_width_is_balanced(self):
-        chunks = scenario_chunks(10, 5, chunk=4)
+    def test_explicit_chunk_width_is_balanced(self, monkeypatch):
+        monkeypatch.setenv(CHUNK_BYTES_ENV, str(8 * 4 * 5))  # width 4
+        chunks = scenario_chunks(10, 5)
         assert chunks == [(0, 4), (4, 8), (8, 10)]
         assert chunks[-1][1] == 10
 
@@ -29,16 +30,18 @@ class TestScenarioChunks:
             assert (hi - lo) * node_count <= budget
         assert chunks[0][0] == 0 and chunks[-1][1] == 64
 
-    def test_chunks_partition_the_axis(self):
-        chunks = scenario_chunks(23, 7, chunk=5)
+    def test_chunks_partition_the_axis(self, monkeypatch):
+        monkeypatch.setenv(CHUNK_BYTES_ENV, str(8 * 5 * 7))  # width 5
+        chunks = scenario_chunks(23, 7)
         flat = [s for lo, hi in chunks for s in range(lo, hi)]
         assert flat == list(range(23))
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, monkeypatch):
         with pytest.raises(AnalysisError):
             scenario_chunks(0, 5)
+        monkeypatch.setenv(CHUNK_BYTES_ENV, "0")
         with pytest.raises(AnalysisError):
-            scenario_chunks(4, 5, chunk=0)
+            scenario_chunks(4, 5)
 
 
 class TestMemoryProbe:

@@ -20,10 +20,12 @@ input of the matrix: each is the engine at S = 1 and must reproduce the
 numpy-pinned solve.
 """
 
+import os
 import random
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from repro.flat import FlatForest
 from repro.generators import random_design, random_scenarios
 from repro.graph import TimingGraph
 from repro.parallel import ENGINES, solve_forest_batch
+from repro.parallel.sharding import CHUNK_BYTES_ENV
 from repro.sta.cells import standard_cell_library
 from repro.sta.parasitics import lumped, rc_tree_parasitics
 
@@ -68,12 +71,18 @@ def _chunk_cases(count):
     return (None, 1, count + 3, count)
 
 
+def _chunk_env(chunk, nodes):
+    """``REPRO_CHUNK_BYTES`` pinning the chunk width to ``chunk`` (``None``: as set)."""
+    return {} if chunk is None else {CHUNK_BYTES_ENV: str(8 * chunk * nodes)}
+
+
 def _assert_matrix(forest, count, rng):
     er, ec, nc = _planes(forest, count, rng)
     want = forest.solve_batch(er, ec, nc, engine="numpy")
     for engine in ENGINE_ARMS:
         for chunk in _chunk_cases(count):
-            got = forest.solve_batch(er, ec, nc, engine=engine, scenario_chunk=chunk)
+            with mock.patch.dict(os.environ, _chunk_env(chunk, forest.node_count)):
+                got = forest.solve_batch(er, ec, nc, engine=engine)
             _assert_times_close(got, want, (engine, chunk))
 
 

@@ -2,6 +2,7 @@
 FlatForest, the hot-shard LRU, persisted incremental solves, ECO
 re-solves of one shard and scratch-file hygiene."""
 
+import errno
 import gc
 import glob
 import os
@@ -14,7 +15,7 @@ from repro.flat import FlatForest
 from repro.generators import RandomTreeConfig, random_flat_tree
 from repro.store import ShardStoreWriter, StoredForest
 from repro.store import forest as store_forest
-from repro.store.format import UNSOLVED
+from repro.store.format import MANIFEST_NAME, UNSOLVED, Manifest
 
 RTOL = 1e-12
 
@@ -107,7 +108,7 @@ class TestSolveParity:
         ram, stored = workload
         derate = np.asarray([0.85, 1.0, 1.3])
         base_edge_c = np.concatenate(
-            [stored.materialize(s).edge_c for s in range(stored.shard_count)]
+            [stored.materialize(s)._edge_c for s in range(stored.shard_count)]
         )
         expected = ram.solve_batch(
             edge_c=derate[:, None] * base_edge_c[None, :], count=3
@@ -115,7 +116,7 @@ class TestSolveParity:
 
         def planes_for(shard, node_lo, node_hi):
             hot = stored.materialize(shard)
-            return (None, (hot.edge_c[:, None] * derate).T, None)
+            return (None, (hot._edge_c[:, None] * derate).T, None)
 
         actual = stored.solve_batch(planes_for=planes_for, count=3)
         for name in ("tp", "tde", "tre", "total_capacitance"):
@@ -229,6 +230,11 @@ class TestEco:
             np.asarray(stored.solve().tde), np.asarray(ram.solve().tde), rtol=RTOL
         )
 
+    def test_materialized_shard_has_no_member_trees(self, workload):
+        _, stored = workload
+        with pytest.raises(AnalysisError):
+            stored.materialize(0).tree(0)
+
     def test_replace_rejects_bad_index(self, workload):
         _, stored = workload
         tree = random_flat_tree(1)
@@ -247,3 +253,86 @@ class TestScratchHygiene:
         del result
         gc.collect()
         assert glob.glob(pattern) == []
+
+
+class TestEcoWriteFault:
+    """A failed ECO write leaves the store, and the object, as they were.
+
+    The fault is the one a full disk or a file-size limit produces: the
+    spliced shard is written part-way, or the manifest commit raises.
+    """
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        trees = _trees(12, seed=9, nodes=31)
+        directory = _build_store(tmp_path, trees, shard_nodes=200)
+        stored = StoredForest(directory)
+        assert stored.shard_count == 2
+        return stored
+
+    @staticmethod
+    def _write_then_fail(path, *arrays):
+        with open(path, "wb") as handle:
+            handle.write(b"partial")
+        raise OSError(errno.ENOSPC, "No space left on device", path)
+
+    @staticmethod
+    def _save_then_fail(manifest, directory):
+        with open(os.path.join(directory, MANIFEST_NAME + ".tmp"), "w") as handle:
+            handle.write("{")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    @staticmethod
+    def _rows(stored):
+        results = {
+            "solve": stored.solve(),
+            "batch": stored.solve_batch(node_c=np.asarray([0.9, 1.1]), count=2),
+        }
+        rows = {
+            (kind, name): np.array(getattr(times, name))
+            for kind, times in results.items()
+            for name in ("tp", "tde", "tre", "ree", "total_capacitance")
+        }
+        del results
+        gc.collect()
+        return rows
+
+    def _assert_untouched(self, stored, before, monkeypatch):
+        directory = stored.directory
+        assert glob.glob(os.path.join(directory, "*.tmp")) == []
+        named = {record.file_name for record in Manifest.load(directory).shards}
+        on_disk = {
+            os.path.basename(path)
+            for path in glob.glob(os.path.join(directory, "shard-*"))
+        }
+        assert on_disk == named
+        monkeypatch.undo()
+        reopened = StoredForest(directory)
+        after = self._rows(reopened)
+        reopened.close()
+        for name, value in before.items():
+            assert after[name].tobytes() == value.tobytes(), name
+        # The same object still works: the next ECO goes through.
+        replacement = random_flat_tree(98, RandomTreeConfig(nodes=40))
+        stored.replace_tree(0, replacement)
+        ram = FlatForest(_trees(12, seed=9, nodes=31))
+        ram.replace_tree(0, replacement)
+        np.testing.assert_allclose(
+            np.asarray(stored.solve().tde), np.asarray(ram.solve().tde), rtol=RTOL
+        )
+
+    def test_failed_shard_write_keeps_the_old_shard(self, store, monkeypatch):
+        before = self._rows(store)
+        monkeypatch.setattr(store_forest, "write_shard_file", self._write_then_fail)
+        with pytest.raises(OSError) as caught:
+            store.replace_tree(0, random_flat_tree(99, RandomTreeConfig(nodes=300)))
+        assert caught.value.errno == errno.ENOSPC
+        self._assert_untouched(store, before, monkeypatch)
+
+    def test_failed_manifest_commit_keeps_the_old_shard(self, store, monkeypatch):
+        before = self._rows(store)
+        monkeypatch.setattr(Manifest, "save", self._save_then_fail)
+        with pytest.raises(OSError) as caught:
+            store.replace_tree(0, random_flat_tree(99, RandomTreeConfig(nodes=300)))
+        assert caught.value.errno == errno.ENOSPC
+        self._assert_untouched(store, before, monkeypatch)
