@@ -21,17 +21,27 @@ Parity is asserted at rtol 1e-12 for every scenario and every model (a
 speedup over a disagreeing engine would be meaningless), and the speedup is
 asserted **>= 8x**.  The printed table is the record for
 ``docs/performance.md``.
+
+A second arm times the kernel under that sweep: the numpy level sweep over
+the forest's level-major rows (:func:`repro.flat.scenarios.sweep_scenarios`)
+against the preorder level-bucket sweep it replaced
+(:mod:`tests.flat.sweep_oracle`), on the same design's stage forest with 64
+random element planes.  The two must be ``tobytes``-equal, row for row, and
+the level-major sweep must be **>= 2x** faster.
 """
 
 import time
 
+import numpy as np
 import pytest
 
+from repro.flat.scenarios import sweep_scenarios
 from repro.generators import random_design, random_scenarios
 from repro.graph import TimingGraph
 from repro.scenarios import scaled_design, scaled_parasitics
 from repro.sta.delaycalc import DelayModel
 from repro.utils.tables import format_table
+from tests.flat.sweep_oracle import oracle_sweep
 
 N_INSTANCES = 2_000
 N_SCENARIOS = 64
@@ -168,3 +178,41 @@ def test_candidate_batching_matches_trial_swaps(workload):
         want = trial.worst_slack(DelayModel.UPPER_BOUND)
         trial.resize_instance(name, old)  # Instances are shared: restore.
         assert predicted[index] == pytest.approx(want, rel=1e-9)
+
+
+def test_level_major_sweep_speedup(workload, report):
+    """The level-major numpy sweep against the preorder bucket oracle."""
+    forest = workload[3].db.forest
+    plan = forest._plan
+    parent, depth = forest._preorder()[:2]
+    rng = np.random.default_rng(5)
+    # Node-major planes in solve rows, and the same values in preorder.
+    shape = (forest.node_count, N_SCENARIOS)
+    planes = [
+        np.ascontiguousarray(base[:, np.newaxis] * rng.uniform(0.5, 2.0, shape))
+        for base in (forest._edge_r, forest._edge_c, forest._node_c)
+    ]
+    preorder = [plane[plan.position] for plane in planes]
+
+    oracle_time, want = _best(lambda: oracle_sweep(parent, depth, *preorder), 5)
+    sweep_time, got = _best(
+        lambda: sweep_scenarios(plan, plan.parent, *planes), 5
+    )
+    for name, g, w in zip(("rkk", "c_down", "tde", "tre"), got, want):
+        assert g.tobytes() == w[plan.order].tobytes(), name
+
+    speedup = oracle_time / sweep_time
+    table = format_table(
+        ["kernel", "time (ms)", "speedup"],
+        [
+            ("preorder level buckets + np.add.at (oracle)", oracle_time * 1e3, 1.0),
+            ("level-major slices + rank steps", sweep_time * 1e3, speedup),
+        ],
+        precision=3,
+        title=(
+            f"two-pass sweep, {forest.node_count} nodes, "
+            f"{N_SCENARIOS} scenarios"
+        ),
+    )
+    report("level-major sweep speedup", table)
+    assert speedup >= 2.0, f"level-major sweep speedup {speedup:.2f}x < 2x"

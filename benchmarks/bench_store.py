@@ -8,15 +8,15 @@ The workload is a streamed million-net random design
   solves the whole design out of core and reports its own peak RSS
   (``ru_maxrss``).  Asserted **<= 25%** of the fully-materialized forest
   footprint (``nodes x 8 bytes x 11`` resident planes: five element/topology
-  arrays, offsets/level buckets, and the three node-indexed result planes
+  arrays, offsets/solve plan, and the three node-indexed result planes
   plus per-tree reductions an in-RAM :class:`~repro.flat.FlatForest` solve
   holds at once).  The subprocess is the measurement boundary because
   ``ru_maxrss`` is a process-lifetime high-water mark.
 * **throughput** -- wall-clock ingest and solve rates (nets/s, nodes/s),
   printed for ``docs/performance.md``.
 * **parity** -- the persisted out-of-core results agree at rtol 1e-12 with
-  an in-RAM :func:`repro.parallel.solve_forest_batch` reference on a ~50k-net
-  prefix subsample (the streamed generator is seed-stable block for block),
+  an in-RAM :class:`~repro.flat.FlatForest` solve of a ~50k-net prefix
+  subsample (the streamed generator is seed-stable block for block),
   under the numpy backend and -- where Numba is importable -- the native one.
   A memory bound over results that disagree would be meaningless.
 
@@ -34,7 +34,8 @@ import pytest
 
 from repro.flat.native import native_available
 from repro.generators import stream_random_nets
-from repro.parallel import ForestStructure, solve_forest_batch
+from repro.flat import FlatForest
+from repro.flat.scenarios import ScenarioForestTimes
 from repro.store import StoredForest
 from repro.store.format import depths_from_parent
 from repro.utils.tables import format_table
@@ -43,7 +44,7 @@ N_NETS = int(os.environ.get("REPRO_BENCH_STORE_NETS", "1000000"))
 SEED = 13
 BLOCK_NETS = 4096
 #: Planes a fully-materialized in-RAM solve keeps resident at once:
-#: parent/depth/edge_r/edge_c/node_c + offsets/tree_id/level buckets
+#: parent/depth/edge_r/edge_c/node_c + offsets/tree_id/solve plan
 #: (~3 index planes' worth) + tde/tre/ree result planes.
 MATERIALIZED_PLANES = 11
 RSS_FRACTION = 0.25
@@ -130,11 +131,24 @@ def _subsample_reference(engine):
         node_offset += block.node_count
     offsets = np.concatenate(starts_parts + [np.asarray([node_offset])])
     parent = np.concatenate(parent_parts)
-    depth = depths_from_parent(parent)
-    structure = ForestStructure(parent=parent, depth=depth, offsets=offsets)
-    base = tuple(np.concatenate(part) for part in planes)
-    times = solve_forest_batch(structure, base, (None, None, None), 1, engine=engine)
-    return offsets, times
+    forest = FlatForest.from_block(
+        offsets,
+        parent,
+        *(np.concatenate(part) for part in planes),
+        depth=depths_from_parent(parent),
+        is_output=np.zeros(node_offset, dtype=bool),
+        names=None,
+    )
+    times = forest.solve_batch(count=1, engine=engine)
+    # Node rows back to preorder, the store's numbering.
+    position = forest._plan.position
+    return offsets, ScenarioForestTimes(
+        tp=times.tp,
+        tde=times.tde[:, position],
+        tre=times.tre[:, position],
+        ree=times.ree[:, position],
+        total_capacitance=times.total_capacitance,
+    )
 
 
 def _engines():

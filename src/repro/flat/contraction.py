@@ -1,7 +1,7 @@
 """Pointer-jumping tree contraction: depth-independent characteristic times.
 
-The level-bucketed sweeps of :mod:`repro.flat.scenarios` issue one numpy
-call per depth level, so a 10k-node *chain* degenerates into 10k tiny calls
+The level sweeps of :mod:`repro.flat.scenarios` issue a few numpy calls
+per depth level, so a 10k-node *chain* degenerates into 10k tiny calls
 and the vectorization win evaporates (the "depth pathology" of
 docs/performance.md).  This module reformulates both passes as parallel
 tree contraction in the rake-and-compress / pointer-jumping family: every
@@ -42,9 +42,11 @@ so results agree with the level sweeps to far better than the 1e-12
 relative parity the cross-engine test matrix pins -- but not bitwise,
 which is why ``engine="numpy"`` remains the reference path.
 
-Nothing here recurses and nothing depends on preorder numbering: any
-parent-index array (forest roots at ``-1``) is accepted, which is exactly
-the contract of :class:`repro.parallel.ForestStructure`.
+Nothing here recurses and nothing depends on node numbering: any
+parent-index array (forest roots at ``-1``) is accepted, so the engine
+hands it a forest's solve-numbered parents
+(:attr:`repro.parallel.ForestStructure.parent`) and the planes in the same
+rows.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ parent precedes its children):
 * ``edge_r``/``edge_c`` -- resistance / distributed capacitance of the edge
   *into* each node (zero for the root);
 * ``node_c``        -- lumped grounded capacitance per node;
-* ``levels``        -- node indices grouped by depth, which is what turns the
-  paper's two tree traversals into a short sequence of vectorized sweeps.
+* ``depth``         -- per-node depth, from which the solve plan
+  (:func:`repro.flat.scenarios.level_plan`) numbers the nodes level by
+  level, which is what turns the paper's two tree traversals into a short
+  sequence of vectorized sweeps.
 
 The characteristic times of *every* node are then computed by exactly the two
 passes of :func:`repro.core.timeconstants.characteristic_times_all` -- a
@@ -21,7 +23,9 @@ instead of a Python loop over dict-keyed nodes.  :meth:`FlatTree.solve` and
 :meth:`FlatTree.solve_batch` both hand the tree to
 :func:`repro.parallel.solve_forest_batch` as a one-tree forest (a single
 solve is a scenario plane of width one), so the backend auto-selection of
-that engine applies to every solve.  The arithmetic per node is kept
+that engine applies to every solve; the tree maps its preorder planes into
+its plan's level-major rows and the results back, so every array it
+reports stays in preorder.  The arithmetic per node is kept
 *identical* to the dict-based reference (same operations, same association,
 same child order), so the two engines agree to the last ulp on the
 per-output recurrences and to rounding order on the global sums; the parity
@@ -56,10 +60,11 @@ from repro.core.timeconstants import CharacteristicTimes
 from repro.core.tree import RCTree
 from repro.flat.batchbounds import delay_bounds_batch, voltage_bounds_batch
 from repro.flat.scenarios import (
+    LevelPlan,
     PlaneInput,
     ScenarioForestTimes,
     ScenarioTimes,
-    level_buckets,
+    level_plan,
 )
 
 __all__ = ["FlatTree", "FlatTimes"]
@@ -162,13 +167,13 @@ class FlatTree:
         self._n = len(self._names)
         if not _trusted:
             self._validate_topology()
-        # Structure (depth, level buckets) is built lazily: a tree that is
+        # Structure (depth, solve plan) is built lazily: a tree that is
         # only ever *batched* into a FlatForest never pays for its own
-        # per-tree level buckets -- the forest runs its own global ones.
+        # plan -- the forest plans all its members at once.
         self._depth_cache: Optional[np.ndarray] = (
             None if _depth is None else np.asarray(_depth, dtype=np.int64)
         )
-        self._levels_cache: Optional[List[np.ndarray]] = None
+        self._plan_cache: Optional[LevelPlan] = None
         # The one solve, computed on first use.
         self._times: Optional[FlatTimes] = None
 
@@ -206,14 +211,11 @@ class FlatTree:
         return self._depth_cache
 
     @property
-    def _levels(self) -> List[np.ndarray]:
-        """Node indices bucketed by depth, lazy.
-
-        Stable sort by depth keeps preorder (== attachment) order per level.
-        """
-        if self._levels_cache is None:
-            self._levels_cache = level_buckets(self._depth)
-        return self._levels_cache
+    def _plan(self) -> LevelPlan:
+        """The tree's level-major solve plan, built on first solve."""
+        if self._plan_cache is None:
+            self._plan_cache = level_plan(self._parent, self._depth)
+        return self._plan_cache
 
     @property
     def _index(self) -> Dict[str, int]:
@@ -394,7 +396,7 @@ class FlatTree:
     @property
     def depth(self) -> int:
         """Maximum node depth (number of vectorized sweeps per pass)."""
-        return len(self._levels) - 1
+        return int(self._depth.max())
 
     @property
     def total_capacitance(self) -> float:
@@ -427,20 +429,30 @@ class FlatTree:
     def _solve_planes(
         self, planes: Tuple[PlaneInput, ...], count: int
     ) -> ScenarioForestTimes:
-        """This tree as a one-tree forest through the engine entry point."""
-        from repro.parallel import ForestStructure, solve_forest_batch
+        """This tree as a one-tree forest through the engine entry point.
 
-        structure = ForestStructure(
-            parent=self._parent,
-            depth=self._depth,
-            offsets=np.asarray([0, self._n], dtype=np.int64),
-            levels=self._levels,
-        )
-        return solve_forest_batch(
-            structure,
-            (self._edge_r, self._edge_c, self._node_c),
-            planes,
+        ``(S, N)`` planes are validated, then gathered into the plan's
+        rows; node-indexed results are gathered back to preorder.
+        """
+        from repro.parallel import ForestStructure, solve_forest_batch
+        from repro.parallel.engine import normalize_plane
+
+        plan = self._plan
+        order = plan.order
+        checked = [normalize_plane(plane, self._n, count) for plane in planes]
+        times = solve_forest_batch(
+            ForestStructure(plan, np.asarray([0, self._n], dtype=np.int64)),
+            (self._edge_r[order], self._edge_c[order], self._node_c[order]),
+            tuple(p if p is None or p.ndim == 1 else p[:, order] for p in checked),
             count,
+        )
+        position = plan.position
+        return ScenarioForestTimes(
+            tp=times.tp,
+            tde=times.tde[:, position],
+            tre=times.tre[:, position],
+            ree=times.ree[:, position],
+            total_capacitance=times.total_capacitance,
         )
 
     def solve(self) -> FlatTimes:

@@ -1,13 +1,21 @@
 """Batched analysis of many RC trees at once.
 
 A :class:`FlatForest` concatenates the arrays of many :class:`~repro.flat.flattree.FlatTree`
-instances into one set of vectors (each tree's nodes stay contiguous, each
-root keeps parent ``-1``) and runs the two characteristic-time passes over
-**all trees simultaneously** through :func:`repro.parallel.solve_forest_batch`
-(:meth:`FlatForest.solve` is that call at one scenario).  Because the
-per-depth sweeps operate on global level buckets, the number of numpy calls
-is set by the *deepest* tree in the batch rather than by the number of trees
--- analysing 1000 shallow nets costs barely more than analysing one.
+instances and runs the two characteristic-time passes over **all trees
+simultaneously** through :func:`repro.parallel.solve_forest_batch`
+(:meth:`FlatForest.solve` is that call at one scenario).  The trees are
+concatenated in preorder (each tree's nodes contiguous, each root with
+parent ``-1``, ``_offsets`` the tree starts), and the forest then holds
+every node array in its level-major solve numbering
+(:func:`repro.flat.scenarios.level_plan`): all roots first, then every
+depth-1 node of every tree, and so on.  Each level of the whole batch is
+one contiguous slice, so the number of numpy calls is set by the *deepest*
+tree in the batch rather than by the number of trees -- analysing 1000
+shallow nets costs barely more than analysing one.  Element planes and
+node-indexed results use the solve numbering; the tree-facing methods
+(:meth:`FlatForest.tree`, :meth:`~FlatForest.tree_nodes`,
+:meth:`~FlatForest.global_index`, output labels) map preorder positions
+through the plan, and list outputs in preorder.
 
 This is the workhorse for sweep-style workloads: Monte-Carlo parasitic
 sampling, net-topology comparisons (:func:`repro.apps.nets.compare_nets`),
@@ -36,7 +44,12 @@ from repro.core.timeconstants import CharacteristicTimes
 from repro.core.tree import RCTree
 from repro.flat.batchbounds import delay_bounds_batch, voltage_bounds_batch
 from repro.flat.flattree import FlatTimes, FlatTree, _scenario_count
-from repro.flat.scenarios import PlaneInput, ScenarioForestTimes, level_buckets
+from repro.flat.scenarios import (
+    LevelPlan,
+    PlaneInput,
+    ScenarioForestTimes,
+    level_plan,
+)
 
 if TYPE_CHECKING:  # runtime import stays inside `structure` (layer order)
     from repro.parallel.engine import ForestStructure
@@ -48,8 +61,9 @@ __all__ = ["FlatForest", "ForestTimes"]
 class ForestTimes:
     """Characteristic times of every node of every tree in a forest.
 
-    ``tde``/``tre``/``ree`` are global arrays over the concatenated node
-    numbering; ``tp`` and ``total_capacitance`` carry one entry per tree.
+    ``tde``/``tre``/``ree`` are global arrays over the forest's solve
+    numbering (:meth:`FlatForest.tree_nodes` lists one tree's rows);
+    ``tp`` and ``total_capacitance`` carry one entry per tree.
     """
 
     tp: np.ndarray
@@ -116,9 +130,10 @@ class FlatForest:
         ``None`` for a forest without node names (a store shard:
         :meth:`repro.store.StoredForest.materialize`), which solves and
         splices like any other but builds no member trees.  Nothing
-        is copied or validated: block compilers emit valid arrays by
-        construction.  Member trees (:meth:`tree`) are built from the
-        forest's slices on first access.
+        is validated (block compilers emit valid arrays by construction);
+        the arrays are gathered once into the forest's level-major solve
+        numbering.  Member trees (:meth:`tree`) are built from the
+        forest's rows on first access.
         """
         if len(starts) < 2:
             raise ValueError("a forest needs at least one tree")
@@ -147,27 +162,31 @@ class FlatForest:
         is_output: np.ndarray,
         names: Optional[List[str]],
     ) -> None:
+        """Plan preorder arrays and hold them in the plan's solve rows."""
+        plan = level_plan(parent, depth)
+        order = plan.order
         self._offsets = starts
         self._n = int(starts[-1])
         self._tree_count = len(starts) - 1
-        self._parent = parent
-        self._depth = depth
-        self._edge_r = edge_r
-        self._edge_c = edge_c
-        self._node_c = node_c
-        self._is_output = is_output
+        self._plan: LevelPlan = plan
+        self._parent = plan.parent
+        self._depth = depth[order]
+        self._edge_r = edge_r[order]
+        self._edge_c = edge_c[order]
+        self._node_c = node_c[order]
+        self._is_output = is_output[order]
         self._tree_id = np.repeat(
             np.arange(self._tree_count, dtype=np.int64), np.diff(starts)
-        )
-        #: Node names over the concatenated numbering (``None``: the member
-        #: trees, if present, name their own nodes).
+        )[order]
+        #: Node names in preorder (``None``: the member trees, if present,
+        #: name their own nodes).
         self._names = names
-        self._rebucket()
         self._times: Optional[ForestTimes] = None
 
-    def _rebucket(self) -> None:
-        # Global level buckets: stable sort keeps per-tree preorder within a level.
-        self._levels = level_buckets(self._depth)
+    def _preorder_parent(self, rows: np.ndarray) -> np.ndarray:
+        """Preorder parent of the nodes at solve ``rows`` (``-1`` at roots)."""
+        parent = self._parent[rows]
+        return np.where(parent >= 0, self._plan.order[parent], -1)
 
     @classmethod
     def from_rctrees(cls, trees: Iterable[RCTree]) -> "FlatForest":
@@ -191,7 +210,7 @@ class FlatForest:
         return [self.tree(t) for t in range(self._tree_count)]
 
     def tree(self, tree_index: int) -> FlatTree:
-        """One member flat tree, built from its forest slice on first access."""
+        """One member flat tree, built from its forest rows on first access."""
         member = self._trees[tree_index]
         if member is None:
             if self._names is None:
@@ -199,17 +218,18 @@ class FlatForest:
                     "this forest keeps no node names (a store shard), so it"
                     " builds no member trees"
                 )
-            window = self.tree_slice(tree_index)
-            parent = self._parent[window] - window.start
+            lo, hi = int(self._offsets[tree_index]), int(self._offsets[tree_index + 1])
+            rows = self.tree_nodes(tree_index)
+            parent = self._preorder_parent(rows) - lo
             parent[0] = -1
             member = FlatTree(
-                self._names[window],
+                self._names[lo:hi],
                 parent,
-                self._edge_r[window].copy(),
-                self._edge_c[window].copy(),
-                self._node_c[window].copy(),
-                self._is_output[window].copy(),
-                _depth=self._depth[window].copy(),
+                self._edge_r[rows],
+                self._edge_c[rows],
+                self._node_c[rows],
+                self._is_output[rows],
+                _depth=self._depth[rows],
                 _trusted=True,
             )
             self._trees[tree_index] = member
@@ -218,12 +238,13 @@ class FlatForest:
     def subforest(self, tree_indices: Sequence[int]) -> "FlatForest":
         """A new forest of the listed member trees, in the listed order.
 
-        The members' node windows are gathered (parents rebased to the new
-        numbering, depths and element arrays copied) into one block that
-        :meth:`from_block` adopts; no member :class:`FlatTree` is built.
-        Every tree keeps its own node order and child order, so a solve of
-        the sub-forest yields, for each member, bitwise the rows the parent
-        forest's solve does under the same element values.
+        The members' rows are gathered in preorder (parents rebased to the
+        new numbering, depths and element arrays copied) into one block
+        that :meth:`from_block` adopts and plans; no member
+        :class:`FlatTree` is built.  Every tree keeps its own node order
+        and child order, so a solve of the sub-forest yields, for each
+        member, bitwise the rows the parent forest's solve does under the
+        same element values.
         """
         trees = np.asarray(tree_indices, dtype=np.int64)
         if not len(trees):
@@ -232,10 +253,11 @@ class FlatForest:
         sizes = self._offsets[trees + 1] - lo
         starts = np.zeros(len(trees) + 1, dtype=np.int64)
         np.cumsum(sizes, out=starts[1:])
-        # Global node index of every sub-forest node, window by window.
+        # Preorder node of every sub-forest node, window by window.
         shift = np.repeat(lo - starts[:-1], sizes)
         nodes = np.arange(int(starts[-1]), dtype=np.int64) + shift
-        parent = self._parent[nodes]
+        rows = self._plan.position[nodes]
+        parent = self._preorder_parent(rows)
         np.subtract(parent, shift, out=parent, where=parent >= 0)
         if self._names is not None:
             names = [self._names[i] for i in nodes.tolist()]
@@ -244,30 +266,33 @@ class FlatForest:
         return FlatForest.from_block(
             starts,
             parent,
-            self._edge_r[nodes],
-            self._edge_c[nodes],
-            self._node_c[nodes],
-            depth=self._depth[nodes],
-            is_output=self._is_output[nodes],
+            self._edge_r[rows],
+            self._edge_c[rows],
+            self._node_c[rows],
+            depth=self._depth[rows],
+            is_output=self._is_output[rows],
             names=names,
         )
 
-    def tree_slice(self, tree_index: int) -> slice:
-        """Global node-index range of one member tree."""
-        return slice(int(self._offsets[tree_index]), int(self._offsets[tree_index + 1]))
+    def tree_nodes(self, tree_index: int) -> np.ndarray:
+        """Solve rows of one member tree's nodes, in the tree's preorder."""
+        return self._plan.position[
+            int(self._offsets[tree_index]) : int(self._offsets[tree_index + 1])
+        ]
 
     def global_index(self, tree_index: int, node: Union[str, int]) -> int:
-        """Global node index of ``node`` within tree ``tree_index``."""
+        """Solve row of ``node`` (a name or preorder index) of tree ``tree_index``."""
         local = node if isinstance(node, int) else self.tree(tree_index).index(node)
-        return int(self._offsets[tree_index]) + local
+        return int(self._plan.position[int(self._offsets[tree_index]) + local])
 
     @property
     def output_indices(self) -> np.ndarray:
-        """Global indices of every marked output across the batch."""
-        return np.flatnonzero(self._is_output)
+        """Solve rows of every marked output across the batch, in preorder."""
+        position = self._plan.position
+        return position[np.flatnonzero(self._is_output[position])]
 
     def output_labels(self) -> List[Tuple[int, str]]:
-        """``(tree_index, node_name)`` for every marked output, in global order."""
+        """``(tree_index, node_name)`` for every marked output, in preorder."""
         return [
             (int(self._tree_id[i]), self._name_at(int(i))) for i in self.output_indices
         ]
@@ -278,9 +303,8 @@ class FlatForest:
     def replace_tree(self, tree_index: int, tree: FlatTree) -> None:
         """Swap one member tree for another (sizes may differ).
 
-        The concatenated arrays are spliced in place of the old member, the
-        level buckets are rebuilt -- unless the new member has the old one's
-        exact depth profile, which leaves them unchanged -- and the solved
+        The member's arrays are spliced in place of the old member's (see
+        :meth:`_splice` for when the solve plan is kept), and the solved
         times are invalidated: the next :meth:`solve` is a full batched
         pass.  This is the ECO hook used by :class:`repro.graph.DesignDB`:
         one net's parasitics change, the shared forest stays coherent for
@@ -313,40 +337,72 @@ class FlatForest:
         node_c: np.ndarray,
         is_output: np.ndarray,
     ) -> None:
-        """Splice one tree's arrays (``parent`` tree-local) over member ``tree_index``.
+        """Splice one tree's preorder arrays (``parent`` tree-local) over a member.
 
         The array form of :meth:`replace_tree`, shared with
         :meth:`repro.store.StoredForest.replace_tree`, whose shards carry
-        no member trees or names.  The member slot is left empty.
+        no member trees or names.  A same-size member with the old one's
+        exact ``parent`` array keeps the plan: its values are written at
+        the member's rows.  Any other member changes the plan's parents or
+        sibling ranks, so the forest is rebuilt in preorder, spliced and
+        planned again -- O(N), like a concatenating splice.  The member
+        slot is left empty.
         """
         lo, hi = int(self._offsets[tree_index]), int(self._offsets[tree_index + 1])
+        rows = self.tree_nodes(tree_index)
+        keep = len(parent) == hi - lo and np.array_equal(
+            self._preorder_parent(rows)[1:] - lo, parent[1:]
+        )
+        self._trees[tree_index] = None
+        self._times = None
+        if keep:
+            self._edge_r[rows] = edge_r
+            self._edge_c[rows] = edge_c
+            self._node_c[rows] = node_c
+            self._is_output[rows] = is_output
+            return
         delta = len(parent) - (hi - lo)
-        # Buckets depend on depth alone: a same-shape member keeps them.
-        same_levels = delta == 0 and np.array_equal(self._depth[lo:hi], depth)
+        old = self._preorder()
 
-        def splice(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-            return np.concatenate([old[:lo], new, old[hi:]])
+        def splice(array: np.ndarray, new: np.ndarray) -> np.ndarray:
+            return np.concatenate([array[:lo], new, array[hi:]])
 
         shifted = parent.copy()
         shifted[1:] += lo
-        tail = self._parent[hi:].copy()
+        tail = old[0][hi:]
         # Roots keep -1; every other tail index shifts with the size change.
         tail[tail >= 0] += delta
-        self._parent = np.concatenate([self._parent[:lo], shifted, tail])
-        self._depth = splice(self._depth, depth)
-        self._edge_r = splice(self._edge_r, edge_r)
-        self._edge_c = splice(self._edge_c, edge_c)
-        self._node_c = splice(self._node_c, node_c)
-        self._is_output = splice(self._is_output, is_output)
-        self._tree_id = splice(
-            self._tree_id, np.full(len(parent), tree_index, dtype=np.int64)
+        starts = self._offsets.copy()
+        starts[tree_index + 1 :] += delta
+        self._adopt(
+            starts,
+            np.concatenate([old[0][:lo], shifted, tail]),
+            *(
+                splice(array, new)
+                for array, new in zip(
+                    old[1:], (depth, edge_r, edge_c, node_c, is_output)
+                )
+            ),
+            self._names,
         )
-        self._offsets[tree_index + 1 :] += delta
-        self._n += delta
-        self._trees[tree_index] = None
-        if not same_levels:
-            self._rebucket()
-        self._times = None
+
+    def _preorder(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(parent, depth, edge_r, edge_c, node_c, is_output)`` in preorder.
+
+        The layout :meth:`from_block` takes (block-local parents), e.g. for
+        writing the forest out as a store shard.
+        """
+        rows = self._plan.position
+        return (
+            self._preorder_parent(rows),
+            self._depth[rows],
+            self._edge_r[rows],
+            self._edge_c[rows],
+            self._node_c[rows],
+            self._is_output[rows],
+        )
 
     # ------------------------------------------------------------------
     # Analysis
@@ -372,19 +428,13 @@ class FlatForest:
     def structure(self) -> "ForestStructure":
         """The forest's topology bundle for :mod:`repro.parallel` engines.
 
-        Built fresh on every access from the *current* arrays (and the
-        cached level buckets), so incremental splices
-        (:meth:`replace_tree`) are always reflected -- the parallel layer
-        caches nothing about a forest.
+        Built fresh on every access from the *current* plan and offsets, so
+        incremental splices (:meth:`replace_tree`) are always reflected --
+        the parallel layer caches nothing about a forest.
         """
         from repro.parallel import ForestStructure
 
-        return ForestStructure(
-            parent=self._parent,
-            depth=self._depth,
-            offsets=self._offsets,
-            levels=self._levels,
-        )
+        return ForestStructure(plan=self._plan, offsets=self._offsets)
 
     def solve_batch(
         self,
@@ -399,11 +449,12 @@ class FlatForest:
 
         Planes follow :meth:`repro.flat.FlatTree.solve_batch`: ``None`` (base
         values), ``(S,)`` per-scenario broadcasts, or ``(S, N)`` effective
-        element matrices over the forest's concatenated node numbering.  One
-        set of global level sweeps serves every scenario of every tree; the
-        per-tree ``T_P`` and total-capacitance reductions become segmented
-        sums over the member offsets.  The single-scenario solve cache is
-        neither read nor invalidated.
+        element matrices over the forest's node numbering -- its level-major
+        solve rows, the numbering of ``_edge_r`` and of every node-indexed
+        result.  One set of global level sweeps serves every scenario of
+        every tree; the per-tree ``T_P`` and total-capacitance reductions
+        become segmented sums over the member offsets.  The single-scenario
+        solve cache is neither read nor invalidated.
 
         ``engine`` selects a :mod:`repro.parallel` backend by name
         (``"numpy"`` level sweeps, ``"contract"`` pointer jumping,
@@ -428,7 +479,7 @@ class FlatForest:
     def times_for(self, tree_index: int) -> FlatTimes:
         """The :class:`~repro.flat.flattree.FlatTimes` view of one member tree."""
         times = self.solve()
-        window = self.tree_slice(tree_index)
+        window = self.tree_nodes(tree_index)
         return FlatTimes(
             tp=float(times.tp[tree_index]),
             tde=times.tde[window],
@@ -504,11 +555,12 @@ class FlatForest:
         )
         return labels, vmin, vmax
 
-    def _name_at(self, global_index: int) -> str:
+    def _name_at(self, row: int) -> str:
+        node = int(self._plan.order[row])
         if self._names is not None:
-            return self._names[global_index]
-        t = int(self._tree_id[global_index])
-        return self.tree(t).name_of(global_index - int(self._offsets[t]))
+            return self._names[node]
+        t = int(self._tree_id[row])
+        return self.tree(t).name_of(node - int(self._offsets[t]))
 
     def elmore_delays(self) -> Dict[Tuple[int, str], float]:
         """Elmore delay of every marked output, keyed by ``(tree_index, name)``."""

@@ -9,7 +9,8 @@ replaces the whole call sequence:
 
 * :func:`sweep_scenarios_native` -- the two Penfield--Rubinstein passes
   (reverse ``c_down`` gather, forward ``T_De``/``T_Rn`` recurrences) as a
-  single compiled sweep over the level order, ``prange``-parallel across
+  single compiled sweep over a level plan's rows (the level-major
+  numbering the forest holds its planes in), ``prange``-parallel across
   scenario-column blocks.  The per-element expressions and the per-level
   accumulation order are kept identical to the numpy sweeps, so results
   match the reference far inside the engine contract's 1e-12.
@@ -46,6 +47,7 @@ import numpy as np
 
 from repro.core.exceptions import AnalysisError
 from repro.flat.contraction import Round, sweep_scenarios_contract
+from repro.flat.scenarios import LevelPlan, level_plan
 
 __all__ = [
     "NATIVE_DISABLE_ENV",
@@ -91,7 +93,6 @@ if _PROBE == "ok":  # pragma: no cover - exercised only where numba is installed
 
         @njit(parallel=True, cache=True)
         def _sweep_levels_kernel(
-            order: np.ndarray,
             starts: np.ndarray,
             parent: np.ndarray,
             er: np.ndarray,
@@ -104,14 +105,14 @@ if _PROBE == "ok":  # pragma: no cover - exercised only where numba is installed
         ) -> None:
             """Both characteristic-time passes, fused, over the level order.
 
-            ``order`` is the concatenated level buckets (a topological
-            order: every parent precedes its children), ``starts`` the
-            per-level offsets into it.  Scenario columns are independent,
-            so the outer ``prange`` splits them into cache-line blocks;
-            within one block the loops replay the numpy sweeps' exact
-            per-level, bucket-order accumulation.
+            The rows are a plan's level-major numbering (every parent
+            precedes its children), ``starts`` the per-level row bounds.
+            Scenario columns are independent, so the outer ``prange``
+            splits them into cache-line blocks; within one block the loops
+            replay the numpy sweeps' exact per-level, row-order
+            accumulation.
             """
-            n = order.shape[0]
+            n = er.shape[0]
             s = er.shape[1]
             nlevels = starts.shape[0] - 1
             nblocks = (s + _BLOCK - 1) // _BLOCK
@@ -119,21 +120,19 @@ if _PROBE == "ok":  # pragma: no cover - exercised only where numba is installed
                 j0 = b * _BLOCK
                 j1 = min(j0 + _BLOCK, s)
                 # Reverse pass: downstream capacitance, deepest level
-                # first, bucket order within a level (the np.add.at order).
-                for k in range(n):
-                    i = order[k]
+                # first, row order within a level (each parent sums its
+                # children left to right, as the rank steps do).
+                for i in range(n):
                     for j in range(j0, j1):
                         c_down[i, j] = nc[i, j]
                 for li in range(nlevels - 1, 0, -1):
-                    for k in range(starts[li], starts[li + 1]):
-                        i = order[k]
+                    for i in range(starts[li], starts[li + 1]):
                         p = parent[i]
                         for j in range(j0, j1):
                             c_down[p, j] += c_down[i, j] + ec[i, j]
                 # Forward pass: path resistance and both moment
-                # recurrences; parents are always at earlier levels.
-                for k in range(n):
-                    i = order[k]
+                # recurrences; parents are always at earlier rows.
+                for i in range(n):
                     p = parent[i]
                     if p < 0:
                         for j in range(j0, j1):
@@ -155,8 +154,7 @@ if _PROBE == "ok":  # pragma: no cover - exercised only where numba is installed
                                 + (rp * r + r * r / 3.0) * lc
                             )
                 # T_Rn = numerator / R_kk, zero where R_kk is not positive.
-                for k in range(n):
-                    i = order[k]
+                for i in range(n):
                     for j in range(j0, j1):
                         rk = rkk[i, j]
                         if rk > 0.0:
@@ -271,32 +269,23 @@ def _warm() -> bool:
     """Compile-and-run every kernel on a 3-node chain; False on any raise."""
     try:
         parent = np.array([-1, 0, 1], dtype=np.int64)
-        levels = [np.array([i], dtype=np.int64) for i in range(3)]
+        plan = level_plan(parent, np.arange(3, dtype=np.int64))
         plane = np.ones((3, 2), dtype=np.float64)
-        _sweep_impl(levels, parent, plane, plane.copy(), plane.copy())
+        _sweep_impl(plan, plan.parent, plane, plane.copy(), plane.copy())
         _contract_impl(parent, plane, plane.copy(), plane.copy(), None)
         return True
     except Exception:
         return False
 
 
-def _pack_levels(levels: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate level buckets into ``(order, starts)`` kernel inputs."""
-    order = np.ascontiguousarray(np.concatenate(list(levels)), dtype=np.int64)
-    starts = np.zeros(len(levels) + 1, dtype=np.int64)
-    np.cumsum([bucket.shape[0] for bucket in levels], out=starts[1:])
-    return order, starts
-
-
 def _sweep_impl(
-    levels: Sequence[np.ndarray],
+    plan: LevelPlan,
     parent: np.ndarray,
     edge_r: np.ndarray,
     edge_c: np.ndarray,
     node_c: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Unchecked body of :func:`sweep_scenarios_native` (used by the warm-up)."""
-    order, starts = _pack_levels(levels)
     parent = np.ascontiguousarray(parent, dtype=np.int64)
     n, s = edge_r.shape
     rkk = np.empty((n, s), dtype=np.float64)
@@ -304,13 +293,13 @@ def _sweep_impl(
     tde = np.empty((n, s), dtype=np.float64)
     tre = np.empty((n, s), dtype=np.float64)
     _sweep_levels_kernel(
-        order, starts, parent, edge_r, edge_c, node_c, rkk, c_down, tde, tre
+        plan.bounds, parent, edge_r, edge_c, node_c, rkk, c_down, tde, tre
     )
     return rkk, c_down, tde, tre
 
 
 def sweep_scenarios_native(
-    levels: Sequence[np.ndarray],
+    plan: LevelPlan,
     parent: np.ndarray,
     edge_r: np.ndarray,
     edge_c: np.ndarray,
@@ -318,9 +307,9 @@ def sweep_scenarios_native(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Compiled twin of :func:`repro.flat.scenarios.sweep_scenarios`.
 
-    Same level buckets, same node-major ``(N, S)`` element planes, same
-    ``(rkk, c_down, tde, tre)`` tuple out -- one fused compiled pass
-    instead of O(depth) numpy calls and their temporaries.  The
+    Same level plan, same node-major ``(N, S)`` element planes in its
+    rows, same ``(rkk, c_down, tde, tre)`` tuple out -- one fused compiled
+    pass instead of O(depth) numpy calls and their temporaries.  The
     per-element arithmetic and the per-level accumulation order are the
     reference sweeps' own, so parity sits far inside the 1e-12 engine
     contract.  Raises :class:`~repro.core.exceptions.AnalysisError` when
@@ -328,7 +317,7 @@ def sweep_scenarios_native(
     """
     if not native_ready():
         raise AnalysisError(f"native kernels unavailable ({native_status()})")
-    return _sweep_impl(levels, parent, edge_r, edge_c, node_c)
+    return _sweep_impl(plan, parent, edge_r, edge_c, node_c)
 
 
 def _round_scratch(schedule: Sequence[Round], width: int) -> np.ndarray:

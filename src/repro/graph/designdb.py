@@ -172,8 +172,8 @@ class WhatIfPlanes(NamedTuple):
 
     ``forest`` is the sub-forest of the touched trees (``None`` when no
     swap touches any tree) and ``nets`` names the timed net of each of its
-    trees.  ``sink_nodes`` / ``sink_tree`` give the sub-forest node and
-    tree of every sink row of those nets, rows in ``nets`` order.
+    trees.  ``sink_nodes`` / ``sink_tree`` give the sub-forest solve row
+    and tree of every sink row of those nets, rows in ``nets`` order.
     ``edge_r`` and ``node_c`` are ``(S, n_sub)``: plane ``s`` applies swap
     ``s``.  Produced by :meth:`DesignDB.whatif_cell_elements`.
     """
@@ -399,17 +399,23 @@ def _derate_planes(
 
     ``forest`` holds the stage trees from ``first_tree`` on (the whole
     design, or one store shard); ``tree_scale`` is the ``(trees, S)``
-    per-net scale and ``wire_c`` / ``pin_c`` the forest's slice of the
-    scenario layout.  Factor planes are built node-major -- ``(n, S)``,
-    the kernels' own orientation -- and returned as transposed views, so
-    the engine's contiguity pass costs nothing.
+    per-net scale and ``wire_c`` / ``pin_c`` the forest's preorder slice
+    of the scenario layout.  The planes are in the forest's solve
+    numbering, which is what its ``solve_batch`` takes.  Factor planes
+    are built node-major -- ``(n, S)``, the kernels' own orientation --
+    and returned as transposed views, so the engine's contiguity pass
+    costs nothing.
     """
+    plan = forest._plan
     node_scale = tree_scale[first_tree : first_tree + len(forest)][forest._tree_id]
     r_factor = node_scale * scenarios.r_derates[np.newaxis, :]
     # Node 1 of every stage tree carries the drive-resistance edge.
-    r_factor[forest._offsets[:-1] + 1, :] = scenarios.drive_derates[np.newaxis, :]
+    drive_rows = plan.position[forest._offsets[:-1] + 1]
+    r_factor[drive_rows, :] = scenarios.drive_derates[np.newaxis, :]
     c_derate = scenarios.c_derates[np.newaxis, :]
     wire_factor = node_scale * c_derate
+    wire_c = wire_c[plan.order]
+    pin_c = pin_c[plan.order]
     return (
         (forest._edge_r[:, np.newaxis] * r_factor).T,
         (forest._edge_c[:, np.newaxis] * wire_factor).T,
@@ -604,9 +610,13 @@ class DesignDB:
                 sink_nodes=indices,
                 sink_tree=tree_of_row,
             )
+            # A store's results are in preorder, the forest's in its rows.
+            rows = indices
+            if self._forest is not None:
+                rows = self._forest._plan.position[indices]
             tp = np.asarray(times.tp)[tree_of_row]
-            tde = np.asarray(times.tde[indices])
-            tre = np.asarray(times.tre[indices])
+            tde = np.asarray(times.tde[rows])
+            tre = np.asarray(times.tre[rows])
             total = np.asarray(times.total_capacitance)[tree_of_row]
         else:
             tp = np.zeros(0)
@@ -820,6 +830,7 @@ class DesignDB:
             times = store.solve_batch(
                 count=s, engine=engine, planes_for=planes_for
             )
+            rows = layout.sink_nodes  # a store's results are in preorder
         else:
             times = forest.solve_batch(
                 *_derate_planes(
@@ -828,13 +839,14 @@ class DesignDB:
                 count=s,
                 engine=engine,
             )
+            rows = forest._plan.position[layout.sink_nodes]
         return ScenarioSinkTable(
             scenario_names=names,
             nets=list(sinks.nets),
             pins=list(sinks.pins),
             tp=times.tp[:, layout.sink_tree],
-            tde=times.tde[:, layout.sink_nodes],
-            tre=times.tre[:, layout.sink_nodes],
+            tde=times.tde[:, rows],
+            tre=times.tre[:, rows],
             total_capacitance=times.total_capacitance[:, layout.sink_tree],
         )
 
@@ -897,27 +909,30 @@ class DesignDB:
             return WhatIfPlanes(None, [], none, none, empty, empty)
         sub = forest.subforest(trees)
         starts = sub._offsets
-        position = {tree: k for k, tree in enumerate(trees)}
+        position = sub._plan.position  # preorder node -> the sub's solve row
+        slot = {tree: k for k, tree in enumerate(trees)}
         # Node-major working planes, returned as transposed views (see
         # solve_scenarios): the solve engines consume them copy-free.
         edge_r = np.repeat(sub._edge_r[:, np.newaxis], s, axis=1).T
         node_c = np.repeat(sub._node_c[:, np.newaxis], s, axis=1).T
         for row, tree, resistance in drives:
-            edge_r[row, int(starts[position[tree]]) + 1] = resistance
+            edge_r[row, position[starts[slot[tree]] + 1]] = resistance
         for row, tree, local, delta in loads:
-            node_c[row, int(starts[position[tree]]) + local] += delta
+            node_c[row, position[starts[slot[tree]] + local]] += delta
         # Sink rows of the touched nets, net by net in sub-forest order.
         layout = self._layout
         assert layout is not None  # the forest read above spliced it
         offsets = forest._offsets
         nets = [self._timed_net_order[tree] for tree in trees]
         rows = [self._entries[net].row_slice for net in nets]
-        sink_nodes = np.concatenate(
-            [
-                layout.sink_nodes[window] + (starts[k] - offsets[tree])
-                for k, (tree, window) in enumerate(zip(trees, rows))
-            ]
-        )
+        sink_nodes = position[
+            np.concatenate(
+                [
+                    layout.sink_nodes[window] + (starts[k] - offsets[tree])
+                    for k, (tree, window) in enumerate(zip(trees, rows))
+                ]
+            )
+        ]
         sink_tree = np.repeat(
             np.arange(len(trees), dtype=np.int64),
             [window.stop - window.start for window in rows],

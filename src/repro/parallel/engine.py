@@ -11,9 +11,17 @@ which carries :meth:`repro.graph.DesignDB.solve_scenarios`,
 along).  It normalizes the element planes, picks the kernel once
 (:func:`_select_kernel`, over the engine table
 :data:`repro.parallel.backends.ENGINES`), and runs the paper's two
-characteristic-time passes chunk by chunk over the scenario axis.  Outside
-the three engines, the only other implementation of the passes is the dict
-engine of :mod:`repro.core`, kept as the independent oracle.
+characteristic-time passes chunk by chunk over the scenario axis.
+
+A solve's topology is a :class:`ForestStructure`: the forest's level plan
+(:func:`repro.flat.scenarios.level_plan`) plus its preorder tree offsets.
+Planes and node-indexed results are in the plan's level-major rows --
+the numbering :class:`repro.flat.FlatForest` holds its arrays in -- so
+nothing ``(N, S)`` is permuted on the way in or out; only the per-tree
+``T_P`` and capacitance sums gather their terms back to preorder, once,
+so each tree still sums in its own node order.  Outside the three
+engines, the only other implementation of the passes is the dict engine
+of :mod:`repro.core`, kept as the independent oracle.
 
 Every engine runs in the calling thread and keeps no state between
 solves, so concurrent solves on different forests are independent.  The
@@ -31,16 +39,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import AnalysisError
 from repro.flat.contraction import jump_schedule, sweep_scenarios_contract
 from repro.flat.scenarios import (
+    LevelPlan,
     PlaneInput,
     ScenarioForestTimes,
-    level_buckets,
     sweep_scenarios,
 )
 from repro.parallel.backends import _decide, record_selection
@@ -51,7 +59,8 @@ __all__ = ["ForestStructure", "solve_forest_batch", "shutdown_pools"]
 #: What every two-pass kernel returns: ``(rkk, c_down, tde, tre)``.
 SweepResult = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: A solve's two-pass kernel: ``(parent, er, ec, nc)`` node-major matrices
-#: in, with its topology products (level buckets or jump schedule) baked in.
+#: in, with its topology products (the level plan or the jump schedule)
+#: baked in.
 SweepFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], SweepResult]
 #: The forest's base element arrays, in ``(edge_r, edge_c, node_c)`` order.
 BasePlanes = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -63,25 +72,30 @@ ScenarioPlanes = Tuple[
 
 @dataclass(frozen=True)
 class ForestStructure:
-    """The topology arrays a forest solve needs, independent of element values.
+    """The topology a forest solve needs, independent of element values.
 
-    ``parent`` uses global node indices (``-1`` for each tree's root),
-    ``depth`` is the per-node level, ``offsets`` the cumulative node counts
-    (``offsets[t]`` = first node of tree ``t``).  ``levels`` may carry the
-    forest's precomputed level buckets to skip re-deriving them; the arrays
-    are *referenced*, not copied, so a structure taken from a live forest
-    always reflects its current (post-splice) layout.
+    ``plan`` is the forest's level-major solve numbering
+    (:func:`repro.flat.scenarios.level_plan`): element planes go in, and
+    node-indexed results come out, in its rows.  ``offsets`` are the
+    cumulative node counts of the trees in preorder numbering
+    (``offsets[t]`` = first preorder node of tree ``t``), over which the
+    per-tree ``T_P`` and total-capacitance reductions run.  The arrays are
+    *referenced*, not copied, so a structure taken from a live forest
+    reflects its layout at the time it was taken.
     """
 
-    parent: np.ndarray
-    depth: np.ndarray
+    plan: LevelPlan
     offsets: np.ndarray
-    levels: Optional[List[np.ndarray]] = None
+
+    @property
+    def parent(self) -> np.ndarray:
+        """Solve-numbered parent per row (``-1`` at each tree's root)."""
+        return self.plan.parent
 
     @property
     def node_count(self) -> int:
         """Total nodes across the forest."""
-        return int(self.parent.shape[0])
+        return int(self.plan.parent.shape[0])
 
     @property
     def tree_count(self) -> int:
@@ -131,7 +145,7 @@ def _chunk_matrix(
 
 
 def _solve_range(
-    parent: np.ndarray,
+    plan: LevelPlan,
     starts: np.ndarray,
     er: np.ndarray,
     ec: np.ndarray,
@@ -140,22 +154,31 @@ def _solve_range(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The forest kernel over one chunk of scenario columns.
 
-    ``parent`` marks roots ``-1``, ``starts`` is the first-node index of
-    each member tree.  Returns ``(ree, tde, tre, tp, total)`` with the
-    node-indexed arrays shaped like ``er`` and the per-tree reductions
-    shaped ``(trees, S)``.  ``sweep`` is the two-pass kernel the solve
-    selected (:func:`_select_kernel`).
+    The matrices are in ``plan``'s solve rows, ``starts`` is the first
+    preorder node of each member tree.  Returns ``(ree, tde, tre, tp,
+    total)`` with the node-indexed arrays shaped like ``er`` (solve rows)
+    and the per-tree reductions shaped ``(trees, S)``.  ``sweep`` is the
+    two-pass kernel the solve selected (:func:`_select_kernel`).
     """
+    parent = plan.parent
     rkk, _, tde, tre = sweep(parent, er, ec, nc)
     rkk_parent = rkk[np.maximum(parent, 0)]
     # A root has no parent edge: its gathered "parent" row above is whatever
-    # node sits at index 0.  Base forests keep root edge elements at zero so
+    # node sits at row 0.  Base forests keep root edge elements at zero so
     # the term vanishes, but solve_batch accepts arbitrary planes -- zero the
-    # root rows explicitly so the T_P contribution is well-defined.
-    rkk_parent[parent < 0] = 0.0
+    # root rows (level 0) explicitly so the T_P contribution is well-defined.
+    rkk_parent[: plan.bounds[1]] = 0.0
     tp_terms = rkk * nc + (rkk_parent + er / 2.0) * ec
-    tp = np.add.reduceat(tp_terms, starts, axis=0)
-    total = np.add.reduceat(nc + ec, starts, axis=0)
+    # Each tree sums its terms in its own preorder, the order a tree solved
+    # alone uses: gather the rows back once, into the dead rkk_parent
+    # buffer ("clip" skips the buffered copy "raise" makes; every position
+    # is in range).
+    position = plan.position
+    np.take(tp_terms, position, axis=0, out=rkk_parent, mode="clip")
+    tp = np.add.reduceat(rkk_parent, starts, axis=0)
+    np.add(nc, ec, out=rkk_parent)
+    np.take(rkk_parent, position, axis=0, out=tp_terms, mode="clip")
+    total = np.add.reduceat(tp_terms, starts, axis=0)
     return rkk, tde, tre, tp, total
 
 
@@ -171,20 +194,16 @@ def _select_kernel(
     (auto-selection, and the fallback of an explicit ``"native"`` to
     ``"numpy"`` where the compiled kernels are unusable), records the
     selection and its reason, and returns the two-pass kernel for that
-    engine with its topology products baked in: the level buckets for the
+    engine with its topology products baked in: the level plan for the
     level sweeps, the jump schedule for contraction rounds (``"contract"``,
     and ``"native"`` on depth-pathological forests).  The checks are done
     here once, so the unchecked compiled bodies run per chunk.
     """
     n = structure.node_count
-    levels = structure.levels
-    if levels is not None:
-        depth = len(levels) - 1
-    else:
-        depth = int(structure.depth.max()) if n else 0
-    name, deep, reason = _decide(engine, n * count, n, depth)
+    plan = structure.plan
+    name, deep, reason = _decide(engine, n * count, n, plan.depth)
     record_selection(
-        engine, name, nodes=n, scenarios=count, depth=depth, reason=reason
+        engine, name, nodes=n, scenarios=count, depth=plan.depth, reason=reason
     )
     contract: Callable[..., SweepResult] = sweep_scenarios_contract
     level_sweep: Callable[..., SweepResult] = sweep_scenarios
@@ -195,9 +214,7 @@ def _select_kernel(
         contract, level_sweep = _contract_impl, _sweep_impl
     if name == "contract" or (name == "native" and deep):
         return partial(contract, schedule=jump_schedule(structure.parent))
-    if levels is None:
-        levels = level_buckets(structure.depth)
-    return partial(level_sweep, levels)
+    return partial(level_sweep, plan)
 
 
 def _solve_serial(
@@ -214,7 +231,7 @@ def _solve_serial(
     """
     n = structure.node_count
     trees = structure.tree_count
-    parent = structure.parent
+    plan = structure.plan
     starts = np.asarray(structure.offsets[:-1], dtype=np.int64)
     chunks = scenario_chunks(count, n)
     base_er, base_ec, base_nc = base
@@ -225,7 +242,7 @@ def _solve_serial(
         er = _chunk_matrix(plane_er, base_er, 0, count, n)
         ec = _chunk_matrix(plane_ec, base_ec, 0, count, n)
         nc = _chunk_matrix(plane_nc, base_nc, 0, count, n)
-        ree, tde, tre, tp, total = _solve_range(parent, starts, er, ec, nc, sweep)
+        ree, tde, tre, tp, total = _solve_range(plan, starts, er, ec, nc, sweep)
         return ScenarioForestTimes(
             tp=tp.T, tde=tde.T, tre=tre.T, ree=ree.T, total_capacitance=total.T
         )
@@ -239,7 +256,7 @@ def _solve_serial(
         er = _chunk_matrix(plane_er, base_er, lo, hi, n)
         ec = _chunk_matrix(plane_ec, base_ec, lo, hi, n)
         nc = _chunk_matrix(plane_nc, base_nc, lo, hi, n)
-        ree, tde, tre, tp, total = _solve_range(parent, starts, er, ec, nc, sweep)
+        ree, tde, tre, tp, total = _solve_range(plan, starts, er, ec, nc, sweep)
         out_ree[:, lo:hi] = ree
         out_tde[:, lo:hi] = tde
         out_tre[:, lo:hi] = tre

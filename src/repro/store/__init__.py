@@ -6,7 +6,7 @@ files plus a small JSON manifest (:mod:`repro.store.format`); ingest
 streams trees into shards with O(shard) peak RSS
 (:class:`~repro.store.ShardStoreWriter`, :mod:`repro.store.ingest`); and
 :class:`~repro.store.StoredForest` solves shard-by-shard -- each shard
-read into a :class:`~repro.flat.FlatForest`, so the level buckets, the
+read into a :class:`~repro.flat.FlatForest`, so the solve plan, the
 engines and the ECO splice are the in-RAM ones -- while keeping the
 resident set bounded by the hot-shard LRU, the scenario chunk and one
 shard's result window.

@@ -52,7 +52,7 @@ from repro.store.format import (
     shard_layout,
     write_shard_file,
 )
-from repro.store.writer import _validate_block
+from repro.store.writer import _as_value, _validate_block
 
 #: Number of materialized shards kept hot.  Four shards at the
 #: default shard size is ~25 MiB of planes -- enough that an ECO loop
@@ -63,9 +63,11 @@ DEFAULT_HOT_SHARDS = 4
 
 #: A per-shard plane factory: ``(shard_index, node_lo, node_hi)`` ->
 #: ``(edge_r, edge_c, node_c)`` in :func:`normalize_plane`-accepted shapes
-#: over the shard's node range.  This is how scenario sweeps stay
-#: out-of-core: the caller fabricates each shard's effective planes on
-#: demand instead of one (S, N) matrix for the whole design.
+#: over the shard's node range, ``(S, n)`` planes in the solve numbering of
+#: the shard's forest (:meth:`StoredForest.materialize`).  This is how
+#: scenario sweeps stay out-of-core: the caller fabricates each shard's
+#: effective planes on demand instead of one (S, N) matrix for the whole
+#: design.
 PlaneFactory = Callable[[int, int, int], Tuple[PlaneInput, PlaneInput, PlaneInput]]
 
 #: Replacement tree forms accepted by :meth:`StoredForest.replace_tree`.
@@ -95,6 +97,10 @@ class _ScratchFile:
         self.path = path
         self._finalizer = weakref.finalize(self, _unlink_quietly, path)
 
+    def discard(self) -> None:
+        """Unlink the file now, without waiting for the owner's collection."""
+        self._finalizer()
+
 
 def _write_batch_windows(
     result_path: str,
@@ -102,22 +108,26 @@ def _write_batch_windows(
     count: int,
     node_lo: int,
     times: ScenarioForestTimes,
+    rows: np.ndarray,
 ) -> None:
     """Write one shard's node-indexed results into the scratch file.
 
-    Only the shard's row window of each field is mapped, written and
-    released, so a full sweep's peak resident set never exceeds one
-    shard's result rows.
+    ``rows`` maps the shard's preorder nodes to the solve rows of
+    ``times`` (the shard forest's plan positions), so the file keeps the
+    store's preorder numbering.  Only the shard's row window of each field
+    is mapped, written and released, so a full sweep's peak resident set
+    never exceeds one shard's result rows.
     """
     layout = result_layout(total_nodes, 0, count)
-    window = slice(node_lo, node_lo + int(times.tde.shape[1]))
+    window = slice(node_lo, node_lo + len(rows))
     maps = [
         map_field(result_path, layout[name], window, "r+")
         for name in RESULT_NODE_FIELDS
     ]
     try:
         for mapping, name in zip(maps, RESULT_NODE_FIELDS):
-            mapping[...] = getattr(times, name).T
+            # Gathered straight into the mapping: no shard-sized temporary.
+            np.take(getattr(times, name).T, rows, axis=0, out=mapping, mode="clip")
     finally:
         release_memmap(*maps)
 
@@ -250,8 +260,9 @@ class StoredForest:
     def materialize(self, shard: int) -> FlatForest:
         """The shard as an in-RAM forest, served from the bounded LRU.
 
-        The :class:`~repro.flat.FlatForest` adopts the shard's arrays whole
-        (shard-local numbering; no node names, so no member trees).
+        The :class:`~repro.flat.FlatForest` adopts the shard's preorder
+        arrays and holds them in its own level-major solve numbering
+        (shard-local; no node names, so no member trees).
         """
         hot = self._hot.get(shard)
         if hot is not None:
@@ -317,7 +328,9 @@ class StoredForest:
             if results.solved[i] != record.generation
         ]
         for shard in dirty:
-            times = self.materialize(shard).solve_batch(count=1)
+            hot = self.materialize(shard)
+            times = hot.solve_batch(count=1)
+            rows = hot._plan.position
             node_lo, node_hi, tree_lo, tree_hi = self.shard_bounds(shard)
             node_window = slice(node_lo, node_hi)
             tree_window = slice(tree_lo, tree_hi)
@@ -329,11 +342,15 @@ class StoredForest:
                 map_field(path, layout["total"], tree_window, "r+"),
             ]
             values = (
-                times.tde, times.tre, times.ree, times.tp, times.total_capacitance
+                times.tde.T[rows],
+                times.tre.T[rows],
+                times.ree.T[rows],
+                times.tp.T,
+                times.total_capacitance.T,
             )
             try:
                 for mapping, value in zip(maps, values):
-                    mapping[...] = value.T
+                    mapping[...] = value
             finally:
                 release_memmap(*maps)
             results.solved[shard] = self._shards[shard].generation
@@ -377,11 +394,12 @@ class StoredForest:
         """Scenario-batched solve, shard by shard, out of core.
 
         Planes follow :meth:`repro.flat.FlatForest.solve_batch` (``None``
-        / ``(S,)`` / ``(S, N)``); ``planes_for`` instead fabricates each
-        shard's planes on demand (see :data:`PlaneFactory`) so the sweep
-        never holds an ``(S, N)`` matrix.  Node-indexed results
-        come back as memmap views over a scratch file that is deleted
-        when the result object is garbage collected.
+        / ``(S,)`` / ``(S, N)``, over the store's preorder numbering);
+        ``planes_for`` instead fabricates each shard's planes on demand, in
+        the shard forest's solve numbering (see :data:`PlaneFactory`), so
+        the sweep never holds an ``(S, N)`` matrix.  Node-indexed results
+        come back in preorder, as memmap views over a scratch file that is
+        deleted when the result object is garbage collected.
         """
         total_nodes = self.node_count
         total_trees = self.tree_count
@@ -408,22 +426,29 @@ class StoredForest:
         _allocate_file(scratch_path, result_nbytes(total_nodes, 0, s))
         tp = np.empty((total_trees, s), dtype=np.float64)
         total = np.empty((total_trees, s), dtype=np.float64)
-        for shard in range(self.shard_count):
-            node_lo, node_hi, tree_lo, tree_hi = self.shard_bounds(shard)
-            if planes_for is not None:
-                shard_planes = planes_for(shard, node_lo, node_hi)
-            else:
-                shard_planes = tuple(
-                    plane if plane is None or plane.ndim == 1
-                    else plane[:, node_lo:node_hi]
-                    for plane in planes
+        try:
+            for shard in range(self.shard_count):
+                node_lo, node_hi, tree_lo, tree_hi = self.shard_bounds(shard)
+                hot = self.materialize(shard)
+                if planes_for is not None:
+                    shard_planes = planes_for(shard, node_lo, node_hi)
+                else:
+                    order = hot._plan.order + node_lo
+                    shard_planes = tuple(
+                        plane if plane is None or plane.ndim == 1
+                        else plane[:, order]
+                        for plane in planes
+                    )
+                times = hot.solve_batch(*shard_planes, count=s, engine=engine)
+                _write_batch_windows(
+                    scratch_path, total_nodes, s, node_lo, times, hot._plan.position
                 )
-            times = self.materialize(shard).solve_batch(
-                *shard_planes, count=s, engine=engine
-            )
-            _write_batch_windows(scratch_path, total_nodes, s, node_lo, times)
-            tp[tree_lo:tree_hi] = times.tp.T
-            total[tree_lo:tree_hi] = times.total_capacitance.T
+                tp[tree_lo:tree_hi] = times.tp.T
+                total[tree_lo:tree_hi] = times.total_capacitance.T
+        except BaseException:
+            # The traceback keeps this frame, and so the scratch owner, alive.
+            scratch.discard()
+            raise
         layout = result_layout(total_nodes, 0, s)
         node_maps = [
             map_field(scratch_path, layout[name], slice(0, total_nodes), "r")
@@ -464,12 +489,16 @@ class StoredForest:
             parent, depth = tree._parent, tree._depth
             edge_r, edge_c, node_c = tree._edge_r, tree._edge_c, tree._node_c
         else:
-            parent, edge_r, edge_c, node_c = (np.asarray(a) for a in tree)
-            parent = parent.astype(INDEX_DTYPE)
+            parent = np.asarray(tree[0]).astype(INDEX_DTYPE)
+            nodes = parent.shape[0]
+            # Checked before anything is spliced: a short plane would
+            # otherwise surface from the shard write, after the hot
+            # forest had already taken it.
             edge_r, edge_c, node_c = (
-                a.astype(np.float64) for a in (edge_r, edge_c, node_c)
+                _as_value(values, name, nodes)
+                for values, name in zip(tree[1:], ("edge_r", "edge_c", "node_c"))
             )
-            size_arr = np.asarray([0, parent.shape[0]], dtype=INDEX_DTYPE)
+            size_arr = np.asarray([0, nodes], dtype=INDEX_DTYPE)
             depth = _validate_block(size_arr, parent, None)
         shard = self.shard_of_tree(tree_index)
         record = self._shards[shard]
@@ -492,14 +521,17 @@ class StoredForest:
                 node_c,
                 np.zeros(parent.shape[0], dtype=bool),
             )
+            parent_pre, depth_pre, edge_r_pre, edge_c_pre, node_c_pre, _ = (
+                hot._preorder()
+            )
             write_shard_file(
                 path,
-                hot._parent,
-                hot._depth,
+                parent_pre,
+                depth_pre,
                 hot._offsets,
-                hot._edge_r,
-                hot._edge_c,
-                hot._node_c,
+                edge_r_pre,
+                edge_c_pre,
+                node_c_pre,
             )
             self._shards[shard] = ShardRecord(
                 file_name=file_name,

@@ -19,8 +19,8 @@ Layout of one shard file (``nodes`` = N, ``trees`` = T)::
     node_c   float64[N]    grounded capacitance at each node
 
 The manifest (``manifest.json``) records per shard the node/tree counts,
-the maximum depth and the level-bucket index (``level_counts[d]`` = nodes
-at depth ``d``), so a :class:`~repro.store.StoredForest` can size every
+the maximum depth and the node count of every level (``level_counts[d]`` =
+nodes at depth ``d``), so a :class:`~repro.store.StoredForest` can size every
 window, plan chunked solves and budget level sweeps without touching a
 single shard file.  Result planes live in a separate ``results.bin``
 (same dumb-buffer discipline) whose per-shard validity is tracked by a

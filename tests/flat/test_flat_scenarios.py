@@ -119,7 +119,7 @@ class TestFlatForestScenarios:
                 reference = FlatTree.from_tree(
                     scaled_tree(tree, scenario.r_derate, scenario.c_derate)
                 ).solve()
-                window = forest.tree_slice(t)
+                window = forest.tree_nodes(t)
                 np.testing.assert_allclose(
                     times.tde[index, window], reference.tde, rtol=1e-12, atol=0
                 )
@@ -133,7 +133,7 @@ class TestFlatForestScenarios:
         replacement = random_flat_tree(seed=100, config=RandomTreeConfig(nodes=45))
         forest.replace_tree(2, replacement)
         times = forest.solve_batch(count=1)
-        window = forest.tree_slice(2)
+        window = forest.tree_nodes(2)
         np.testing.assert_allclose(
             times.tde[0, window], replacement.solve().tde, rtol=1e-12, atol=0
         )

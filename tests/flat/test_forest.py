@@ -140,14 +140,24 @@ class TestReplaceTree:
         np.testing.assert_allclose(times_a.tde, times_b.tde, rtol=1e-15)
         np.testing.assert_allclose(times_a.tp, times_b.tp, rtol=1e-15)
 
-    def test_same_shape_splice_keeps_level_buckets(self):
-        from repro.flat.scenarios import level_buckets
+    @staticmethod
+    def assert_solves_like_fresh(forest):
+        """Every node and tree field bitwise a freshly built forest's."""
+        fresh = FlatForest(forest.trees)
+        plan, want = forest._plan, fresh._plan
+        for name in ("order", "position", "bounds", "parent"):
+            assert getattr(plan, name).tobytes() == getattr(want, name).tobytes()
+        times, rebuilt = forest.solve(), fresh.solve()
+        for name in ("tde", "tre", "ree", "tp", "total_capacitance"):
+            assert getattr(times, name).tobytes() == getattr(rebuilt, name).tobytes()
+
+    def test_same_parent_splice_keeps_the_plan(self):
         from repro.generators.random_trees import RandomTreeConfig, random_flat_tree
 
         config = RandomTreeConfig(nodes=15, branching_bias=0.6)
         forest = FlatForest([random_flat_tree(seed, config) for seed in range(4)])
         forest.solve()
-        levels = forest._levels
+        plan = forest._plan
         member = forest.tree(1)
         forest.replace_tree(
             1,
@@ -160,36 +170,45 @@ class TestReplaceTree:
                 member._is_output,
             ),
         )
-        assert forest._levels is levels
-        expected = level_buckets(forest._depth)
-        assert len(forest._levels) == len(expected)
-        for kept, want in zip(forest._levels, expected):
-            assert kept.tobytes() == want.tobytes()
-        rebuilt = FlatForest(forest.trees).solve()
-        times = forest.solve()
-        for name in ("tde", "tre", "ree", "tp", "total_capacitance"):
-            assert getattr(times, name).tobytes() == getattr(rebuilt, name).tobytes()
+        assert forest._plan is plan
+        self.assert_solves_like_fresh(forest)
 
-    def test_same_size_new_shape_rebuilds_level_buckets(self):
-        from repro.flat.scenarios import level_buckets
+    def test_same_depth_profile_new_parent_rebuilds_the_plan(self):
         from repro.generators.random_trees import random_flat_tree
 
-        names = [f"n{i}" for i in range(5)]
-        edge_r, edge_c, node_c = [0.0, 1, 1, 1, 1], [0.0] * 5, [1e-15] * 5
-        chain = FlatTree(
-            names, [-1, 0, 1, 2, 3], edge_r, edge_c, node_c, [False] * 4 + [True]
+        # in -> a -> {b, c}, in -> d  versus  in -> a -> b, in -> d -> c:
+        # the same size and depth profile, one leaf moved to a sibling.
+        names = ["in", "a", "b", "c", "d"]
+        edge_r, edge_c = [0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1e-15, 0.0, 2e-15, 0.0]
+        node_c = [1e-15, 2e-15, 3e-15, 4e-15, 5e-15]
+        outputs = [False, False, True, True, True]
+        before = FlatTree(names, [-1, 0, 1, 1, 0], edge_r, edge_c, node_c, outputs)
+        after = FlatTree(
+            ["in", "a", "b", "d", "c"],
+            [-1, 0, 1, 0, 3],
+            edge_r,
+            edge_c,
+            node_c,
+            outputs,
         )
-        star = FlatTree(
-            names, [-1, 0, 0, 0, 0], edge_r, edge_c, node_c, [False] + [True] * 4
-        )
-        forest = FlatForest([random_flat_tree(0), chain, random_flat_tree(1)])
-        levels = forest._levels
-        forest.replace_tree(1, star)
-        assert forest._levels is not levels
-        expected = level_buckets(forest._depth)
-        assert len(forest._levels) == len(expected)
-        for got, want in zip(forest._levels, expected):
-            assert got.tobytes() == want.tobytes()
+        profile = np.bincount(before._depth)
+        assert np.bincount(after._depth).tolist() == profile.tolist() == [1, 2, 2]
+        forest = FlatForest([random_flat_tree(0), before, random_flat_tree(1)])
+        forest.solve()
+        plan = forest._plan
+        forest.replace_tree(1, after)
+        assert forest._plan is not plan
+        self.assert_solves_like_fresh(forest)
+
+    def test_size_changing_splice_rebuilds_the_plan(self):
+        from repro.generators.random_trees import RandomTreeConfig, random_flat_tree
+
+        config = RandomTreeConfig(nodes=15, branching_bias=0.6)
+        forest = FlatForest([random_flat_tree(seed, config) for seed in range(4)])
+        plan = forest._plan
+        forest.replace_tree(2, random_flat_tree(9, RandomTreeConfig(nodes=31)))
+        assert forest._plan is not plan
+        self.assert_solves_like_fresh(forest)
 
     def test_replace_out_of_range_rejected(self):
         from repro.generators.random_trees import random_flat_tree
@@ -204,10 +223,12 @@ class TestReplaceTree:
         config = RandomTreeConfig(nodes=10, branching_bias=0.5)
         forest = FlatForest([random_flat_tree(seed, config) for seed in range(3)])
         before = forest.solve()
-        first = forest.tree_slice(0)
+        first = forest.tree_nodes(0)
         forest.replace_tree(2, random_flat_tree(50, config))
         after = forest.solve()
-        np.testing.assert_array_equal(before.tde[first], after.tde[first])
+        np.testing.assert_array_equal(
+            before.tde[first], after.tde[forest.tree_nodes(0)]
+        )
 
 
 class TestSubforest:
@@ -221,9 +242,10 @@ class TestSubforest:
         s = 3
         edge_r = forest._edge_r * rng.uniform(0.5, 2.0, (s, forest.node_count))
         node_c = forest._node_c * rng.uniform(0.5, 2.0, (s, forest.node_count))
-        nodes = np.concatenate(
-            [np.arange(forest.node_count)[forest.tree_slice(t)] for t in trees]
-        )
+        # The parent forest's row of every sub-forest node: each member's
+        # rows in preorder, then taken in the sub-forest's own solve order.
+        nodes = np.concatenate([forest.tree_nodes(t) for t in trees])
+        nodes = nodes[sub._plan.order]
         full = forest.solve_batch(edge_r=edge_r, node_c=node_c, count=s)
         part = sub.solve_batch(
             edge_r=edge_r[:, nodes], node_c=node_c[:, nodes], count=s
@@ -253,14 +275,15 @@ class TestSubforest:
         config = RandomTreeConfig(nodes=14, branching_bias=0.6)
         forest = FlatForest([random_flat_tree(seed, config) for seed in range(5)])
         if built == "block":
+            parent, depth, edge_r, edge_c, node_c, is_output = forest._preorder()
             forest = FlatForest.from_block(
                 forest._offsets.copy(),
-                forest._parent.copy(),
-                forest._edge_r.copy(),
-                forest._edge_c.copy(),
-                forest._node_c.copy(),
-                depth=forest._depth.copy(),
-                is_output=forest._is_output.copy(),
+                parent,
+                edge_r,
+                edge_c,
+                node_c,
+                depth=depth,
+                is_output=is_output,
                 names=[name for tree in forest.trees for name in tree.names],
             )
         forest.replace_tree(1, random_flat_tree(40, RandomTreeConfig(nodes=23)))

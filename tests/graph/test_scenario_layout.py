@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 import repro.graph.designdb as designdb
 from repro.core.tree import RCTree
-from repro.flat.scenarios import level_buckets
+from repro.flat import FlatForest
+from repro.flat.scenarios import level_plan
 from repro.generators import random_design, random_scenarios
 from repro.graph import DesignDB, TimingGraph
 from repro.scenarios import Scenario, ScenarioSet, scaled_parasitics
@@ -204,10 +205,16 @@ class TestEcoSequences:
                 assert_layout_matches_rebuild(db)
         assert_layout_matches_rebuild(db)
         forest = db.forest
-        expected_levels = level_buckets(forest._depth)
-        assert len(forest._levels) == len(expected_levels)
-        for got, want in zip(forest._levels, expected_levels):
-            assert got.tobytes() == want.tobytes()
+        parent, depth = forest._preorder()[:2]
+        want = level_plan(parent, depth)
+        for name in ("order", "position", "bounds", "parent"):
+            got = getattr(forest._plan, name)
+            assert got.tobytes() == getattr(want, name).tobytes(), name
+        # A freshly built forest of the current members solves bitwise alike.
+        fresh = FlatForest(forest.trees).solve()
+        times = forest.solve()
+        for name in ("tde", "tre", "ree", "tp", "total_capacitance"):
+            assert getattr(times, name).tobytes() == getattr(fresh, name).tobytes()
 
         fresh = DesignDB(design, parasitics, input_drive_resistance=INPUT_DRIVE)
         scenarios = scenario_set(db, design_seed)

@@ -59,8 +59,12 @@ def oracle_stages(db):
     return stages
 
 
-def oracle_sinks(db, stages, times, offsets):
-    """The sink-table columns the per-net path produced."""
+def oracle_sinks(db, stages, times, offsets, position=None):
+    """The sink-table columns the per-net path produced.
+
+    ``position`` maps preorder nodes to the rows of ``times`` (a
+    forest's solve numbering; a store's results are in preorder).
+    """
     nets, pins, nodes, rows_tree = [], [], [], []
     for t, (net, (_, pin_index, _)) in enumerate(zip(db.timed_nets(), stages)):
         for pin, local in pin_index.items():
@@ -69,6 +73,8 @@ def oracle_sinks(db, stages, times, offsets):
             nodes.append(int(offsets[t]) + local)
             rows_tree.append(t)
     nodes = np.asarray(nodes, dtype=np.int64)
+    if position is not None:
+        nodes = position[nodes]
     rows_tree = np.asarray(rows_tree, dtype=np.int64)
     return {
         "nets": nets,
@@ -121,7 +127,12 @@ def check_in_ram(db):
             assert_bitwise(getattr(member, name), getattr(flat, name))
     assert forest.output_labels() == oracle.output_labels()
     assert_entries_equal(db, stages, oracle._offsets)
-    assert_sinks_equal(db, oracle_sinks(db, stages, oracle.solve(), oracle._offsets))
+    assert_sinks_equal(
+        db,
+        oracle_sinks(
+            db, stages, oracle.solve(), oracle._offsets, oracle._plan.position
+        ),
+    )
 
 
 def check_store(db, shard_nodes):

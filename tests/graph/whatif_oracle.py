@@ -35,12 +35,14 @@ def full_forest_cell_elements(
     """Forest element planes where plane ``s`` applies cell swap ``s``.
 
     Returns ``(edge_r, node_c)``, each shaped ``(len(swaps), N)`` over the
-    whole forest.
+    whole forest, in its solve numbering.
     """
     forest = db.forest
     if forest is None:
         raise AnalysisError("the design has no timed nets to evaluate")
+    # A tree's preorder node offsets[t] + local sits at row position[...].
     offsets = forest._offsets
+    position = forest._plan.position
     s = len(swaps)
     # Node-major working planes, returned as transposed views (see
     # solve_scenarios): the solve engines consume them copy-free.
@@ -56,7 +58,7 @@ def full_forest_cell_elements(
             resistance = (
                 cell.drive_resistance if cell.drive_resistance > 0 else 1e-6
             )
-            edge_r[row, int(offsets[out_entry.tree_index]) + 1] = resistance
+            edge_r[row, position[offsets[out_entry.tree_index] + 1]] = resistance
         delta = cell.input_capacitance - old.input_capacitance
         if delta:
             # Every non-output pin (inputs and a sequential cell's clock
@@ -71,7 +73,7 @@ def full_forest_cell_elements(
                     continue
                 local = entry.pin_index.get(f"{instance}/{pin}")
                 if local is not None:
-                    node_c[row, int(offsets[entry.tree_index]) + local] += delta
+                    node_c[row, position[offsets[entry.tree_index] + local]] += delta
     return edge_r, node_c
 
 
@@ -92,8 +94,9 @@ def full_forest_whatif(
         edge_r=edge_r, node_c=node_c, count=len(swaps), engine=engine
     )
     layout = graph._db._scenario_layout()
+    sink_rows = forest._plan.position[layout.sink_nodes]
     tp = times.tp[:, layout.sink_tree]
-    tde = times.tde[:, layout.sink_nodes]
+    tde = times.tde[:, sink_rows]
     total = times.total_capacitance[:, layout.sink_tree]
     if model is DelayModel.ELMORE:
         wire = tde
@@ -104,7 +107,7 @@ def full_forest_whatif(
             pins=list(graph._db.sinks.pins),
             tp=tp,
             tde=tde,
-            tre=times.tre[:, layout.sink_nodes],
+            tre=times.tre[:, sink_rows],
             total_capacitance=total,
         )
         wire = scenario_bound_matrix(

@@ -100,7 +100,8 @@ class TestEngineParity:
         rng = np.random.default_rng(11)
         er = forest._edge_r * rng.uniform(0.5, 1.5, size=(s, forest.node_count))
         ec = forest._edge_c * rng.uniform(0.5, 1.5, size=(s, forest.node_count))
-        roots = np.asarray(forest._offsets[:-1], dtype=np.int64)
+        # Level 0 of the solve rows holds every tree's root.
+        roots = forest._plan.position[forest._offsets[:-1]]
         er[:, roots] = rng.uniform(10.0, 500.0, size=(s, len(roots)))
         ec[:, roots] = rng.uniform(1e-15, 1e-13, size=(s, len(roots)))
         serial = forest.solve_batch(edge_r=er, edge_c=ec, count=s)
@@ -115,9 +116,18 @@ class TestEngineParity:
             writer.close()
         stored = StoredForest(directory)
         assert stored.shard_count > 1
-        sharded = stored.solve_batch(edge_r=er, edge_c=ec, count=s)
-        fields = ("tp", "tde", "tre", "total_capacitance")
-        for name in fields:
+        # The store numbers nodes in preorder, the forest in its solve rows.
+        position = forest._plan.position
+        sharded = stored.solve_batch(
+            edge_r=er[:, position], edge_c=ec[:, position], count=s
+        )
+        for name in ("tde", "tre"):
+            np.testing.assert_array_equal(
+                np.asarray(getattr(sharded, name)),
+                getattr(serial, name)[:, position],
+                err_msg=name,
+            )
+        for name in ("tp", "total_capacitance"):
             np.testing.assert_array_equal(
                 np.asarray(getattr(sharded, name)), getattr(serial, name), err_msg=name
             )

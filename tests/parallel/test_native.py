@@ -23,7 +23,7 @@ import pytest
 
 from repro.flat import native as native_module
 from repro.flat.contraction import jump_schedule, path_sums, subtree_sums
-from repro.flat.scenarios import level_buckets, sweep_scenarios
+from repro.flat.scenarios import level_plan, sweep_scenarios
 from repro.generators import random_forest
 from repro.parallel import AUTO_NATIVE_CELLS, last_selection, resolve_engine
 from repro.parallel.sharding import CHUNK_BYTES_ENV
@@ -124,9 +124,9 @@ class TestFallback:
     def test_unready_kernel_calls_raise(self):
         parent = np.array([-1, 0], dtype=np.int64)
         plane = np.ones((2, 1), dtype=np.float64)
-        levels = [np.array([0]), np.array([1])]
+        plan = level_plan(parent, np.arange(2, dtype=np.int64))
         with pytest.raises(Exception, match="native kernels unavailable"):
-            native_module.sweep_scenarios_native(levels, parent, plane, plane, plane)
+            native_module.sweep_scenarios_native(plan, parent, plane, plane, plane)
         with pytest.raises(Exception, match="native kernels unavailable"):
             native_module.sweep_scenarios_contract_native(parent, plane, plane, plane)
 
@@ -147,10 +147,10 @@ class TestStubKernels:
             np.ascontiguousarray(rng.uniform(0.2, 2.0, size=(n, 6)))
             for _ in range(3)
         )
-        levels = level_buckets(structure.depth)
-        want = sweep_scenarios(levels, structure.parent, er, ec, nc)
+        plan = structure.plan
+        want = sweep_scenarios(plan, structure.parent, er, ec, nc)
         got = stub_native.sweep_scenarios_native(
-            levels, structure.parent, er, ec, nc
+            plan, structure.parent, er, ec, nc
         )
         # Same expression trees, same per-level accumulation order: the
         # pure-Python replay is bitwise-identical to the numpy sweeps.
@@ -255,10 +255,10 @@ class TestRealNumba:
             np.ascontiguousarray(rng.uniform(0.2, 2.0, size=(n, 6)))
             for _ in range(3)
         )
-        levels = level_buckets(structure.depth)
-        want = sweep_scenarios(levels, structure.parent, er, ec, nc)
+        plan = structure.plan
+        want = sweep_scenarios(plan, structure.parent, er, ec, nc)
         got = native_module.sweep_scenarios_native(
-            levels, structure.parent, er, ec, nc
+            plan, structure.parent, er, ec, nc
         )
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)

@@ -146,7 +146,8 @@ TREE_FIELDS = ("tp", "total_capacitance")
 
 def _forest_solve(forest):
     times = forest.solve()
-    return {name: getattr(times, name) for name in FIELDS}
+    rows = {name: forest._plan.position for name in NODE_FIELDS}
+    return {name: getattr(times, name)[rows.get(name, slice(None))] for name in FIELDS}
 
 
 def _member_rows(forest, solve):
@@ -201,8 +202,9 @@ SINGLE_SOLVES = {
 def test_single_solves_match_the_numpy_engine(entry, forest):
     """Each S = 1 entry point equals ``solve_forest_batch(count=1, "numpy")``.
 
-    Node fields bitwise: every entry point runs the same level sweeps (these
-    forests are shallow enough that auto-selection keeps ``"numpy"``).  The
+    Node fields bitwise, in preorder: every entry point runs the same level
+    sweeps (these forests are shallow enough that auto-selection keeps
+    ``"numpy"``).  The
     per-tree ``T_P`` / ``C_T`` reductions at 1e-15: a member solved alone is
     summed over its own one-tree segment instead of its forest window.
     """
@@ -215,7 +217,9 @@ def test_single_solves_match_the_numpy_engine(entry, forest):
     )
     got = SINGLE_SOLVES[entry](forest)
     for name in NODE_FIELDS:
-        np.testing.assert_array_equal(got[name], getattr(want, name)[0], err_msg=name)
+        np.testing.assert_array_equal(
+            got[name], getattr(want, name)[0][forest._plan.position], err_msg=name
+        )
     for name in TREE_FIELDS:
         a = getattr(want, name)[0]
         b = np.asarray(got[name])

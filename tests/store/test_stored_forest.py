@@ -18,6 +18,19 @@ from repro.store import forest as store_forest
 from repro.store.format import MANIFEST_NAME, UNSOLVED, Manifest
 
 RTOL = 1e-12
+NODE_FIELDS = ("tde", "tre", "ree")
+
+
+def _preorder(ram, times, name):
+    """One field of a FlatForest solve in preorder, the store's numbering.
+
+    A FlatForest holds its nodes in level-major solve rows; its plan's
+    ``position`` maps each preorder node to its row.
+    """
+    values = np.asarray(getattr(times, name))
+    if name in NODE_FIELDS:
+        return values[..., ram._plan.position]
+    return values
 
 
 def _trees(count, seed=0, nodes=12):
@@ -75,7 +88,7 @@ class TestSolveParity:
         for name in ("tp", "tde", "tre", "ree", "total_capacitance"):
             np.testing.assert_allclose(
                 np.asarray(getattr(actual, name)),
-                np.asarray(getattr(expected, name)),
+                _preorder(ram, expected, name),
                 rtol=RTOL,
             )
 
@@ -87,7 +100,7 @@ class TestSolveParity:
         for name in ("tp", "tde", "tre", "total_capacitance"):
             np.testing.assert_allclose(
                 np.asarray(getattr(actual, name)),
-                np.asarray(getattr(expected, name)),
+                _preorder(ram, expected, name),
                 rtol=RTOL,
             )
 
@@ -96,9 +109,12 @@ class TestSolveParity:
         rng = np.random.default_rng(7)
         plane = rng.uniform(0.8, 1.2, size=(2, ram.node_count))
         expected = ram.solve_batch(node_c=plane * 1e-14, count=2)
-        actual = stored.solve_batch(node_c=plane * 1e-14, count=2)
+        # The same value per node, laid out in the store's preorder.
+        actual = stored.solve_batch(
+            node_c=plane[:, ram._plan.position] * 1e-14, count=2
+        )
         np.testing.assert_allclose(
-            np.asarray(actual.tde), np.asarray(expected.tde), rtol=RTOL
+            np.asarray(actual.tde), _preorder(ram, expected, "tde"), rtol=RTOL
         )
         np.testing.assert_allclose(
             np.asarray(actual.tp), np.asarray(expected.tp), rtol=RTOL
@@ -107,14 +123,12 @@ class TestSolveParity:
     def test_planes_for_factory_matches_global_planes(self, workload):
         ram, stored = workload
         derate = np.asarray([0.85, 1.0, 1.3])
-        base_edge_c = np.concatenate(
-            [stored.materialize(s)._edge_c for s in range(stored.shard_count)]
-        )
         expected = ram.solve_batch(
-            edge_c=derate[:, None] * base_edge_c[None, :], count=3
+            edge_c=derate[:, None] * ram._edge_c[None, :], count=3
         )
 
         def planes_for(shard, node_lo, node_hi):
+            # Planes in the shard forest's own solve rows.
             hot = stored.materialize(shard)
             return (None, (hot._edge_c[:, None] * derate).T, None)
 
@@ -122,7 +136,7 @@ class TestSolveParity:
         for name in ("tp", "tde", "tre", "total_capacitance"):
             np.testing.assert_allclose(
                 np.asarray(getattr(actual, name)),
-                np.asarray(getattr(expected, name)),
+                _preorder(ram, expected, name),
                 rtol=RTOL,
             )
 
@@ -201,7 +215,7 @@ class TestEco:
         for name in ("tde", "tre", "tp"):
             np.testing.assert_allclose(
                 np.asarray(getattr(actual, name)),
-                np.asarray(getattr(expected, name)),
+                _preorder(ram, expected, name),
                 rtol=RTOL,
             )
 
@@ -215,7 +229,7 @@ class TestEco:
         for name in ("tde", "tre", "tp", "total_capacitance"):
             np.testing.assert_allclose(
                 np.asarray(getattr(actual, name)),
-                np.asarray(getattr(expected, name)),
+                _preorder(ram, expected, name),
                 rtol=RTOL,
             )
 
@@ -227,7 +241,35 @@ class TestEco:
             0, (tree._parent, tree._edge_r, tree._edge_c, tree._node_c)
         )
         np.testing.assert_allclose(
-            np.asarray(stored.solve().tde), np.asarray(ram.solve().tde), rtol=RTOL
+            np.asarray(stored.solve().tde),
+            _preorder(ram, ram.solve(), "tde"),
+            rtol=RTOL,
+        )
+
+    def test_short_plane_is_rejected_before_any_splice(self, workload):
+        _, stored = workload
+        before = TestEcoWriteFault._rows(stored)
+        tree = random_flat_tree(56, RandomTreeConfig(nodes=9))
+        parent = tree._parent
+        n = len(parent)
+        message = rf"edge_c has shape \({n - 1},\), expected \({n},\)"
+        with pytest.raises(AnalysisError, match=message):
+            stored.replace_tree(
+                1, (parent, tree._edge_r, tree._edge_c[:-1], tree._node_c)
+            )
+        after = TestEcoWriteFault._rows(stored)
+        for name, value in before.items():
+            assert after[name].tobytes() == value.tobytes(), name
+        # The store takes the next valid ECO.
+        ram = FlatForest(_trees(10, seed=42))
+        ram.replace_tree(1, tree)
+        stored.replace_tree(
+            1, (parent, tree._edge_r, tree._edge_c, tree._node_c)
+        )
+        np.testing.assert_allclose(
+            np.asarray(stored.solve().tde),
+            _preorder(ram, ram.solve(), "tde"),
+            rtol=RTOL,
         )
 
     def test_materialized_shard_has_no_member_trees(self, workload):
@@ -253,6 +295,29 @@ class TestScratchHygiene:
         del result
         gc.collect()
         assert glob.glob(pattern) == []
+
+    def test_failed_sweep_removes_its_scratch(self, workload):
+        ram, stored = workload
+        assert stored.shard_count >= 2
+
+        def planes_for(shard, node_lo, node_hi):
+            if shard == 1:
+                raise RuntimeError("plane factory failed")
+            return (None, None, None)
+
+        with pytest.raises(RuntimeError, match="plane factory failed"):
+            stored.solve_batch(planes_for=planes_for, count=2)
+        # The exception info still holds the sweep's frame; the file is
+        # gone regardless.
+        assert glob.glob(os.path.join(stored.directory, ".batch-*.bin")) == []
+        times = stored.solve_batch(count=2)
+        expected = ram.solve_batch(count=2)
+        for name in ("tp", "tde", "tre", "total_capacitance"):
+            np.testing.assert_allclose(
+                np.asarray(getattr(times, name)),
+                _preorder(ram, expected, name),
+                rtol=RTOL,
+            )
 
 
 class TestEcoWriteFault:
@@ -318,7 +383,9 @@ class TestEcoWriteFault:
         ram = FlatForest(_trees(12, seed=9, nodes=31))
         ram.replace_tree(0, replacement)
         np.testing.assert_allclose(
-            np.asarray(stored.solve().tde), np.asarray(ram.solve().tde), rtol=RTOL
+            np.asarray(stored.solve().tde),
+            _preorder(ram, ram.solve(), "tde"),
+            rtol=RTOL,
         )
 
     def test_failed_shard_write_keeps_the_old_shard(self, store, monkeypatch):

@@ -97,6 +97,7 @@ class LintConfig:
         "_sweep_levels_kernel",
         "_path_round_kernel",
         "_subtree_round_kernel",
+        "level_plan",
     )
     #: Identifier names that mark a loop as iterating one of the *allowed*
     #: axes (depth levels, bounded scenario chunks, jump schedules) rather

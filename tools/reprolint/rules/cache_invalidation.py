@@ -1,7 +1,7 @@
 """RL004 -- the cache-invalidation contract, as a declarative table.
 
 docs/architecture.md documents the contract in prose: every class that
-caches derived state (``FlatForest._times`` + level buckets,
+caches derived state (``FlatForest._times`` + its solve plan,
 ``TimingGraph._arrivals``/``_required``) must invalidate that state in
 every method that mutates the inputs it was derived from.  A mutation
 that forgets to invalidate produces *silently stale timing numbers* --
@@ -65,9 +65,10 @@ DEFAULT_CONTRACTS = (
             "_tree_id",
             "_is_output",
             "_n",
+            "_plan",
         ),
         caches=("_times",),
-        invalidators=("_rebucket",),
+        invalidators=("_adopt",),
     ),
     CacheContract(
         module_suffix="repro/graph/designdb.py",

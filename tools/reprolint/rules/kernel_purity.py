@@ -1,7 +1,7 @@
 """RL001 -- kernel purity: no Python loops over the node/scenario axes.
 
 The Penfield--Rubinstein sweeps are fast *only* because the per-node
-recurrences run as level-bucketed numpy expressions; one Python ``for``
+recurrences run as level-at-a-time numpy expressions; one Python ``for``
 over nodes or scenarios inside a solve kernel silently reverts the
 engine to interpreter speed (the exact regression PR 1 exists to
 prevent).  Kernel *modules* still legitimately loop in compile paths
