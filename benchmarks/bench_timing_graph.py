@@ -16,6 +16,11 @@ lumped caps and RC trees.  Three measurements:
   tree and re-propagates only the downstream cone; the legacy engine can only
   re-run the full analysis.  Amortized per-edit speedup asserted **>= 50x**
   (measured in the thousands).
+* **resize ECO** -- seeded X1 <-> X2 cell swaps of instances that touch 2-3
+  timed nets (the swaps ``perfbench``'s ``eco_serve`` makes); each
+  recompiles, solves and re-times its nets as one block.  The per-swap
+  time is printed, and the arrivals afterwards must be ``tobytes``-equal
+  to a fresh graph of the edited design.
 * **parity** -- arrivals and worst slacks of the two engines agree at
   rtol 1e-12 across all three models, before and after the edit sequence.
   A speedup over an engine that disagrees would be meaningless.
@@ -31,13 +36,17 @@ import pytest
 from repro.generators import random_design
 from repro.graph import DesignDB, TimingGraph
 from repro.sta.analysis import TimingAnalyzer
+from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
+from repro.sta.netlist import design_from_dict, design_to_dict
 from repro.sta.parasitics import lumped
 from repro.utils.tables import format_table
 
 N_INSTANCES = 5_000
 PERIOD = 2e-9
 EDITS = 60
+RESIZES = 60
+LIBRARY = standard_cell_library()
 MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)
 
 
@@ -65,6 +74,24 @@ def _graph_full(design, parasitics):
     graph = TimingGraph(DesignDB(design, parasitics), clock_period=PERIOD)
     graph.arrivals_matrix
     return graph
+
+
+def _toggled(cell):
+    """The X1 <-> X2 footprint twin of ``cell``."""
+    return LIBRARY[cell.name[:-1] + ("2" if cell.name.endswith("X1") else "1")]
+
+
+def _swap_picks(graph, rng, count):
+    """``count`` seeded instances whose swap touches 2-3 timed nets."""
+    db = graph.db
+    timed = set(db.timed_nets())
+    candidates = [
+        name
+        for name, instance in sorted(db.instances.items())
+        if instance.cell.name.endswith(("X1", "X2"))
+        and 2 <= len(timed.intersection(instance.connections.values())) <= 3
+    ]
+    return [rng.choice(candidates) for _ in range(count)]
 
 
 def _assert_parity(graph, legacy_reports, rtol=1e-12):
@@ -109,6 +136,19 @@ def test_timing_graph_speedup(benchmark, workload, report):
         edited[net] = lumped(net, capacitance)
     _assert_parity(graph, _legacy_full(design, edited))
 
+    # Resize ECO arm, on a copy of the design (a swap edits its instances).
+    resize_design = design_from_dict(design_to_dict(design))
+    resized = TimingGraph(DesignDB(resize_design, edited), clock_period=PERIOD)
+    resized.arrivals_matrix
+    picks = _swap_picks(resized, random.Random(3), RESIZES)
+    instances = resized.db.instances
+    start = time.perf_counter()
+    for name in picks:
+        resized.resize_instance(name, _toggled(instances[name].cell))
+    per_swap = (time.perf_counter() - start) / RESIZES
+    fresh = TimingGraph(DesignDB(resize_design, edited), clock_period=PERIOD)
+    assert resized.arrivals_matrix.tobytes() == fresh.arrivals_matrix.tobytes()
+
     benchmark(lambda: _graph_full(design, parasitics))
 
     full_speedup = legacy_time / graph_time
@@ -118,6 +158,11 @@ def test_timing_graph_speedup(benchmark, workload, report):
         ("TimingGraph full analysis (DB + graph + 3 models)", graph_time * 1e3, full_speedup),
         ("legacy full re-analysis per ECO edit", legacy_time * 1e3, 1.0),
         (f"TimingGraph per ECO edit (amortized over {EDITS})", per_edit * 1e3, eco_speedup),
+        (
+            f"TimingGraph resize_instance per swap (2-3 nets, {RESIZES} swaps)",
+            per_swap * 1e3,
+            legacy_time / per_swap,
+        ),
     ]
     table = format_table(
         ["workload", "time (ms)", "speedup"],

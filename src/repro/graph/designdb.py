@@ -22,13 +22,14 @@ consumers (e.g. :func:`repro.apps.nets.design_net_summaries`) stay coherent,
 and splice the scenario layout -- built once at compile time -- over the
 same node window, so a what-if after an ECO costs what a warm one does.
 
-Bulk builds compile every stage in one vectorized pass
-(:func:`~repro.sta.delaycalc.compile_stage_block`): a per-net loop only
+Every stage is compiled one way
+(:class:`~repro.sta.delaycalc.StageGather` into
+:func:`~repro.sta.delaycalc.compile_stage_block`): a per-net loop only
 gathers each net's base arrays, drive resistance and sink pins, and the
-stage forest comes out as one block -- the layout
-:meth:`~repro.flat.FlatForest.from_block` adopts whole.  The per-net
-:func:`~repro.sta.delaycalc.compile_stage` remains the single-net ECO path
-and the parity oracle the block is held to, bit for bit.
+stages come out as one block -- the layout
+:meth:`~repro.flat.FlatForest.from_block` adopts whole.  A bulk build
+compiles every timed net; an ECO compiles and solves the nets it touches
+as one small block.
 
 With ``store_dir=`` the shared forest goes out of core: the block is cut at
 about one shard of nodes and each piece goes straight into a
@@ -44,6 +45,7 @@ run once over the in-RAM forest or once per shard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -61,7 +63,7 @@ import numpy as np
 from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.flat import FlatForest, FlatTree
 from repro.sta.cells import Cell
-from repro.sta.delaycalc import StageBlock, compile_stage, compile_stage_block
+from repro.sta.delaycalc import DRIVE_NODE, StageBlock, StageGather
 from repro.sta.netlist import Design, Instance, Net
 from repro.sta.parasitics import NetParasitics
 from repro.store import DEFAULT_SHARD_NODES, ShardStoreWriter, StoredForest
@@ -250,115 +252,13 @@ class _StageEntry:
         self.pin_index: Dict[str, int] = {}
 
 
-#: A lumped net's one-node base tree; only its node capacitance varies.
-_LUMPED_PARENT = np.asarray([-1], dtype=np.int64)
-_LUMPED_DEPTH = np.zeros(1, dtype=np.int64)
-_LUMPED_ZERO = np.zeros(1, dtype=np.float64)
-
-
-class _StageGather:
-    """Per-net inputs of one :func:`compile_stage_block` call.
-
-    The per-net Python work is bookkeeping only -- base arrays are
-    collected by reference, sink pins bound to stage-local nodes -- and the
-    stage layout is computed in one vectorized pass when the block is
-    compiled.
-    """
-
-    def __init__(self, keep_names: bool):
-        self.entries: List[_StageEntry] = []
-        self.parent: List[np.ndarray] = []
-        self.edge_r: List[np.ndarray] = []
-        self.edge_c: List[np.ndarray] = []
-        self.node_c: List[np.ndarray] = []
-        self.depth: List[np.ndarray] = []
-        self.lumped_tree: List[int] = []
-        self.lumped_c: List[float] = []
-        self.drive: List[float] = []
-        self.sink_counts: List[int] = []
-        self.sink_local: List[int] = []
-        self.sink_c: List[float] = []
-        #: Stage node names, kept for in-RAM forests only (a store has none).
-        self.keep_names = keep_names
-        self.names: List[str] = []
-        self.nodes = 0
-
-    def add(
-        self,
-        entry: _StageEntry,
-        model: NetModel,
-        drive_resistance: float,
-        sinks: Dict[str, float],
-    ) -> None:
-        tree = len(self.entries)
-        self.entries.append(entry)
-        base = model.base
-        if base is None:
-            size = 1
-            self.parent.append(_LUMPED_PARENT)
-            self.edge_r.append(_LUMPED_ZERO)
-            self.edge_c.append(_LUMPED_ZERO)
-            self.node_c.append(_LUMPED_ZERO)
-            self.depth.append(_LUMPED_DEPTH)
-            self.lumped_tree.append(tree)
-            self.lumped_c.append(model.lumped_capacitance)
-            pin_index = dict.fromkeys(sinks, 1)
-            if self.keep_names:
-                self.names += ("src", "net")
-        else:
-            size = len(base)
-            self.parent.append(base._parent)
-            self.edge_r.append(base._edge_r)
-            self.edge_c.append(base._edge_c)
-            self.node_c.append(base._node_c)
-            self.depth.append(base._depth)
-            # Unbound pins take the base's last node: nothing can follow
-            # it as a child, so it is the last preorder leaf.
-            pin_nodes = model.pin_nodes
-            pin_index = {}
-            for pin in sinks:
-                node = pin_nodes.get(pin)
-                pin_index[pin] = size if node is None else base.index(node) + 1
-            if self.keep_names:
-                first = len(self.names)
-                self.names.append("src")
-                self.names += base._names
-                self.names[first + 1] = "drv"
-        entry.pin_index = pin_index
-        self.drive.append(drive_resistance)
-        self.sink_counts.append(len(sinks))
-        self.sink_local += pin_index.values()
-        self.sink_c += sinks.values()
-        self.nodes += size + 1
-
-    def compile(self) -> StageBlock:
-        sizes = np.asarray([len(p) for p in self.parent], dtype=np.int64)
-        base_starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=base_starts[1:])
-        node_c = np.concatenate(self.node_c)
-        if self.lumped_tree:
-            node_c[base_starts[self.lumped_tree]] = self.lumped_c
-        return compile_stage_block(
-            base_starts,
-            np.concatenate(self.parent),
-            np.concatenate(self.edge_r),
-            np.concatenate(self.edge_c),
-            node_c,
-            np.concatenate(self.depth),
-            np.asarray(self.drive, dtype=np.float64),
-            np.asarray(self.sink_counts, dtype=np.int64),
-            np.asarray(self.sink_local, dtype=np.int64),
-            np.asarray(self.sink_c, dtype=np.float64),
-        )
-
-
 #: One block's piece of the scenario layout: wire capacitance, sink nodes
 #: and sink capacitances, in forest numbering.
 _LayoutPart = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _emit_block(
-    gather: _StageGather,
+    gather: StageGather,
     writer: Optional[ShardStoreWriter],
     layout: List[_LayoutPart],
 ) -> StageBlock:
@@ -372,7 +272,7 @@ def _emit_block(
         (
             block.wire_c,
             block.sink_nodes + offset,
-            np.asarray(gather.sink_c, dtype=np.float64),
+            block.sink_c,
         )
     )
     if writer is not None:
@@ -385,6 +285,23 @@ def _emit_block(
             depth=block.depth,
         )
     return block
+
+
+def _stage_tree(block: StageBlock, names: List[str], lo: int, hi: int) -> FlatTree:
+    """The stage at block nodes ``[lo, hi)`` as a tree (tree-local parents)."""
+    parent = block.parent[lo:hi] - lo
+    parent[0] = -1
+    return FlatTree(
+        names[lo:hi],
+        parent,
+        block.edge_r[lo:hi],
+        block.edge_c[lo:hi],
+        block.node_c[lo:hi],
+        block.is_output[lo:hi],
+        _depth=block.depth[lo:hi],
+        # Stage arrays are valid by construction.
+        _trusted=True,
+    )
 
 
 def _derate_planes(
@@ -409,8 +326,7 @@ def _derate_planes(
     plan = forest._plan
     node_scale = tree_scale[first_tree : first_tree + len(forest)][forest._tree_id]
     r_factor = node_scale * scenarios.r_derates[np.newaxis, :]
-    # Node 1 of every stage tree carries the drive-resistance edge.
-    drive_rows = plan.position[forest._offsets[:-1] + 1]
+    drive_rows = plan.position[forest._offsets[:-1] + DRIVE_NODE]
     r_factor[drive_rows, :] = scenarios.drive_derates[np.newaxis, :]
     c_derate = scenarios.c_derates[np.newaxis, :]
     wire_factor = node_scale * c_derate
@@ -501,18 +417,17 @@ class DesignDB:
             for load in net.loads
         }
 
-    def _compile_net(
-        self, net: Net, sinks: Dict[str, float]
-    ) -> Tuple[FlatTree, Dict[str, int], np.ndarray]:
+    def _gather_stage(
+        self, gather: StageGather, net: Net, sinks: Dict[str, float]
+    ) -> Dict[str, int]:
+        """Add ``net``'s stage to ``gather``; returns its ``pin_index``."""
         model = self._model_of(net.name)
-        return compile_stage(
+        return gather.add(
+            model.base,
+            model.lumped_capacitance,
+            model.pin_nodes,
             self._drive_resistance(net),
             sinks,
-            lumped_capacitance=model.lumped_capacitance,
-            base=model.base,
-            pin_nodes=model.pin_nodes,
-            # Stage arrays are valid by construction; skip re-validation.
-            _trusted=True,
         )
 
     def _compile(self) -> None:
@@ -541,7 +456,7 @@ class DesignDB:
         layout_parts: List[_LayoutPart] = []
         row = 0
         block: Optional[StageBlock] = None
-        gather = _StageGather(keep_names=in_ram)
+        gather = StageGather(keep_names=in_ram)
         try:
             for net in self._nets.values():
                 if net.driver is None or not net.loads:
@@ -555,17 +470,15 @@ class DesignDB:
                 entry = _StageEntry(
                     name, len(self._entries), slice(row, row + count)
                 )
-                gather.add(
-                    entry, self._model_of(name), self._drive_resistance(net), sinks
-                )
+                entry.pin_index = self._gather_stage(gather, net, sinks)
                 self._entries[name] = entry
                 nets += [name] * count
                 pins += sinks
                 row += count
                 if writer is not None and gather.nodes >= DEFAULT_SHARD_NODES:
                     _emit_block(gather, writer, layout_parts)
-                    gather = _StageGather(keep_names=False)
-            if gather.entries:
+                    gather = StageGather(keep_names=False)
+            if gather.nodes:
                 block = _emit_block(gather, writer, layout_parts)
         except BaseException:
             if writer is not None:
@@ -706,15 +619,16 @@ class DesignDB:
         """The compiled stage tree of one timed net.
 
         A store-backed database does not retain compiled stages in RAM, so
-        the tree is recompiled on demand (O(net size)).
+        the tree is recompiled on demand as a one-net block (O(net size)).
         """
         entry = self._entries.get(net)
         if entry is None:
             raise AnalysisError(f"net {net!r} is not a timed net of this design")
         if self._store is not None:
             record = self._nets[net]
-            flat, _, _ = self._compile_net(record, self._sink_capacitances(record))
-            return flat
+            gather = StageGather(keep_names=True)
+            self._gather_stage(gather, record, self._sink_capacitances(record))
+            return _stage_tree(gather.compile(), gather.names, 0, gather.nodes)
         pending = self._pending.get(entry.tree_index)
         if pending is not None:
             return pending.flat
@@ -855,9 +769,9 @@ class DesignDB:
 
         Each candidate ``(instance, cell)`` touches the stage tree of the
         instance's output net (the candidate's drive resistance on the
-        drive edge, local node 1) and, when the input capacitance changes,
-        every timed net the instance loads (the delta added at the
-        instance's pin node).  Every other tree's times are exactly the
+        edge into :data:`~repro.sta.delaycalc.DRIVE_NODE`) and, when the
+        input capacitance changes, every timed net the instance loads (the
+        delta added at the instance's pin node).  Every other tree's times are exactly the
         base solve's, so only the touched trees are gathered into a
         sub-forest (:meth:`repro.flat.FlatForest.subforest`), and plane
         ``s`` edits only swap ``s``'s trees.  Nothing in the database is
@@ -882,10 +796,7 @@ class DesignDB:
             old = record.cell
             out_entry = self._entries.get(record.connections.get(old.output, ""))
             if out_entry is not None:
-                resistance = (
-                    cell.drive_resistance if cell.drive_resistance > 0 else 1e-6
-                )
-                drives.append((row, out_entry.tree_index, resistance))
+                drives.append((row, out_entry.tree_index, cell.drive_resistance))
             delta = cell.input_capacitance - old.input_capacitance
             if delta:
                 # Every non-output pin (inputs and a sequential cell's clock
@@ -916,7 +827,7 @@ class DesignDB:
         edge_r = np.repeat(sub._edge_r[:, np.newaxis], s, axis=1).T
         node_c = np.repeat(sub._node_c[:, np.newaxis], s, axis=1).T
         for row, tree, resistance in drives:
-            edge_r[row, position[starts[slot[tree]] + 1]] = resistance
+            edge_r[row, position[starts[slot[tree]] + DRIVE_NODE]] = resistance
         for row, tree, local, delta in loads:
             node_c[row, position[starts[slot[tree]] + local]] += delta
         # Sink rows of the touched nets, net by net in sub-forest order.
@@ -971,32 +882,56 @@ class DesignDB:
             )
         return entry
 
-    def _recompile_entry(self, entry: _StageEntry) -> None:
-        """Re-compile + re-solve one net's stage and patch the shared state.
+    def _recompile(self, entries: Sequence[_StageEntry]) -> None:
+        """Re-compile + re-solve the stages of ``entries`` as one block.
 
-        The sink table is patched now; the stage is queued for the forest
-        and scenario-layout splice that :meth:`_active_forest` applies.
+        The nets are gathered and compiled together
+        (:class:`~repro.sta.delaycalc.StageGather`), adopted as one small
+        forest and solved once; every touched sink row is patched now, and
+        each stage is queued for the forest and scenario-layout splice that
+        :meth:`_active_forest` applies.
         """
-        net = self._nets[entry.net]
-        sinks = self._sink_capacitances(net)
-        flat, pin_index, wire_c = self._compile_net(net, sinks)
-        entry.pin_index = pin_index
-        # pin_index keeps sink-table row order within the net.
-        indices = np.fromiter(pin_index.values(), dtype=np.int64, count=len(sinks))
-        self._pending[entry.tree_index] = _PendingStage(
-            flat=flat,
-            wire_c=wire_c,
-            sink_local=indices,
-            sink_c=np.fromiter(sinks.values(), dtype=np.float64, count=len(sinks)),
-            rows=entry.row_slice,
+        if not entries:
+            return
+        gather = StageGather(keep_names=True)
+        for entry in entries:
+            net = self._nets[entry.net]
+            entry.pin_index = self._gather_stage(
+                gather, net, self._sink_capacitances(net)
+            )
+        block = gather.compile()
+        forest = FlatForest.from_block(
+            block.starts,
+            block.parent,
+            block.edge_r,
+            block.edge_c,
+            block.node_c,
+            depth=block.depth,
+            is_output=block.is_output,
+            names=None,
         )
-        times = flat.solve()
-        window = entry.row_slice
+        times = forest.solve()
+        # Sink rows run stage by stage, each in its net's row order.
+        nodes = forest._plan.position[block.sink_nodes]
+        tde, tre = times.tde[nodes], times.tre[nodes]
         table = self._sinks
-        table.tp[window] = times.tp
-        table.tde[window] = times.tde[indices]
-        table.tre[window] = times.tre[indices]
-        table.total_capacitance[window] = times.total_capacitance
+        bounds = block.starts.tolist()
+        sink_bounds = list(accumulate(gather.sink_counts, initial=0))
+        for k, entry in enumerate(entries):
+            window = entry.row_slice
+            first, last = sink_bounds[k], sink_bounds[k + 1]
+            table.tp[window] = times.tp[k]
+            table.tde[window] = tde[first:last]
+            table.tre[window] = tre[first:last]
+            table.total_capacitance[window] = times.total_capacitance[k]
+            lo, hi = bounds[k], bounds[k + 1]
+            self._pending[entry.tree_index] = _PendingStage(
+                flat=_stage_tree(block, gather.names, lo, hi),
+                wire_c=block.wire_c[lo:hi],
+                sink_local=block.sink_nodes[first:last] - lo,
+                sink_c=block.sink_c[first:last],
+                rows=window,
+            )
 
     def update_net(
         self, net: str, parasitics: Union[NetParasitics, NetModel]
@@ -1018,7 +953,7 @@ class DesignDB:
                 f"parasitics are for net {model.net!r}, not {net!r}"
             )
         self._models[net] = model
-        self._recompile_entry(entry)
+        self._recompile([entry])
         return entry.row_slice
 
     def update_instance_cell(self, instance: str, cell: Cell) -> List[str]:
@@ -1026,19 +961,20 @@ class DesignDB:
 
         A cell swap changes the drive resistance of the instance's *output*
         net and the sink capacitance it presents on each of its *input* nets;
-        only those stage trees are re-compiled.  Returns the affected timed
-        net names (the instance's intrinsic-delay change is the caller's to
-        propagate -- see :meth:`repro.graph.TimingGraph.resize_instance`).
+        only those stage trees are re-compiled, together as one block.
+        Returns the affected timed net names (the instance's intrinsic-delay
+        change is the caller's to propagate -- see
+        :meth:`repro.graph.TimingGraph.resize_instance`).
         """
         record = self.check_cell_swap(instance, cell)
         record.cell = cell
-        affected: List[str] = []
-        for pin, net_name in record.connections.items():
-            if net_name in self._entries:
-                if net_name not in affected:
-                    affected.append(net_name)
-        for net_name in affected:
-            self._recompile_entry(self._entries[net_name])
+        # A net on several of the instance's pins is recompiled once.
+        affected = list(
+            dict.fromkeys(
+                net for net in record.connections.values() if net in self._entries
+            )
+        )
+        self._recompile([self._entries[net] for net in affected])
         return affected
 
     # ------------------------------------------------------------------

@@ -916,10 +916,20 @@ class TimingGraph:
     # ------------------------------------------------------------------
     # Incremental ECO re-timing
     # ------------------------------------------------------------------
-    def _patch_net_delays(self, net: str) -> np.ndarray:
-        """Refresh one timed net's arc delays from the sink table."""
-        edges = np.asarray(self._net_edges[net], dtype=np.int64)
-        self._edge_delay[edges] = self._net_arc_delays(self._db.sink_rows(net))
+    def _patch_net_delays(self, nets: Sequence[str]) -> np.ndarray:
+        """Refresh the arc delays of timed ``nets``; returns their edges.
+
+        A timed net's edges run in its sink-row order, so one
+        :meth:`_net_arc_delays` over the nets' concatenated rows serves all.
+        """
+        windows = [self._db.sink_rows(net) for net in nets]
+        edges = np.asarray(
+            [edge for net in nets for edge in self._net_edges[net]], dtype=np.int64
+        )
+        rows = np.asarray(
+            [row for w in windows for row in range(w.start, w.stop)], dtype=np.int64
+        )
+        self._edge_delay[edges] = self._net_arc_delays(rows)
         return edges
 
     def _relax_cone(
@@ -1021,22 +1031,23 @@ class TimingGraph:
         Returns the number of re-evaluated vertices.
         """
         self._db.update_net(net, parasitics)
-        return self._repropagate(self._edge_dst[self._patch_net_delays(net)])
+        return self._repropagate(self._edge_dst[self._patch_net_delays([net])])
 
     def resize_instance(self, instance: str, cell: Cell) -> int:
         """ECO hook: swap one instance's cell and re-time its cone.
 
         The database re-solves the stage trees of the instance's output net
         (drive resistance changed) and of every net it loads (sink capacitance
-        changed); the instance's cell arcs pick up the new intrinsic delay.
-        Returns the number of re-evaluated vertices.
+        changed) as one block, and their arc delays are patched in one pass;
+        the instance's cell arcs pick up the new intrinsic delay.  Returns
+        the number of re-evaluated vertices.
         """
         affected = self._db.update_instance_cell(instance, cell)
-        seeds = [self._edge_dst[self._patch_net_delays(net)] for net in affected]
+        net_edges = self._patch_net_delays(affected)
         swapped = self._db.instances[instance].cell
         cell_edges = self._cell_edges.get(instance, [])
         for edge, (_, label) in zip(cell_edges, _cell_arcs(swapped)):
             self._edge_delay[edge, :] = swapped.intrinsic_delay
             self._edge_arcs[edge] = label
-        seeds.append(self._edge_dst[np.asarray(cell_edges, dtype=np.int64)])
-        return self._repropagate(np.concatenate(seeds))
+        edges = np.concatenate([net_edges, np.asarray(cell_edges, dtype=np.int64)])
+        return self._repropagate(self._edge_dst[edges])

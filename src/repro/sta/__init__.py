@@ -21,10 +21,10 @@ analysis.  This subpackage demonstrates that downstream use end to end:
 ``TimingAnalyzer`` walks a networkx pin graph one vertex at a time and is
 kept as the readable reference (and parity oracle); design-scale runs and
 incremental ECO loops live in the array-native :mod:`repro.graph` engine,
-which builds its stages with this subpackage's
-:func:`~repro.sta.delaycalc.compile_stage_block` -- bitwise the per-net
-:func:`~repro.sta.delaycalc.compile_stage` assembler -- so the two engines
-agree to rounding.
+which builds its stages with the same
+:func:`~repro.sta.delaycalc.compile_stage_block` that
+:func:`~repro.sta.delaycalc.stage_characteristic_times` runs on one net, so
+the two engines agree to rounding.
 """
 
 from repro.sta.cells import Cell, standard_cell_library
@@ -43,7 +43,6 @@ from repro.sta.delaycalc import (
     DelayModel,
     StageDelay,
     StageTimes,
-    compile_stage,
     stage_characteristic_times,
     stage_delays,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "DelayModel",
     "StageDelay",
     "StageTimes",
-    "compile_stage",
     "stage_characteristic_times",
     "stage_delays",
     "TimingAnalyzer",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,108 +70,21 @@ class StageDelay:
         return max(self.wire_delays, key=self.wire_delays.get)
 
 
-def compile_stage(
-    drive_resistance: Optional[float],
-    sink_capacitance: Mapping[str, float],
-    *,
-    lumped_capacitance: float = 0.0,
-    base: Optional[FlatTree] = None,
-    pin_nodes: Optional[Mapping[str, str]] = None,
-    _trusted: bool = False,
-) -> Tuple[FlatTree, Dict[str, int], np.ndarray]:
-    """Compile one stage (drive resistance + net + sink loads) straight to arrays.
-
-    The stage tree is assembled without any intermediate dict
-    :class:`~repro.core.tree.RCTree`: the driver's resistance becomes the edge
-    into the net, a lumped net is a single extra node, and a distributed net
-    grafts the (pre-compiled) ``base`` flat tree behind the drive resistance by
-    prepending one node and shifting the parent indices.  Returns the compiled
-    :class:`~repro.flat.FlatTree`, a map sink pin -> node index, and the
-    *wire-only* node-capacitance array (the stage's node capacitances before
-    any pin load was added).  The wire/pin split is what lets the
-    scenario-batched solver of :class:`~repro.graph.DesignDB` derate wire
-    parasitics and pin loads independently without a cancellation-prone
-    subtraction.
-
-    ``pin_nodes`` maps sink pins to ``base`` node names; unbound pins attach at
-    the last preorder leaf (the far end of the tree, the most pessimistic
-    choice for a chain), and pins bound to the base root land on the graft
-    node directly behind the drive resistance.
-    """
-    resistance = drive_resistance if drive_resistance and drive_resistance > 0 else 1e-6
-    if base is None:
-        # Lumped net: one node carrying wire capacitance plus every pin cap.
-        node_capacitance = lumped_capacitance
-        for capacitance in sink_capacitance.values():
-            node_capacitance += capacitance
-        flat = FlatTree(
-            ["src", "net"],
-            np.asarray([-1, 0], dtype=np.int64),
-            np.asarray([0.0, resistance]),
-            np.zeros(2),
-            np.asarray([0.0, node_capacitance]),
-            np.asarray([False, True]),
-            _depth=[0, 1],
-            _trusted=_trusted,
-        )
-        wire_c = np.asarray([0.0, lumped_capacitance])
-        return flat, {pin: 1 for pin in sink_capacitance}, wire_c
-
-    # Distributed net: graft the compiled tree behind the drive resistance.
-    n = len(base)
-    parent = np.empty(n + 1, dtype=np.int64)
-    parent[0] = -1
-    parent[1] = 0
-    np.add(base._parent[1:], 1, out=parent[2:])
-    edge_r = np.empty(n + 1)
-    edge_r[0] = 0.0
-    edge_r[1] = resistance
-    edge_r[2:] = base._edge_r[1:]
-    edge_c = np.empty(n + 1)
-    edge_c[:2] = 0.0
-    edge_c[2:] = base._edge_c[1:]
-    node_c = np.empty(n + 1)
-    node_c[0] = 0.0
-    node_c[1:] = base._node_c
-    names = ["src", "drv"] + base._names[1:]
-    depth = np.empty(n + 1, dtype=np.int64)
-    depth[0] = 0
-    np.add(base._depth, 1, out=depth[1:])
-    is_output = np.zeros(n + 1, dtype=bool)
-
-    # Last preorder leaf of the base tree, the unbound-pin fallback.
-    has_child = np.zeros(n, dtype=bool)
-    has_child[base._parent[1:]] = True
-    fallback = int(np.flatnonzero(~has_child)[-1]) + 1
-
-    pin_nodes = pin_nodes or {}
-    pin_index: Dict[str, int] = {}
-    wire_c = node_c.copy()
-    for pin, capacitance in sink_capacitance.items():
-        node = pin_nodes.get(pin)
-        if node is None:
-            index = fallback
-        else:
-            index = base.index(node) + 1
-        node_c[index] += capacitance
-        is_output[index] = True
-        pin_index[pin] = index
-    flat = FlatTree(
-        names, parent, edge_r, edge_c, node_c, is_output, _depth=depth, _trusted=_trusted
-    )
-    return flat, pin_index, wire_c
+#: Stage-local node the drive-resistance edge runs into from the source
+#: node 0.  It is the net's base root, so base node ``k`` sits at stage node
+#: ``k + DRIVE_NODE``; a lumped net is that one node.
+DRIVE_NODE = 1
 
 
-@dataclass(frozen=True)
-class StageBlock:
+class StageBlock(NamedTuple):
     """Many stage trees compiled at once, in the forest block layout.
 
     ``starts`` holds each stage's first node plus the node-count sentinel;
     ``parent`` is block-local with ``-1`` at every stage's source node --
     the layout :meth:`repro.flat.FlatForest.from_block` and
     :meth:`repro.store.ShardStoreWriter.add_block` take.  ``wire_c`` is the
-    node capacitance before any pin load was added and ``sink_nodes`` the
-    block node of every sink row.
+    node capacitance before any pin load was added, ``sink_nodes`` the
+    block node of every sink row and ``sink_c`` its pin capacitance.
     """
 
     starts: np.ndarray
@@ -183,6 +96,7 @@ class StageBlock:
     is_output: np.ndarray
     wire_c: np.ndarray
     sink_nodes: np.ndarray
+    sink_c: np.ndarray
 
 
 def compile_stage_block(
@@ -197,46 +111,50 @@ def compile_stage_block(
     sink_local: np.ndarray,
     sink_capacitance: np.ndarray,
 ) -> StageBlock:
-    """Compile many stages in one vectorized pass, bitwise as :func:`compile_stage`.
+    """Compile many stages in one vectorized pass.
 
     The ``base_*`` arrays concatenate every stage's net tree (tree-local
     topological parents with root ``-1``, one tree per ``base_starts``
     window); a lumped net is a one-node base carrying its wire capacitance.
     Each stage prepends a source node, puts its drive resistance (``<= 0``
-    becomes 1e-6) on the edge into the base root, and adds its sink pins'
-    capacitances -- ``sink_counts`` rows per stage, each at stage-local
-    node ``sink_local`` -- in sink order with :func:`numpy.add.at`, so every
-    sum is the sequential one :func:`compile_stage` forms.
+    becomes 1e-6) on the edge into the base root (:data:`DRIVE_NODE`), and
+    adds its sink pins' capacitances -- ``sink_counts`` rows per stage, each
+    at stage-local node ``sink_local`` -- in sink order with
+    :func:`numpy.add.at`, so every node sum is the sequential one.  Tests
+    hold the result bit for bit to the per-net assembler kept as the oracle
+    in ``tests/graph/stage_oracle.py``.  :class:`StageGather` collects
+    these inputs net by net.
     """
     trees = len(drive_resistance)
-    sizes = np.diff(base_starts)
+    sizes = base_starts[1:] - base_starts[:-1]
     starts = np.zeros(trees + 1, dtype=np.int64)
     np.cumsum(sizes + 1, out=starts[1:])
     n = int(starts[-1])
     source = starts[:-1]
-    # Base node k of tree t lands at k + t + 1: one source node per tree
-    # before it, its own included.
-    tree_of_base = np.repeat(np.arange(trees, dtype=np.int64), sizes)
-    at = np.arange(len(base_parent), dtype=np.int64) + tree_of_base + 1
+    drive_nodes = source + DRIVE_NODE
+    # Base node k of stage t lands at starts[t] + DRIVE_NODE + k: the t
+    # source nodes of the stages before it shift its base index by t.
+    tree_of_base = np.arange(trees, dtype=np.int64).repeat(sizes)
+    at = np.arange(len(base_parent), dtype=np.int64) + tree_of_base + DRIVE_NODE
 
     parent = np.empty(n, dtype=np.int64)
     parent[source] = -1
-    # A base root (parent -1) lands on its source node; every other parent
-    # shifts with its tree.
-    parent[at] = base_parent + source[tree_of_base] + 1
+    # A base root (parent -1) lands on its source node, the one before the
+    # drive node; every other parent shifts with its stage.
+    parent[at] = base_parent + drive_nodes[tree_of_base]
     depth = np.zeros(n, dtype=np.int64)
     depth[at] = base_depth + 1
     edge_r = np.zeros(n, dtype=np.float64)
     edge_r[at] = base_edge_r
-    edge_r[source + 1] = np.where(drive_resistance > 0, drive_resistance, 1e-6)
+    edge_r[drive_nodes] = np.where(drive_resistance > 0, drive_resistance, 1e-6)
     edge_c = np.zeros(n, dtype=np.float64)
     edge_c[at] = base_edge_c
-    edge_c[source + 1] = 0.0
+    edge_c[drive_nodes] = 0.0
     node_c = np.zeros(n, dtype=np.float64)
     node_c[at] = base_node_c
     wire_c = node_c.copy()
 
-    sink_nodes = np.repeat(source, sink_counts) + sink_local
+    sink_nodes = source.repeat(sink_counts) + sink_local
     np.add.at(node_c, sink_nodes, sink_capacitance)
     is_output = np.zeros(n, dtype=bool)
     is_output[sink_nodes] = True
@@ -250,7 +168,117 @@ def compile_stage_block(
         is_output=is_output,
         wire_c=wire_c,
         sink_nodes=sink_nodes,
+        sink_c=sink_capacitance,
     )
+
+
+#: A lumped net's one-node base tree; only its node capacitance varies.
+_LUMPED_PARENT = np.asarray([-1], dtype=np.int64)
+_LUMPED_DEPTH = np.zeros(1, dtype=np.int64)
+_LUMPED_ZERO = np.zeros(1, dtype=np.float64)
+
+
+class StageGather:
+    """Per-net inputs of one :func:`compile_stage_block` call.
+
+    Every stage compile -- a bulk build, an ECO's nets, the legacy
+    :func:`stage_characteristic_times` -- gathers its nets here.  The
+    per-net work is bookkeeping only (base arrays by reference, sink pins
+    bound to stage-local nodes); :meth:`compile` builds the block.  With
+    ``keep_names`` the stage node names are collected too (a store keeps
+    none).
+    """
+
+    def __init__(self, keep_names: bool):
+        self.parent: List[np.ndarray] = []
+        self.edge_r: List[np.ndarray] = []
+        self.edge_c: List[np.ndarray] = []
+        self.node_c: List[np.ndarray] = []
+        self.depth: List[np.ndarray] = []
+        self.lumped_tree: List[int] = []
+        self.lumped_c: List[float] = []
+        self.drive: List[float] = []
+        self.sink_counts: List[int] = []
+        self.sink_local: List[int] = []
+        self.sink_c: List[float] = []
+        self.keep_names = keep_names
+        self.names: List[str] = []
+        self.nodes = 0
+
+    def add(
+        self,
+        base: Optional[FlatTree],
+        lumped_capacitance: float,
+        pin_nodes: Mapping[str, str],
+        drive_resistance: float,
+        sinks: Mapping[str, float],
+    ) -> Dict[str, int]:
+        """Queue one stage; returns its ``pin_index`` (pin -> stage node).
+
+        ``base`` is the net's compiled parasitic tree, or ``None`` for a
+        lumped net; ``pin_nodes`` binds sink pins to base node names and
+        ``sinks`` maps each sink pin to its capacitance, in row order.  An
+        unbound pin takes the base's last node: nothing can follow it as a
+        child, so it is the last preorder leaf.
+        """
+        tree = len(self.drive)
+        if base is None:
+            size = 1
+            self.parent.append(_LUMPED_PARENT)
+            self.edge_r.append(_LUMPED_ZERO)
+            self.edge_c.append(_LUMPED_ZERO)
+            self.node_c.append(_LUMPED_ZERO)
+            self.depth.append(_LUMPED_DEPTH)
+            self.lumped_tree.append(tree)
+            self.lumped_c.append(lumped_capacitance)
+            pin_index = dict.fromkeys(sinks, DRIVE_NODE)
+            if self.keep_names:
+                self.names += ("src", "net")
+        else:
+            size = len(base)
+            self.parent.append(base._parent)
+            self.edge_r.append(base._edge_r)
+            self.edge_c.append(base._edge_c)
+            self.node_c.append(base._node_c)
+            self.depth.append(base._depth)
+            last = size - 1
+            pin_index = {}
+            for pin in sinks:
+                node = pin_nodes.get(pin)
+                local = last if node is None else base.index(node)
+                pin_index[pin] = local + DRIVE_NODE
+            if self.keep_names:
+                first = len(self.names)
+                self.names.append("src")
+                self.names += base._names
+                self.names[first + DRIVE_NODE] = "drv"
+        self.drive.append(drive_resistance)
+        self.sink_counts.append(len(sinks))
+        self.sink_local += pin_index.values()
+        self.sink_c += sinks.values()
+        self.nodes += size + 1
+        return pin_index
+
+    def compile(self) -> StageBlock:
+        """The gathered stages as one :class:`StageBlock`."""
+        sizes = np.asarray([len(p) for p in self.parent], dtype=np.int64)
+        base_starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=base_starts[1:])
+        node_c = np.concatenate(self.node_c)
+        if self.lumped_tree:
+            node_c[base_starts[self.lumped_tree]] = self.lumped_c
+        return compile_stage_block(
+            base_starts,
+            np.concatenate(self.parent),
+            np.concatenate(self.edge_r),
+            np.concatenate(self.edge_c),
+            node_c,
+            np.concatenate(self.depth),
+            np.asarray(self.drive, dtype=np.float64),
+            np.asarray(self.sink_counts, dtype=np.int64),
+            np.asarray(self.sink_local, dtype=np.int64),
+            np.asarray(self.sink_c, dtype=np.float64),
+        )
 
 
 @dataclass(frozen=True)
@@ -302,9 +330,9 @@ def stage_characteristic_times(
 ) -> StageTimes:
     """Analyse one stage once, for every delay model.
 
-    Compiles the stage straight to a :class:`~repro.flat.FlatTree` through
-    :func:`compile_stage` -- the same array path the design-scale
-    :class:`~repro.graph.DesignDB` batches over a whole netlist -- and returns
+    Compiles the stage as a one-net block (:class:`StageGather`,
+    :func:`compile_stage_block`) -- the path the design-scale
+    :class:`~repro.graph.DesignDB` runs over a whole netlist -- and returns
     the characteristic times of every sink pin.  A stage with no capacitance
     anywhere settles instantaneously in the linear model and yields an empty
     ``pin_times``.  ``_base`` lets callers that already compiled the net's
@@ -322,12 +350,24 @@ def stage_characteristic_times(
     base = _base
     if base is None and parasitics.tree is not None:
         base = FlatTree.from_tree(parasitics.tree)
-    flat, pin_index, _ = compile_stage(
+    gather = StageGather(keep_names=True)
+    pin_index = gather.add(
+        base,
+        parasitics.lumped_capacitance,
+        parasitics.pin_nodes,
         resistance,
         sink_capacitance,
-        lumped_capacitance=parasitics.lumped_capacitance,
-        base=base,
-        pin_nodes=parasitics.pin_nodes,
+    )
+    block = gather.compile()
+    # A one-stage block is the stage tree; caller loads get validated.
+    flat = FlatTree(
+        gather.names,
+        block.parent,
+        block.edge_r,
+        block.edge_c,
+        block.node_c,
+        block.is_output,
+        _depth=block.depth,
     )
     if flat.total_capacitance <= 0.0:
         # Nothing to charge: the net settles instantaneously in the linear

@@ -1,16 +1,24 @@
-"""The maintained scenario layout equals a from-scratch rebuild after any ECO.
+"""An ECO'd database equals a fresh build of the edited design, bit for bit.
 
 ``DesignDB`` builds its scenario layout (wire-only and pin-load capacitance
 per forest node, and each sink row's forest node and tree) once, from the
-stage blocks, and splices it together with the forest on every ECO.  The oracle is the per-entry rebuild the database used to run
-after each edit: ``compile_stage`` per timed net, placed at the forest's
-current offsets, pin loads summed in ``pin_index`` order.  After random ECO
-sequences -- cell swaps, same-size, larger and smaller ``update_net``
-trees, lumped -> tree and tree -> lumped -- every layout array must match it
-bit for bit, in RAM and store-backed.  Scenario solves and what-if scores
-must match a freshly built database of the edited design at 1e-12, and the
-cone-local what-if must equal the full-forest oracle on the same graph bit
-for bit.
+stage blocks, and splices it together with the forest on every ECO; an
+ECO recompiles and solves all the nets it touches as one block.  The
+layout oracle is the per-entry rebuild the database used to run after
+each edit: the per-net ``compile_stage`` (``tests/graph/stage_oracle.py``)
+per timed net, placed at the forest's current offsets, pin loads summed
+in ``pin_index`` order.  After random ECO sequences -- cell swaps
+(including an instance whose two inputs share one net, and one that
+drives a net and loads two others), same-size, larger and smaller
+``update_net`` trees, lumped -> tree and tree -> lumped -- every layout
+array must match it bit for bit, in RAM and store-backed.  After every
+ECO the sink table and the ``TimingGraph`` arrivals must also be
+``tobytes``-equal to a fresh build's, and so must the forest's preorder
+arrays and the layout whenever the sequence reads the forest (and at its
+end): the other ECOs leave their splices queued, as an ECO loop does.
+Scenario solves and what-if scores must match the fresh database at
+1e-12, and the cone-local what-if must equal the full-forest oracle on
+the same graph bit for bit.
 """
 
 import tempfile
@@ -28,8 +36,9 @@ from repro.generators import random_design, random_scenarios
 from repro.graph import DesignDB, TimingGraph
 from repro.scenarios import Scenario, ScenarioSet, scaled_parasitics
 from repro.sta.cells import standard_cell_library
-from repro.sta.delaycalc import DelayModel, compile_stage
+from repro.sta.delaycalc import DelayModel
 from repro.sta.parasitics import lumped, rc_tree_parasitics
+from tests.graph.stage_oracle import compile_stage
 from tests.graph.whatif_oracle import full_forest_whatif
 
 #: A small shard size so store-backed designs span several shards.
@@ -39,7 +48,18 @@ PERIOD = 2e-9
 INPUT_DRIVE = 90.0
 MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)
 LAYOUT_FIELDS = ("wire_c", "pin_c", "sink_nodes", "sink_tree")
-ECO_KINDS = ("resize", "same", "grow", "shrink", "to_tree", "to_lumped")
+ECO_KINDS = (
+    "resize",
+    "same",
+    "grow",
+    "shrink",
+    "to_tree",
+    "to_lumped",
+    "shared_inputs",
+    "drive_and_loads",
+)
+#: The instances behind the two repeated-net swap kinds (see eco_design).
+REPEAT_INSTANCES = {"shared_inputs": "rep_shared", "drive_and_loads": "rep_fan"}
 TABLE_FIELDS = ("tp", "tde", "tre", "total_capacitance")
 
 
@@ -76,14 +96,64 @@ def rebuild_layout(db):
     }
 
 
+def assert_bitwise(got, want, name=""):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype, name
+    assert got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
 def assert_layout_matches_rebuild(db):
     layout = db._scenario_layout()
     expected = rebuild_layout(db)
     for name in LAYOUT_FIELDS:
-        got, want = getattr(layout, name), expected[name]
-        assert got.dtype == want.dtype, name
-        assert got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+        assert_bitwise(getattr(layout, name), expected[name], name)
+
+
+def stored_preorder(store):
+    """A store's ``(parent, depth, edge_r, edge_c, node_c)`` over all shards.
+
+    Shard-local parents are shifted to the global preorder numbering, so
+    two stores that cut their shards differently still compare.
+    """
+    parts = []
+    for shard in range(store.shard_count):
+        node_lo = store.shard_bounds(shard)[0]
+        parent, *rest = store.materialize(shard)._preorder()[:5]
+        parts.append((np.where(parent >= 0, parent + node_lo, -1), *rest))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def assert_matches_fresh(graph, fresh_graph, read):
+    """``graph`` (after ECOs) against a fresh build of the edited design.
+
+    The sink table and the arrivals are checked without touching the
+    forest; with ``read`` the forest (spliced now) and the layout too.
+    """
+    db, fresh = graph.db, fresh_graph.db
+    assert db.sinks.nets == fresh.sinks.nets
+    assert db.sinks.pins == fresh.sinks.pins
+    for name in TABLE_FIELDS:
+        assert_bitwise(getattr(db.sinks, name), getattr(fresh.sinks, name), name)
+    assert_bitwise(graph.arrivals_matrix, fresh_graph.arrivals_matrix, "arrivals")
+    if not read:
+        return
+    if db.store is None:
+        forest, want = db.forest, fresh.forest
+        assert_bitwise(forest._offsets, want._offsets, "offsets")
+        for got_array, want_array in zip(forest._preorder(), want._preorder()):
+            assert_bitwise(got_array, want_array)
+        assert forest._names == want._names
+    else:
+        assert_bitwise(db.store.offsets, fresh.store.offsets, "offsets")
+        for got_array, want_array in zip(
+            stored_preorder(db.store), stored_preorder(fresh.store)
+        ):
+            assert_bitwise(got_array, want_array)
+    layout, want_layout = db._scenario_layout(), fresh._scenario_layout()
+    for name in LAYOUT_FIELDS:
+        assert_bitwise(getattr(layout, name), getattr(want_layout, name), name)
+    assert_layout_matches_rebuild(db)
 
 
 def assert_close(got, want):
@@ -116,12 +186,40 @@ def base_size(db, net):
     return 1 if base is None else len(base)
 
 
+def eco_design(seed):
+    """``random_design(24)`` plus two instances whose swaps repeat nets.
+
+    ``rep_shared`` loads one timed net on both of its inputs, so a swap
+    must recompile that net once; ``rep_fan`` drives one timed net and
+    loads two others.  Their new loads are unbound in the parasitics, so
+    they take each net's last node.
+    """
+    design, parasitics = random_design(24, seed=seed)
+    clocks = set(design.clocks)
+    driven = [
+        name
+        for name, net in design.connectivity().items()
+        if net.driver is not None and name not in clocks
+    ]
+    first = driven[seed % len(driven)]
+    second = driven[(seed + 1) % len(driven)]
+    nand = LIBRARY["NAND2_X1"]
+    design.add_instance("rep_shared", nand, A=first, B=first, Y="rep_shared_y")
+    design.add_instance("rep_fan", nand, A=first, B=second, Y="rep_fan_y")
+    design.add_primary_output("rep_shared_y")
+    design.add_primary_output("rep_fan_y")
+    return design, dict(parasitics)
+
+
 def apply_eco(db, parasitics, eco, apply_update, apply_resize):
     """Apply one drawn ECO, mirrored into the ``parasitics`` oracle state."""
     kind, pick, scale = eco
-    if kind == "resize":
-        instances = sorted(db.instances)
-        name = instances[pick % len(instances)]
+    if kind in ("resize", *REPEAT_INSTANCES):
+        if kind == "resize":
+            instances = sorted(db.instances)
+            name = instances[pick % len(instances)]
+        else:
+            name = REPEAT_INSTANCES[kind]
         cell = db.instances[name].cell
         prefix, _, strength = cell.name.rpartition("_X")
         choices = [s for s in ("1", "2", "4") if s != strength]
@@ -194,16 +292,17 @@ class TestEcoSequences:
         reads=st.lists(st.booleans(), min_size=8, max_size=8),
     )
     def test_in_ram(self, design_seed, ecos, reads):
-        design, parasitics = random_design(24, seed=design_seed)
-        parasitics = dict(parasitics)
+        design, parasitics = eco_design(design_seed)
         db = DesignDB(design, dict(parasitics), input_drive_resistance=INPUT_DRIVE)
         graph = TimingGraph(db, clock_period=PERIOD)
+        graph.arrivals_matrix  # ECOs re-time incrementally from here
         assert_layout_matches_rebuild(db)
         for eco, read in zip(ecos, reads):
             apply_eco(db, parasitics, eco, graph.update_net, graph.resize_instance)
-            if read:  # splice now; otherwise splices queue up
-                assert_layout_matches_rebuild(db)
-        assert_layout_matches_rebuild(db)
+            fresh = DesignDB(design, parasitics, input_drive_resistance=INPUT_DRIVE)
+            # With read, splice now; otherwise splices queue up.
+            assert_matches_fresh(graph, TimingGraph(fresh, clock_period=PERIOD), read)
+        assert_matches_fresh(graph, TimingGraph(fresh, clock_period=PERIOD), True)
         forest = db.forest
         parent, depth = forest._preorder()[:2]
         want = level_plan(parent, depth)
@@ -236,24 +335,37 @@ class TestEcoSequences:
             assert scores.tobytes() == oracle.tobytes(), model
 
     @HYPOTHESIS
-    @given(design_seed=st.integers(0, 2**16), ecos=eco_sequences)
-    def test_store_backed(self, design_seed, ecos, small_shards):
-        design, parasitics = random_design(24, seed=design_seed)
-        parasitics = dict(parasitics)
+    @given(
+        design_seed=st.integers(0, 2**16),
+        ecos=eco_sequences,
+        reads=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_store_backed(self, design_seed, ecos, reads, small_shards):
+        design, parasitics = eco_design(design_seed)
         with tempfile.TemporaryDirectory() as directory:
             db = DesignDB(
                 design,
                 dict(parasitics),
                 input_drive_resistance=INPUT_DRIVE,
-                store_dir=directory,
+                store_dir=f"{directory}/eco",
             )
             assert db.store.shard_count > 1
+            graph = TimingGraph(db, clock_period=PERIOD)
+            graph.arrivals_matrix
             assert_layout_matches_rebuild(db)
-            for eco in ecos:
+            for step, (eco, read) in enumerate(zip(ecos, reads)):
                 apply_eco(
-                    db, parasitics, eco, db.update_net, db.update_instance_cell
+                    db, parasitics, eco, graph.update_net, graph.resize_instance
                 )
-            assert_layout_matches_rebuild(db)
+                fresh = DesignDB(
+                    design,
+                    parasitics,
+                    input_drive_resistance=INPUT_DRIVE,
+                    store_dir=f"{directory}/fresh{step}",
+                )
+                fresh_graph = TimingGraph(fresh, clock_period=PERIOD)
+                assert_matches_fresh(graph, fresh_graph, read or step == len(ecos) - 1)
+                fresh.store.close()
             scenarios = scenario_set(db, design_seed)
             got = db.solve_scenarios(scenarios)
             db.store.close()
@@ -295,3 +407,41 @@ class TestNamedEcos:
         assert len(db._pending) == 2
         assert_layout_matches_rebuild(db)
         assert not db._pending
+
+
+class TestRepeatedNetSwaps:
+    """Swaps whose nets repeat: each touched net is recompiled once, in one block."""
+
+    @pytest.mark.parametrize("backing", ["in_ram", "store_backed"])
+    @pytest.mark.parametrize("kind", sorted(REPEAT_INSTANCES))
+    def test_swaps_match_a_fresh_build(self, kind, backing, tmp_path, small_shards):
+        design, parasitics = eco_design(7)
+        store_dir = None if backing == "in_ram" else str(tmp_path / "eco")
+        db = DesignDB(
+            design, dict(parasitics), input_drive_resistance=INPUT_DRIVE, store_dir=store_dir
+        )
+        graph = TimingGraph(db, clock_period=PERIOD)
+        graph.arrivals_matrix
+        name = REPEAT_INSTANCES[kind]
+        connections = db.instances[name].connections
+        expected = list(dict.fromkeys(connections[pin] for pin in ("A", "B", "Y")))
+        assert len(expected) == (2 if kind == "shared_inputs" else 3)
+        blocks = []
+        recompile = db._recompile
+        db._recompile = lambda entries: (
+            blocks.append([entry.net for entry in entries]),
+            recompile(entries),
+        )
+        for step, strength in enumerate(("2", "4", "1")):
+            graph.resize_instance(name, LIBRARY[f"NAND2_X{strength}"])
+            assert blocks[-1] == expected  # one block, each net once
+            fresh_dir = None if store_dir is None else str(tmp_path / f"fresh{step}")
+            fresh = DesignDB(
+                design, parasitics, input_drive_resistance=INPUT_DRIVE, store_dir=fresh_dir
+            )
+            assert_matches_fresh(graph, TimingGraph(fresh, clock_period=PERIOD), True)
+            if fresh.store is not None:
+                fresh.store.close()
+        assert len(blocks) == 3
+        if db.store is not None:
+            db.store.close()

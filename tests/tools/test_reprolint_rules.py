@@ -305,10 +305,11 @@ class TestDesignDBContract:
             """
             def update_net(self, net, model):
                 self._models[net] = model
-                self._recompile_entry(self._entries[net])
+                self._recompile([self._entries[net]])
 
-            def _recompile_entry(self, entry):
-                self._pending[entry.tree_index] = entry
+            def _recompile(self, entries):
+                for entry in entries:
+                    self._pending[entry.tree_index] = entry
 
             def _compile(self):
                 self._layout = None

@@ -14,9 +14,9 @@ a cache slot nor an invalidator, so any write to those arrays outside
 
 ``DesignDB`` keeps no droppable cache: its stage forest and scenario
 layout are maintained state.  A method that writes its net models (or
-rebinds the layout) must recompile through ``_recompile_entry`` -- which
-queues the stage that ``_active_forest`` splices into the forest and the
-layout over one node window -- or ``_compile``.  Its row has no cache
+rebinds the layout) must recompile through ``_recompile`` -- which
+queues each recompiled stage for ``_active_forest`` to splice into the
+forest and the layout over one node window -- or ``_compile``.  Its row has no cache
 slot, so setting some attribute to ``None`` never satisfies it.
 
 The rule is driven by :class:`tools.reprolint.core.CacheContract` rows
@@ -75,7 +75,7 @@ DEFAULT_CONTRACTS = (
         class_name="DesignDB",
         attrs=("_models", "_layout"),
         caches=(),
-        invalidators=("_recompile_entry", "_compile"),
+        invalidators=("_recompile", "_compile"),
         exempt_methods=("_model_of",),
     ),
     CacheContract(
