@@ -2,35 +2,48 @@
 
 A :class:`TimingGraph` compiles a :class:`~repro.graph.DesignDB` into flat
 edge arrays -- one vertex per pin, *net arcs* from each driver pin to each
-load pin, *cell arcs* from each input (or clock) pin to the output pin -- and
-levelizes the DAG once.  Arrival times for **all pins and all three delay
-models at once** are then computed one level at a time by a single relaxation
-step (:meth:`TimingGraph._relax_level`: gather the level's in-edges through
-the CSR arrays, add their delays, take one segment max per vertex and clamp
-at ``0.0``) instead of the legacy engine's per-vertex dict updates over a
-networkx graph.  Required times and per-pin slacks come from the mirrored
-backward sweep (:meth:`TimingGraph._required_tensor`: a segment min over
-out-edges, then a min with the endpoint's own required time).
+load pin, *cell arcs* from each input (or clock) pin to the output pin --
+and numbers them **level-major** once: vertices in Kahn wave order (their
+longest-path level, first-seen pin order within a level), edges sorted
+stably by destination.  Each level is then one vertex range whose in-edges
+are one edge range, so the forward sweep
+(:meth:`TimingGraph._propagate_tensor`) computes arrival times for **all
+pins and all three delay models at once** on contiguous slices: gather the
+sources' arrivals, add the level's delay slice, fold each vertex's
+candidates with one ``np.maximum`` per in-edge rank and clamp at ``0.0``
+into the level's vertex slice.  Required times and per-pin slacks come
+from the mirrored backward sweep (:meth:`TimingGraph._required_tensor`: a
+segment min over each level's out-edges, source-major, then a min with the
+endpoint's own required time).  Critical paths are traced for every
+scenario together, one edge back per step (:meth:`TimingGraph._trace_paths`).
+The renumbering is internal: :attr:`TimingGraph.vertex_names`, the matrix
+properties and every per-pin dict keep the first-seen pin order, mapped
+back through one stored permutation.
 
 Net-arc delays are extracted from the database's single batched
 :class:`~repro.flat.FlatForest` solve: the Elmore column reads ``T_De``
 directly, the two bound columns come from one batched evaluation of
 eqs. (14)-(17) over every sink of every net (:func:`_wire_delays`, which
-every wire-delay evaluation of this module goes through).  Cell arcs carry
-the cell's intrinsic delay in every column, and clock-net arcs are zero
-(ideal clock network), exactly as :class:`~repro.sta.analysis.TimingAnalyzer`
--- which is kept, unchanged, as the parity oracle; the property tests pin
-the two engines together at 1e-12 relative tolerance.
+every wire-delay evaluation of this module goes through).  A scenario
+batch reads the sink table as ``(rows, S)`` and builds its ``(edges, S,
+3)`` delay tensor with no masks: rows whose stage carries no capacitance
+pass through the bound functions as zero delay (:func:`_bound_tp`).  Cell
+arcs carry the cell's intrinsic delay in every column, and clock-net arcs
+are zero (ideal clock network), exactly as
+:class:`~repro.sta.analysis.TimingAnalyzer` -- which is kept, unchanged, as
+the parity oracle; the property tests pin the two engines together at
+1e-12 relative tolerance.
 
 Incremental ECO re-timing
 -------------------------
 :meth:`update_net` re-solves exactly one stage tree in the forest, patches
 that net's arc delays, and re-propagates arrivals only through the *downstream
 cone*: one level-synchronous relaxation (:meth:`TimingGraph._relax_cone`)
-re-evaluates the affected vertices of each level exactly (the full sweep's
-own :meth:`TimingGraph._relax_level` step, so the result is identical to a
-from-scratch run) and stops at any vertex whose arrival did
-not change.  :meth:`resize_instance` does the same for a cell swap (drive
+re-evaluates the affected vertices of each level exactly
+(:meth:`TimingGraph._relax_level`: the full sweep's gather, add and
+:func:`_fold_max` over the same in-edges, so the result is identical to
+a from-scratch run) and stops at any vertex whose arrival did not
+change.  :meth:`resize_instance` does the same for a cell swap (drive
 resistance, input loads and intrinsic delay all change).  The batched
 what-if (:meth:`TimingGraph.whatif_resize_worst_slack`) runs the same
 relaxation read-only, one column per candidate, after solving only the stage
@@ -186,47 +199,131 @@ class ScenarioTimingReport:
         }
 
 
-def _csr_gather(
-    ptr: np.ndarray, index: np.ndarray, vertices: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenated CSR ranges of (non-empty) ``vertices``, and where each starts."""
-    lo = ptr[vertices]
-    counts = ptr[vertices + 1] - lo
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` of every pair, concatenated."""
     first = counts.cumsum() - counts
-    flat = np.arange(int(first[-1] + counts[-1])) + (lo - first).repeat(counts)
-    return index[flat], first
+    return np.arange(int(counts.sum())) + (starts - first).repeat(counts)
+
+
+def _csr_ranges(ptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Concatenated CSR ranges ``[ptr[v], ptr[v + 1])`` of ``vertices``."""
+    lo = ptr[vertices]
+    return _ranges(lo, ptr[vertices + 1] - lo)
+
+
+def _rank_plan(heads: np.ndarray, counts: np.ndarray) -> List[np.ndarray]:
+    """The rank steps of :func:`_fold_max` for segments starting at rows
+    ``heads`` with ``counts`` (at least one) rows each: per rank ``r >= 1``
+    up to the longest segment, the row every segment folds in at that rank
+    -- its ``r``-th, or its last if it is shorter.  The last rank is every
+    segment's last row."""
+    longest = int(counts.max(initial=1))
+    if longest == 1:
+        return []
+    tails = heads + (counts - 1)
+    ranks = [np.minimum(heads + rank, tails) for rank in range(1, longest - 1)]
+    ranks.append(tails)
+    return ranks
+
+
+def _fold_max(
+    candidates: np.ndarray, heads: np.ndarray, ranks: List[np.ndarray]
+) -> np.ndarray:
+    """Max of each segment of ``candidates`` rows, folded left to right
+    (``heads`` and ``ranks`` from :func:`_rank_plan`).
+
+    The fold ``np.maximum.reduceat`` performs, as one in-place
+    ``np.maximum`` per rank, without ``reduceat``'s per-row cost on wide
+    trailing axes.  A segment past its last row folds that row in again,
+    which leaves its max bitwise unchanged.  With no rank past the first
+    every segment is one row, and ``candidates`` itself is returned.
+    """
+    if not ranks:
+        return candidates
+    value = candidates[heads]
+    for at in ranks:
+        np.maximum(value, candidates[at], out=value)
+    return value
+
+
+def _kahn_waves(n: int, src: np.ndarray, dst: np.ndarray) -> List[np.ndarray]:
+    """The vertices of each longest-path level, ascending, by a wave Kahn pass.
+
+    The whole ready frontier releases its out-edges with one gather, so the
+    Python cost is O(logic depth), not O(V + E).  A vertex becomes ready in
+    the wave after its last predecessor, so its wave index is its
+    longest-path level.  Raises on a combinational loop.
+    """
+    out_dst = dst[np.argsort(src, kind="stable")]
+    out_ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    remaining = np.bincount(dst, minlength=n)
+    waves: List[np.ndarray] = []
+    frontier = np.flatnonzero(remaining == 0)
+    while frontier.size:
+        waves.append(frontier)
+        decrements = np.bincount(
+            out_dst[_csr_ranges(out_ptr, frontier)], minlength=n
+        )
+        remaining -= decrements
+        frontier = np.flatnonzero((remaining == 0) & (decrements > 0))
+    if sum(len(wave) for wave in waves) != n:
+        raise AnalysisError(
+            "the timing graph has a combinational loop; break it before analysis"
+        )
+    return waves
+
+
+def _bound_tp(tp: np.ndarray, total_capacitance: np.ndarray) -> np.ndarray:
+    """``T_P`` ready for :func:`_wire_delays`: ``1.0`` on dead rows.
+
+    A dead row (its stage carries no capacitance) has ``T_P = T_De = T_Re
+    = 0`` exactly.  With ``T_P = 1`` the bound functions' own ``T_De > 0``
+    mask maps it to zero delay, with no ``0/0`` on the way, so no row has
+    to be masked out of the call.  Live rows keep their ``T_P``, which the
+    1e-6 ohm drive clamp of the stage compiler keeps positive, so the
+    bound functions' ``T_P > 0`` check still guards every live row.
+    """
+    return np.where(total_capacitance > 0.0, tp, 1.0)
 
 
 def _wire_delays(
     tp: np.ndarray,
     tde: np.ndarray,
     tre: np.ndarray,
-    live: np.ndarray,
-    thresholds: np.ndarray,
+    thresholds: Union[float, np.ndarray],
     model: DelayModel,
 ) -> np.ndarray:
-    """``(S, rows)`` wire delays under one model, per-scenario thresholds.
+    """Wire delays of sink rows under one model, shaped like ``tde``.
 
-    ``tp``/``tde``/``tre``/``live`` are ``(S, rows)`` sink-row times and the
-    mask of rows whose stage carries capacitance.  Elmore is ``tde``
-    itself.  For a bound, scenarios sharing a threshold are evaluated in
-    one batched call; rows that are not live stay at zero delay.  The
-    bound functions are looked up in this module's namespace at call time,
-    so a wrapper installed there sees every evaluation.
+    ``tp`` (dead rows at ``1.0``, see :func:`_bound_tp`), ``tde`` and
+    ``tre`` share their shape.  ``thresholds`` is one float for every
+    value, or one per column of ``(rows, S)`` inputs.  Elmore is ``tde``
+    itself; a bound is one call over the flattened inputs per distinct
+    threshold, so a single threshold skips the grouping.  The bound
+    functions are looked up in this module's namespace at call time, so a
+    wrapper installed there sees every evaluation.
     """
     if model is DelayModel.ELMORE:
         return tde
+    if np.ndim(thresholds):
+        values = np.unique(thresholds)
+        if values.size > 1:
+            out = np.empty(tde.shape)
+            for threshold in values:
+                group = np.flatnonzero(thresholds == threshold)
+                out[:, group] = _wire_delays(
+                    tp[:, group], tde[:, group], tre[:, group], threshold, model
+                )
+            return out
+        thresholds = values[0]
     bound = (
         delay_upper_bound_batch
         if model is DelayModel.UPPER_BOUND
         else delay_lower_bound_batch
     )
-    out = np.zeros(tde.shape)
-    for threshold in np.unique(thresholds):
-        rows = live & (thresholds == threshold)[:, np.newaxis]
-        if np.any(rows):
-            out[rows] = bound(tp[rows], tde[rows], tre[rows], [threshold])[:, 0]
-    return out
+    return bound(tp.ravel(), tde.ravel(), tre.ravel(), [thresholds]).reshape(
+        tde.shape
+    )
 
 
 def _cell_arcs(cell: Cell) -> List[Tuple[str, str]]:
@@ -266,39 +363,54 @@ class TimingGraph:
         self._db = db
         self._clock_period = clock_period
         self._threshold = threshold
-        self._build_edges()
-        self._levelize()
+        self._levelize(self._build_edges())
         self._arrivals: Optional[np.ndarray] = None
         self._required: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def _net_arc_delays(self, rows: Union[slice, np.ndarray]) -> np.ndarray:
-        """(rows, 3) wire delays for sink rows of the database's table."""
+    def _net_arc_delays(self, rows: np.ndarray) -> np.ndarray:
+        """(rows, 3) wire delays for sink rows of the database's table.
+
+        One threshold, the graph's own, which ``__init__`` checked with
+        :func:`~repro.utils.checks.require_in_unit_interval`.
+        """
         sinks = self._db.sinks
-        tp, tde, tre, live = (
-            column[np.newaxis, rows]
-            for column in (sinks.tp, sinks.tde, sinks.tre, sinks.live)
-        )
-        thresholds = np.array([self._threshold])
+        tp = _bound_tp(sinks.tp[rows], sinks.total_capacitance[rows])
+        tde = sinks.tde[rows]
+        tre = sinks.tre[rows]
         return np.stack(
-            [_wire_delays(tp, tde, tre, live, thresholds, m)[0] for m in _MODELS],
+            [_wire_delays(tp, tde, tre, self._threshold, m) for m in _MODELS],
             axis=1,
         )
 
-    def _build_edges(self) -> None:
+    def _build_edges(self) -> List[int]:
+        """Compile every arc, then number vertices and edges level-major.
+
+        Pins are first named in first-seen order (net arcs, then cell
+        arcs): that is the public pin order of :attr:`vertex_names` and of
+        every per-pin dict.  The vertices are then renumbered in Kahn wave
+        order (ascending first-seen index within a level) and the edges
+        sorted stably by destination, so each level is one vertex range
+        whose in-edges are one edge range, and each vertex's in-edges keep
+        their compile order (the critical-path tie-break).  Returns the
+        vertex count of each level, for :meth:`_levelize`.
+        """
         db = self._db
         vertex_index: Dict[str, int] = {}
         vertex_names: List[str] = []
         edge_src: List[int] = []
         edge_dst: List[int] = []
         edge_arcs: List[str] = []
-        arc_edges: List[int] = []  # net-arc edge index, aligned with arc_rows
-        arc_rows: List[int] = []  # sink-table row feeding that edge
-        #: Edge indices per net (net arcs) / per instance (cell arcs).
-        self._net_edges: Dict[str, List[int]] = {}
-        self._cell_edges: Dict[str, List[int]] = {}
+        #: Compile-order edge range per net (net arcs, sink-row order) and
+        #: per instance (cell arcs, :func:`_cell_arcs` order).
+        self._net_spans: Dict[str, slice] = {}
+        self._cell_spans: Dict[str, slice] = {}
+        # Timed nets: first edge and first sink row of each, edge count.
+        timed_edges: List[int] = []
+        timed_rows: List[int] = []
+        timed_counts: List[int] = []
 
         names_append = vertex_names.append
         src_append = edge_src.append
@@ -318,101 +430,143 @@ class TimingGraph:
             if net.driver is None or not net.loads:
                 continue
             driver = vertex(str(net.driver))
-            indices = self._net_edges.setdefault(net.name, [])
+            start = len(edge_src)
             if net.name in clock_nets:
                 arc = f"clock net {net.name}"
-                for load in net.loads:
-                    indices.append(len(edge_src))
-                    src_append(driver)
-                    dst_append(vertex(str(load)))
-                    arc_append(arc)
-                continue
-            rows = db.sink_rows(net.name)
-            arc = f"net {net.name}"
-            for row in range(rows.start, rows.stop):
-                edge = len(edge_src)
-                indices.append(edge)
-                arc_edges.append(edge)
-                arc_rows.append(row)
+                loads = [str(load) for load in net.loads]
+            else:
+                arc = f"net {net.name}"
+                window = db.sink_rows(net.name)
+                loads = sink_pins[window]
+                timed_edges.append(start)
+                timed_rows.append(window.start)
+                timed_counts.append(len(loads))
+            for load in loads:
                 src_append(driver)
-                dst_append(vertex(sink_pins[row]))
+                dst_append(vertex(load))
                 arc_append(arc)
+            self._net_spans[net.name] = slice(start, len(edge_src))
 
-        intrinsic_edges: List[int] = []
-        intrinsic_values: List[float] = []
+        cell_start = len(edge_src)
+        intrinsic: List[float] = []
+        cell_counts: List[int] = []
         for instance in db.instances.values():
             cell = instance.cell
             name = instance.name
             output = vertex(f"{name}/{cell.output}")
-            indices = self._cell_edges.setdefault(name, [])
-            intrinsic = cell.intrinsic_delay
+            start = len(edge_src)
             for pin, arc in _cell_arcs(cell):
-                edge = len(edge_src)
-                indices.append(edge)
-                intrinsic_edges.append(edge)
-                intrinsic_values.append(intrinsic)
                 src_append(vertex(f"{name}/{pin}"))
                 dst_append(output)
                 arc_append(arc)
+            self._cell_spans[name] = slice(start, len(edge_src))
+            intrinsic.append(cell.intrinsic_delay)
+            cell_counts.append(len(edge_src) - start)
 
-        self._edge_src = np.asarray(edge_src, dtype=np.int64)
-        self._edge_dst = np.asarray(edge_dst, dtype=np.int64)
-        self._edge_arcs = edge_arcs
-        self._edge_count = len(edge_src)
+        n = len(vertex_names)
+        e = len(edge_src)
+        src = np.asarray(edge_src, dtype=np.int64)
+        dst = np.asarray(edge_dst, dtype=np.int64)
+        waves = _kahn_waves(n, src, dst)
+        # position[first-seen index] -> level-major vertex id.
+        order = np.concatenate(waves) if waves else np.zeros(0, dtype=np.int64)
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        dst = position[dst]
+        edge_order = np.argsort(dst, kind="stable")
+        #: ``_edge_id[compile-order edge]``: its (destination-sorted) edge id.
+        renumber = np.empty(e, dtype=np.int64)
+        renumber[edge_order] = np.arange(e)
+        self._edge_id = renumber
+
+        self._edge_src = position[src][edge_order]
+        self._edge_dst = dst[edge_order]
+        self._edge_arcs = np.asarray(edge_arcs, dtype=object)[edge_order].tolist()
+        self._edge_count = e
+        self._vertex_count = n
+        #: Public pin order, and each public pin's level-major vertex.
+        self._pin_names = vertex_names
+        self._pin_vertex = position
+        vertex_index.update(zip(vertex_names, position.tolist()))
         self._vertex_index = vertex_index
-        self._vertex_names = vertex_names
-        self._vertex_count = len(vertex_names)
+        self._vertex_names = np.asarray(vertex_names, dtype=object)[order].tolist()
 
-        delays = np.zeros((self._edge_count, 3))
-        edges = np.asarray(arc_edges, dtype=np.int64)
-        rows = np.asarray(arc_rows, dtype=np.int64)
-        if len(edges):
-            delays[edges] = self._net_arc_delays(rows)
-        self._net_edge_rows = (edges, rows)
-        if intrinsic_edges:
-            delays[np.asarray(intrinsic_edges, dtype=np.int64)] = np.asarray(
-                intrinsic_values
-            )[:, np.newaxis]
+        counts = np.asarray(timed_counts, dtype=np.int64)
+        edges = renumber[_ranges(np.asarray(timed_edges, dtype=np.int64), counts)]
+        rows = _ranges(np.asarray(timed_rows, dtype=np.int64), counts)
+        delays = np.zeros((e, 3))
+        delays[edges] = self._net_arc_delays(rows)
+        delays[renumber[cell_start:]] = np.repeat(intrinsic, cell_counts)[
+            :, np.newaxis
+        ]
         self._edge_delay = delays
+        ascending = np.argsort(edges)
+        #: Net-arc edges (ascending) and the sink-table row of each.
+        self._net_edge_rows = (edges[ascending], rows[ascending])
+        fixed = np.ones(e, dtype=bool)
+        fixed[edges] = False
+        #: Cell arcs and clock-net arcs: one delay for every scenario.
+        self._fixed_edges = np.flatnonzero(fixed)
+        return [len(wave) for wave in waves]
 
-    def _levelize(self) -> None:
-        """Longest-path levels, the vertices of each level, and in/out CSR.
+    def _edges(self, spans: Dict[str, slice], names: Sequence[str]) -> np.ndarray:
+        """Edge ids of the arcs of ``names`` (nets or instances, per ``spans``)."""
+        return np.concatenate(
+            [self._edge_id[spans[name]] for name in names]
+            + [np.zeros(0, dtype=np.int64)]
+        )
 
-        Kahn's algorithm, but one numpy *wave* at a time: the whole ready
-        frontier releases its out-edges with one gather, so the Python cost
-        is O(logic depth), not O(V + E).  A vertex becomes ready in the wave
-        after its last predecessor, so its wave index is its longest-path
-        level, and each wave's frontier is exactly one level's vertex set.
+    def _levelize(self, sizes: List[int]) -> None:
+        """Level ranges, CSR adjacency and the per-level sweep plans.
+
+        ``sizes[k]`` is the vertex count of level ``k``; with level-major
+        ids, level ``k`` is the id range ``[bounds[k], bounds[k + 1])``.
+        Edges are sorted by destination, so ``_in_ptr`` alone is the
+        in-edge CSR (edge ``i`` of a range is edge id ``i``) and a level's
+        in-edges are one edge slice.  Out-edges keep a source-major CSR
+        (``_out_ptr`` over ``_out_idx``).
         """
         n = self._vertex_count
         src = self._edge_src
         dst = self._edge_dst
-        # CSR adjacency, shared by the level sweeps and the cone walks.
+        bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        #: Longest-path level per vertex, and each level's id range.
+        self._level = np.repeat(np.arange(len(sizes)), sizes)
+        self._level_bounds = bounds
+        in_counts = np.bincount(dst, minlength=n)
+        in_ptr = np.concatenate(([0], np.cumsum(in_counts)))
+        self._in_ptr = in_ptr
+        self._in_counts = in_counts
+        #: ``arange(max in-degree)``: a vertex's in-edges are ``ptr + ranks``.
+        self._in_ranks = np.arange(in_counts.max() if n else 0)
         self._out_idx = np.argsort(src, kind="stable")
         out_counts = np.bincount(src, minlength=n)
-        self._out_ptr = np.concatenate(([0], np.cumsum(out_counts)))
-        self._in_idx = np.argsort(dst, kind="stable")
-        in_counts = np.bincount(dst, minlength=n)
-        self._in_ptr = np.concatenate(([0], np.cumsum(in_counts)))
+        out_ptr = np.concatenate(([0], np.cumsum(out_counts)))
+        self._out_ptr = out_ptr
 
-        level = np.zeros(n, dtype=np.int64)
-        levels: List[np.ndarray] = []
-        remaining = in_counts.copy()
-        frontier = np.flatnonzero(remaining == 0)
-        while frontier.size:
-            level[frontier] = len(levels)
-            levels.append(frontier)
-            out_edges, _ = _csr_gather(self._out_ptr, self._out_idx, frontier)
-            decrements = np.bincount(dst[out_edges], minlength=n)
-            remaining -= decrements
-            frontier = np.flatnonzero((remaining == 0) & (decrements > 0))
-        if sum(len(vertices) for vertices in levels) != n:
-            raise AnalysisError(
-                "the timing graph has a combinational loop; break it before analysis"
-            )
-        self._level = level
-        #: ``_levels[k]``: the vertices of level ``k``, ascending.
-        self._levels = levels
+        ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        #: Forward plan, levels above the sources: the level's vertex range,
+        #: its in-edge range, each vertex's first in-edge within that range
+        #: and the level's :func:`_rank_plan`.
+        forward = []
+        for lo, hi in ranges[1:]:
+            first = int(in_ptr[lo])
+            heads = in_ptr[lo:hi] - first
+            ranks = _rank_plan(heads, in_counts[lo:hi])
+            forward.append((lo, hi, first, int(in_ptr[hi]), heads, ranks))
+        self._forward_plan = forward
+        #: Backward plan, top level first: the level's vertices with
+        #: out-edges, those out-edges (source-major), their destinations
+        #: and the ``reduceat`` offset of each vertex.
+        backward = []
+        for lo, hi in ranges:
+            fans = lo + np.flatnonzero(out_counts[lo:hi])
+            if fans.size:
+                out_edges = self._out_idx[out_ptr[lo] : out_ptr[hi]]
+                backward.append(
+                    (fans, out_edges, dst[out_edges], out_ptr[fans] - out_ptr[lo])
+                )
+        self._backward_plan = backward[::-1]
 
         # Endpoints: primary-output ports and flip-flop D pins, legacy order.
         endpoints: List[str] = list(self._db.design.primary_outputs)
@@ -429,10 +583,6 @@ class TimingGraph:
             dtype=np.int64,
         )
 
-    def _in_edge_list(self, vertex: int) -> np.ndarray:
-        """Indices of the edges into ``vertex`` (CSR slice)."""
-        return self._in_idx[self._in_ptr[vertex] : self._in_ptr[vertex + 1]]
-
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
@@ -444,18 +594,21 @@ class TimingGraph:
         overlay: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         overrides: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
-        """New arrivals of one level's ``frontier``: the forward step.
+        """New arrivals of ``frontier``, some vertices of one level.
 
-        Gathers the frontier's in-edges through the CSR arrays, adds their
-        delays to their sources' arrivals, and takes one segment max per
-        vertex, clamped at ``0.0``.  ``arrivals`` ``(V, ...)`` and ``delay``
-        ``(E, ...)`` share their trailing shape (a broadcast view will do).
-        ``overlay`` ``(moved, work)`` reads a source's arrival from
-        ``work`` where ``moved`` is set; ``overrides`` ``(edges, values)``
-        stands ``values[i]`` in for ``delay[edges[i]]`` (``edges`` sorted).
-        Every frontier vertex must have an in-edge.
+        The cone walk's forward step, with the full sweep's arithmetic:
+        the frontier's in-edges (one ``_in_ptr`` range each, in edge
+        order), their delays added to their sources' arrivals, the same
+        :func:`_fold_max` per vertex, clamped at ``0.0``.  ``arrivals``
+        ``(V, ...)`` and ``delay`` ``(E, ...)`` share their trailing shape
+        (a broadcast view will do).  ``overlay`` ``(moved, work)`` reads a
+        source's arrival from ``work`` where ``moved`` is set; ``overrides``
+        ``(edges, values)`` stands ``values[i]`` in for ``delay[edges[i]]``
+        (``edges`` sorted).  Every frontier vertex must have an in-edge.
         """
-        in_edges, first = _csr_gather(self._in_ptr, self._in_idx, frontier)
+        counts = self._in_counts[frontier]
+        in_edges = _ranges(self._in_ptr[frontier], counts)
+        first = counts.cumsum() - counts
         src = self._edge_src[in_edges]
         candidates = arrivals[src]
         if overlay is not None:
@@ -472,7 +625,7 @@ class TimingGraph:
             if np.count_nonzero(found):
                 step[found] = values[at[found]]
         candidates += step
-        value = np.maximum.reduceat(candidates, first, axis=0)
+        value = _fold_max(candidates, first, _rank_plan(first, counts))
         np.maximum(value, 0.0, out=value)
         return value
 
@@ -481,12 +634,19 @@ class TimingGraph:
 
         The trailing axes ride along for free: the single-scenario run uses
         ``(E, 3)``, a scenario batch ``(E, S, 3)`` and one model's pin
-        slacks ``(E, S)`` -- one :meth:`_relax_level` per level above the
-        sources serves them all.
+        slacks ``(E, S)``.  Each level above the sources runs on its
+        contiguous slices: gather the sources' arrivals, add the level's
+        delay slice, fold each vertex's candidates left to right
+        (:func:`_fold_max`) and clamp at ``0.0`` into the level's vertex
+        slice.
         """
         arrivals = np.zeros((self._vertex_count,) + delay.shape[1:])
-        for frontier in self._levels[1:]:
-            arrivals[frontier] = self._relax_level(frontier, arrivals, delay)
+        src = self._edge_src
+        for lo, hi, first, last, heads, ranks in self._forward_plan:
+            candidates = np.take(arrivals, src[first:last], axis=0)
+            candidates += delay[first:last]
+            value = _fold_max(candidates, heads, ranks)
+            np.maximum(value, 0.0, out=arrivals[lo:hi])
         return arrivals
 
     def _required_tensor(
@@ -504,31 +664,42 @@ class TimingGraph:
         required = np.full((self._vertex_count,) + delay.shape[1:], np.inf)
         if len(self._endpoint_vertices):
             required[self._endpoint_vertices] = periods
-        fans_out = self._out_ptr[1:] > self._out_ptr[:-1]
-        for frontier in reversed(self._levels[:-1]):
-            frontier = frontier[fans_out[frontier]]
-            out_edges, first = _csr_gather(self._out_ptr, self._out_idx, frontier)
-            candidates = required[self._edge_dst[out_edges]] - delay[out_edges]
-            value = np.minimum.reduceat(candidates, first, axis=0)
-            np.minimum(value, required[frontier], out=value)
-            required[frontier] = value
+        for fans, out_edges, heads, offsets in self._backward_plan:
+            candidates = required[heads] - delay[out_edges]
+            value = np.minimum.reduceat(candidates, offsets, axis=0)
+            np.minimum(value, required[fans], out=value)
+            required[fans] = value
         return required
 
-    @property
-    def arrivals_matrix(self) -> np.ndarray:
-        """Arrival times, shape ``(pins, 3)`` -- columns Elmore, upper, lower."""
+    def _solved_arrivals(self) -> np.ndarray:
+        """The cached ``(V, 3)`` arrivals in vertex-id order, solved on demand."""
         if self._arrivals is None:
             self._arrivals = self._propagate_tensor(self._edge_delay)
         return self._arrivals
 
-    @property
-    def required_matrix(self) -> np.ndarray:
-        """Required times, shape ``(pins, 3)``; ``+inf`` off any endpoint cone."""
+    def _solved_required(self) -> np.ndarray:
+        """The cached ``(V, 3)`` required times in vertex-id order."""
         if self._required is None:
             self._required = self._required_tensor(
                 self._edge_delay, self._clock_period
             )
         return self._required
+
+    @property
+    def arrivals_matrix(self) -> np.ndarray:
+        """Arrival times, shape ``(pins, 3)`` -- columns Elmore, upper, lower.
+
+        Rows follow :attr:`vertex_names`.
+        """
+        return self._solved_arrivals()[self._pin_vertex]
+
+    @property
+    def required_matrix(self) -> np.ndarray:
+        """Required times, shape ``(pins, 3)``; ``+inf`` off any endpoint cone.
+
+        Rows follow :attr:`vertex_names`.
+        """
+        return self._solved_required()[self._pin_vertex]
 
     # ------------------------------------------------------------------
     # Reports
@@ -550,13 +721,17 @@ class TimingGraph:
 
     @property
     def vertex_names(self) -> List[str]:
-        """Pin name per vertex index."""
-        return list(self._vertex_names)
+        """Pin names in first-seen order.
+
+        The row order of :attr:`arrivals_matrix` and :attr:`required_matrix`
+        and the key order of every per-pin dict.
+        """
+        return list(self._pin_names)
 
     def endpoint_slacks(self, model: DelayModel = DelayModel.ELMORE) -> Dict[str, float]:
         """Slack at every endpoint (``clock_period - arrival``)."""
         column = _MODEL_COLUMN[model]
-        arrivals = self.arrivals_matrix
+        arrivals = self._solved_arrivals()
         slacks: Dict[str, float] = {}
         for name in self._endpoints:
             vertex = self._vertex_index.get(name)
@@ -571,74 +746,101 @@ class TimingGraph:
             return self._clock_period
         worst = 0.0
         if len(self._endpoint_vertices):
-            worst = float(self.arrivals_matrix[self._endpoint_vertices, column].max())
+            worst = float(
+                self._solved_arrivals()[self._endpoint_vertices, column].max()
+            )
         return self._clock_period - worst
 
     def pin_slacks(self, model: DelayModel = DelayModel.ELMORE) -> Dict[str, float]:
         """``required - arrival`` for every pin (``+inf`` off endpoint cones)."""
         column = _MODEL_COLUMN[model]
-        slack = self.required_matrix[:, column] - self.arrivals_matrix[:, column]
-        return {name: float(slack[i]) for i, name in enumerate(self._vertex_names)}
+        slack = (
+            self._solved_required()[:, column] - self._solved_arrivals()[:, column]
+        )
+        return dict(zip(self._pin_names, slack[self._pin_vertex].tolist()))
 
     def arrivals(self, model: DelayModel = DelayModel.ELMORE) -> Dict[str, float]:
         """Arrival time per pin name, one delay model."""
         column = _MODEL_COLUMN[model]
-        arrivals = self.arrivals_matrix
-        return {
-            name: float(arrivals[i, column])
-            for i, name in enumerate(self._vertex_names)
-        }
+        arrivals = self._solved_arrivals()[self._pin_vertex, column]
+        return dict(zip(self._pin_names, arrivals.tolist()))
 
-    def _trace_path(
-        self, endpoint: int, arrival: np.ndarray, delay: np.ndarray
-    ) -> List[PathSegment]:
-        """Walk one critical path backwards over 1-D arrival/delay columns."""
-        path: List[PathSegment] = []
-        vertex = endpoint
-        while True:
-            value = float(arrival[vertex])
-            best_edge = None
-            for edge in self._in_edge_list(vertex):
-                candidate = arrival[self._edge_src[edge]] + delay[edge]
-                if candidate == value:
-                    best_edge = edge
-                    break
-            if best_edge is None:
-                path.append(
-                    PathSegment(
-                        location=self._vertex_names[vertex],
-                        arc="startpoint",
-                        incremental_delay=0.0,
-                        arrival=value,
-                    )
-                )
-                break
-            path.append(
+    def _trace_paths(
+        self, endpoints: np.ndarray, arrival: np.ndarray, delay: np.ndarray
+    ) -> List[List[PathSegment]]:
+        """Critical path ``p`` back from ``endpoints[p]`` over column ``p``.
+
+        ``arrival`` is ``(V, P)`` and ``delay`` ``(E, P)``.  Every step moves
+        all unfinished paths back one edge together: to the first in-edge,
+        in edge order, whose source arrival plus delay equals the vertex's
+        arrival.  A vertex with no such in-edge is the path's startpoint.
+        Each step lowers a path's level, so there are at most depth steps.
+        """
+        in_ptr = self._in_ptr
+        src = self._edge_src
+        last = self._edge_count - 1
+        paths = np.arange(len(endpoints))
+        vertices = np.asarray(endpoints, dtype=np.int64)
+        # (path, vertex, chosen in-edge or -1) of every step, step-major.
+        steps: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        while paths.size:
+            # (paths, max in-degree): each vertex's in-edges in edge order,
+            # padded past its range; pads are clipped in bounds and masked.
+            in_edges = in_ptr[vertices, np.newaxis] + self._in_ranks
+            real = in_edges < in_ptr[vertices + 1, np.newaxis]
+            np.minimum(in_edges, last, out=in_edges)
+            columns = paths[:, np.newaxis]
+            match = (
+                arrival[src[in_edges], columns] + delay[in_edges, columns]
+                == arrival[vertices, paths][:, np.newaxis]
+            )
+            match &= real
+            rows = np.arange(paths.size)
+            pick = match.argmax(axis=1)
+            found = match[rows, pick]
+            chosen = np.where(found, in_edges[rows, pick], -1)
+            steps.append((paths, vertices, chosen))
+            paths = paths[found]
+            vertices = src[chosen[found]]
+
+        path, vertex, edge = (np.concatenate(column) for column in zip(*steps))
+        # Path-major, startpoint first: a stable sort by path, reversed.
+        order = np.argsort(path, kind="stable")[::-1]
+        path, vertex, edge = path[order], vertex[order], edge[order]
+        hop = edge >= 0
+        increment = np.zeros(len(edge))
+        increment[hop] = delay[edge[hop], path[hop]]
+        names = self._vertex_names
+        arcs = self._edge_arcs
+        traced: List[List[PathSegment]] = [[] for _ in range(len(endpoints))]
+        for p, v, e, step, value in zip(
+            path.tolist(),
+            vertex.tolist(),
+            edge.tolist(),
+            increment.tolist(),
+            arrival[vertex, path].tolist(),
+        ):
+            traced[p].append(
                 PathSegment(
-                    location=self._vertex_names[vertex],
-                    arc=self._edge_arcs[best_edge],
-                    incremental_delay=float(delay[best_edge]),
+                    location=names[v],
+                    arc=arcs[e] if e >= 0 else "startpoint",
+                    incremental_delay=step,
                     arrival=value,
                 )
             )
-            vertex = int(self._edge_src[best_edge])
-        path.reverse()
-        return path
+        return traced
 
     def critical_path(self, model: DelayModel = DelayModel.ELMORE) -> List[PathSegment]:
         """Trace the worst endpoint's critical path (may be empty)."""
-        if not len(self._endpoint_vertices):
+        ends = self._endpoint_vertices
+        if not len(ends):
             return []
         column = _MODEL_COLUMN[model]
-        arrivals = self.arrivals_matrix
-        endpoint = int(
-            self._endpoint_vertices[
-                np.argmax(arrivals[self._endpoint_vertices, column])
-            ]
-        )
-        return self._trace_path(
-            endpoint, arrivals[:, column], self._edge_delay[:, column]
-        )
+        arrivals = self._solved_arrivals()[:, column, np.newaxis]
+        endpoint = ends[np.argmax(arrivals[ends, 0])]
+        return self._trace_paths(
+            np.array([endpoint]), arrivals, self._edge_delay[:, column, np.newaxis]
+        )[0]
 
     def run(self, model: DelayModel = DelayModel.ELMORE) -> TimingReport:
         """A legacy-shaped :class:`~repro.sta.analysis.TimingReport` for one model."""
@@ -700,21 +902,26 @@ class TimingGraph:
         thresholds: np.ndarray,
         models: Sequence[DelayModel] = _MODELS,
     ) -> np.ndarray:
-        """``(edges, S, len(models))`` delays: scenario wires, shared cell arcs."""
-        s = table.scenario_count
-        columns = [_MODEL_COLUMN[model] for model in models]
-        delays = np.broadcast_to(
-            self._edge_delay[:, np.newaxis, columns],
-            (self._edge_count, s, len(columns)),
-        ).copy()
+        """``(edges, S, len(models))`` delays: scenario wires, shared cell arcs.
+
+        The sink table is read as ``(rows, S)`` (``table.tp.T`` and its
+        siblings), every row at once: dead rows go through the bound
+        functions as zero delay (:func:`_bound_tp`), so nothing is masked.
+        Each model's wire delays are gathered by sink row straight into
+        the net-arc edges; cell arcs and clock-net arcs take the graph's
+        own delays.  ``thresholds`` are the scenarios' (``Scenario`` checks
+        an override at construction, ``__init__`` the default).
+        """
+        delays = np.empty((self._edge_count, table.scenario_count, len(models)))
+        fixed = self._fixed_edges
+        shared = self._edge_delay[fixed]
         edges, rows = self._net_edge_rows
-        if len(edges):
-            live = table.live
-            for slot, model in enumerate(models):
-                wire = _wire_delays(
-                    table.tp, table.tde, table.tre, live, thresholds, model
-                )
-                delays[edges, :, slot] = wire[:, rows].T
+        tp = _bound_tp(table.tp.T, table.total_capacitance.T)
+        for slot, model in enumerate(models):
+            plane = delays[:, :, slot]
+            plane[fixed] = shared[:, _MODEL_COLUMN[model], np.newaxis]
+            wire = _wire_delays(tp, table.tde.T, table.tre.T, thresholds, model)
+            plane[edges] = wire[rows]
         return delays
 
     def analyze_scenarios(
@@ -780,17 +987,14 @@ class TimingGraph:
         ]
 
         critical_paths: List[List[PathSegment]] = [[] for _ in range(s)]
-        if with_critical_paths and len(self._endpoint_vertices):
+        ends = self._endpoint_vertices
+        if with_critical_paths and len(ends):
             column = _MODEL_COLUMN[path_model]
-            for index in range(s):
-                endpoint = int(
-                    self._endpoint_vertices[
-                        np.argmax(arrivals[self._endpoint_vertices, index, column])
-                    ]
-                )
-                critical_paths[index] = self._trace_path(
-                    endpoint, arrivals[:, index, column], delays[:, index, column]
-                )
+            critical_paths = self._trace_paths(
+                ends[np.argmax(arrivals[ends, :, column], axis=0)],
+                arrivals[:, :, column],
+                delays[:, :, column],
+            )
 
         return ScenarioTimingReport(
             design=self._db.design.name,
@@ -823,7 +1027,7 @@ class TimingGraph:
         periods = scenarios.clock_periods(self._clock_period)
         delays = self._scenario_edge_delays(table, thresholds, (model,))[:, :, 0]
         slack = self._required_tensor(delays, periods) - self._propagate_tensor(delays)
-        return {name: slack[i] for i, name in enumerate(self._vertex_names)}
+        return dict(zip(self._pin_names, slack[self._pin_vertex]))
 
     def whatif_resize_worst_slack(
         self,
@@ -857,40 +1061,37 @@ class TimingGraph:
         s = len(swaps)
         column = _MODEL_COLUMN[model]
         planes = self._db.whatif_cell_elements(swaps)
-        net_edges = np.asarray(
-            [edge for net in planes.nets for edge in self._net_edges[net]],
-            dtype=np.int64,
-        )
+        net_edges = self._edges(self._net_spans, planes.nets)
         wire = np.zeros((s, 0))
         if planes.forest is not None:
             times = planes.forest.solve_batch(
                 edge_r=planes.edge_r, node_c=planes.node_c, count=s, engine=engine
             )
+            # Every candidate shares the graph's threshold (checked by __init__).
             wire = _wire_delays(
-                times.tp[:, planes.sink_tree],
+                _bound_tp(
+                    times.tp[:, planes.sink_tree],
+                    times.total_capacitance[:, planes.sink_tree],
+                ),
                 times.tde[:, planes.sink_nodes],
                 times.tre[:, planes.sink_nodes],
-                times.total_capacitance[:, planes.sink_tree] > 0.0,
-                np.full(s, self._threshold),
+                self._threshold,
                 model,
             )
         # Swapped instances' cell arcs take the candidate's intrinsic delay.
-        cell_edges = sorted(
-            {edge for name, _ in swaps for edge in self._cell_edges.get(name, [])}
-        )
+        cell_edges = np.unique(self._edges(self._cell_spans, [n for n, _ in swaps]))
         cell_delay = np.repeat(
             self._edge_delay[cell_edges, column][:, np.newaxis], s, axis=1
         )
-        slot = {edge: index for index, edge in enumerate(cell_edges)}
         for index, (name, cell) in enumerate(swaps):
-            for edge in self._cell_edges.get(name, []):
-                cell_delay[slot[edge], index] = cell.intrinsic_delay
-        edges = np.concatenate([net_edges, np.asarray(cell_edges, dtype=np.int64)])
+            own = self._edges(self._cell_spans, [name])
+            cell_delay[np.searchsorted(cell_edges, own), index] = cell.intrinsic_delay
+        edges = np.concatenate([net_edges, cell_edges])
         order = np.argsort(edges)
         edges = edges[order]
         overrides = np.concatenate([wire.T, cell_delay])[order]
 
-        base = self.arrivals_matrix[:, column]
+        base = self._solved_arrivals()[:, column]
         cone, values, _ = self._relax_cone(
             self._edge_dst[edges],
             np.broadcast_to(base[:, np.newaxis], (self._vertex_count, s)),
@@ -923,9 +1124,7 @@ class TimingGraph:
         :meth:`_net_arc_delays` over the nets' concatenated rows serves all.
         """
         windows = [self._db.sink_rows(net) for net in nets]
-        edges = np.asarray(
-            [edge for net in nets for edge in self._net_edges[net]], dtype=np.int64
-        )
+        edges = self._edges(self._net_spans, nets)
         rows = np.asarray(
             [row for w in windows for row in range(w.start, w.stop)], dtype=np.int64
         )
@@ -949,32 +1148,32 @@ class TimingGraph:
         model column under ``(k, S)`` candidate overrides.
 
         Each level's pending vertices take one :meth:`_relax_level` -- the
-        step the full forward sweep performs, so every value is bitwise a
-        from-scratch propagation's -- reading the sources that already
-        moved from the overlay.  Vertices whose new arrival equals the old
-        one stop the walk.  Seeds must be edge destinations, so every
-        vertex of the cone has an in-edge.  Returns ``(vertices, values,
-        visited)``: the vertices whose arrival changed (in level order),
-        their new arrivals, and the number of vertices re-evaluated.
+        full forward sweep's arithmetic (the same :func:`_fold_max`) over
+        the same in-edges in the same order, so every value is bitwise a
+        from-scratch propagation's -- reading the sources that already moved
+        from the overlay.  Vertices whose new arrival equals the old one
+        stop the walk.  Seeds must be edge destinations, so every vertex of
+        the cone has an in-edge.  Returns ``(vertices, values, visited)``:
+        the vertices whose arrival changed (in level order), their new
+        arrivals, and the number of vertices re-evaluated.
         """
-        n = self._vertex_count
         work = np.empty(arrivals.shape)
-        moved = np.zeros(n, dtype=bool)
+        moved = np.zeros(self._vertex_count, dtype=bool)
         level = self._level
-        seeds = np.asarray(seeds, dtype=np.int64)
-        # Pending vertices keyed level-major: the lowest level leads.
-        keys = np.unique(level[seeds] * n + seeds)
+        ends = self._level_bounds[1:]
+        # Pending vertices: ids rise with level, so the lowest level leads.
+        keys = np.unique(np.asarray(seeds, dtype=np.int64))
         # Overridden edges end at seeds: no level past the last seed's has one.
         if overrides is None or not len(keys):
             override_until = -1
         else:
-            override_until = int(keys[-1])
+            override_until = int(level[keys[-1]])
         cone: List[np.ndarray] = []
         visited = 0
         while keys.size:
-            floor = keys[0] - keys[0] % n
-            cut = int(np.searchsorted(keys, floor + n))
-            frontier = keys[:cut] - floor
+            depth = int(level[keys[0]])
+            cut = int(np.searchsorted(keys, ends[depth]))
+            frontier = keys[:cut]
             keys = keys[cut:]
             visited += cut
             value = self._relax_level(
@@ -982,7 +1181,7 @@ class TimingGraph:
                 arrivals,
                 delay,
                 (moved, work),
-                overrides if floor <= override_until else None,
+                overrides if depth <= override_until else None,
             )
             changed = value != arrivals[frontier]
             if changed.ndim > 1:
@@ -993,11 +1192,8 @@ class TimingGraph:
             work[vertices] = value[changed]
             moved[vertices] = True
             cone.append(vertices)
-            out_edges, _ = _csr_gather(self._out_ptr, self._out_idx, vertices)
-            successors = self._edge_dst[out_edges]
-            keys = np.unique(
-                np.concatenate((keys, level[successors] * n + successors))
-            )
+            out_edges = self._out_idx[_csr_ranges(self._out_ptr, vertices)]
+            keys = np.unique(np.concatenate((keys, self._edge_dst[out_edges])))
         vertices = np.concatenate(cone) if cone else np.zeros(0, dtype=np.int64)
         return vertices, work[vertices], visited
 
@@ -1045,9 +1241,9 @@ class TimingGraph:
         affected = self._db.update_instance_cell(instance, cell)
         net_edges = self._patch_net_delays(affected)
         swapped = self._db.instances[instance].cell
-        cell_edges = self._cell_edges.get(instance, [])
-        for edge, (_, label) in zip(cell_edges, _cell_arcs(swapped)):
-            self._edge_delay[edge, :] = swapped.intrinsic_delay
+        cell_edges = self._edges(self._cell_spans, [instance])
+        self._edge_delay[cell_edges] = swapped.intrinsic_delay
+        for edge, (_, label) in zip(cell_edges.tolist(), _cell_arcs(swapped)):
             self._edge_arcs[edge] = label
-        edges = np.concatenate([net_edges, np.asarray(cell_edges, dtype=np.int64)])
+        edges = np.concatenate([net_edges, cell_edges])
         return self._repropagate(self._edge_dst[edges])

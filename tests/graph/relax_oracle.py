@@ -1,19 +1,23 @@
-"""The bucketed ``ufunc.at`` relaxations, kept only as the parity oracle.
+"""The earlier relaxations, kept only as the parity oracle.
 
-``TimingGraph`` relaxes one level at a time with a CSR segment reduction
-(``_relax_level`` forward, ``_required_tensor`` backward) and evaluates
-every wire delay through one bound helper.  These functions are the
-earlier form of the same computations: edges grouped into per-level
-buckets (by destination level forward, by source level backward) with one
+``TimingGraph`` numbers its vertices level-major and sorts its edges by
+destination, so its forward sweep runs on contiguous level slices with
+in-edge rank folds, its backward sweep on a source-major CSR, its critical
+paths are traced for every scenario at once, and its scenario delay
+tensor is built without masks.  These functions are the earlier form of
+the same computations: edges grouped into per-level buckets (by
+destination level forward, by source level backward) with one
 ``np.maximum.at`` / ``np.minimum.at`` scatter per bucket, the Kahn pass
-that computed levels with ``np.maximum.at``, and the two separate bound
-evaluations (single-scenario rows and scenario matrices).  The buckets are
-rebuilt here from the graph's ``_level``, ``_edge_dst`` and ``_edge_src``,
+that computed levels with ``np.maximum.at``, the masked bound evaluations
+(single-scenario rows and scenario matrices), the per-path Python walker,
+and the pin and edge order the graph compiled in before the renumbering
+(:func:`build_order`, rebuilt here from the design database).  The buckets
+are rebuilt from the graph's ``_level``, ``_edge_dst`` and ``_edge_src``,
 so no relaxation of the code under test runs in the oracle.  Tests hold
 the graph to these bit for bit.
 """
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +28,128 @@ from repro.sta.delaycalc import DelayModel
 
 MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)
 MODEL_COLUMN = {model: column for column, model in enumerate(MODELS)}
+
+
+class BuildOrder(NamedTuple):
+    """The pins and edges of a graph in the order arcs are compiled.
+
+    ``pins`` is first-seen order (net arcs, then cell arcs): the public pin
+    order.  Per edge: ``edges`` ``(source pin, destination pin, arc
+    label)``, ``rows`` its sink-table row (``-1`` for cell and clock-net
+    arcs) and ``fixed`` its delay when it is not a timed net arc.
+    """
+
+    pins: List[str]
+    edges: List[Tuple[str, str, str]]
+    rows: np.ndarray
+    fixed: np.ndarray
+
+
+def build_order(graph: TimingGraph) -> BuildOrder:
+    """Rebuild the compile order of ``graph``'s arcs from its database."""
+    db = graph.db
+    seen: Dict[str, int] = {}
+    pins: List[str] = []
+
+    def pin(name: str) -> str:
+        if name not in seen:
+            seen[name] = len(pins)
+            pins.append(name)
+        return name
+
+    edges: List[Tuple[str, str, str]] = []
+    rows: List[int] = []
+    fixed: List[float] = []
+    for net in db.nets.values():
+        if net.driver is None or not net.loads:
+            continue
+        driver = pin(str(net.driver))
+        if net.name in db.clock_nets:
+            for load in net.loads:
+                edges.append((driver, pin(str(load)), f"clock net {net.name}"))
+                rows.append(-1)
+                fixed.append(0.0)
+            continue
+        window = db.sink_rows(net.name)
+        for row in range(window.start, window.stop):
+            edges.append((driver, pin(db.sinks.pins[row]), f"net {net.name}"))
+            rows.append(row)
+            fixed.append(0.0)
+    for instance in db.instances.values():
+        cell = instance.cell
+        output = pin(f"{instance.name}/{cell.output}")
+        if cell.is_sequential:
+            arcs = [(cell.clock_pin, f"{cell.name} CK->Q")]
+        else:
+            arcs = [(name, f"{cell.name} {name}->Y") for name in cell.inputs]
+        for name, label in arcs:
+            edges.append((pin(f"{instance.name}/{name}"), output, label))
+            rows.append(-1)
+            fixed.append(cell.intrinsic_delay)
+    return BuildOrder(
+        pins, edges, np.asarray(rows, dtype=np.int64), np.asarray(fixed)
+    )
+
+
+def graph_edges(graph: TimingGraph, order: BuildOrder) -> np.ndarray:
+    """The graph's edge id of each build-order edge, matched by endpoints and label."""
+    names = graph._vertex_names
+    ids = {
+        (names[src], names[dst], arc): edge
+        for edge, (src, dst, arc) in enumerate(
+            zip(graph._edge_src.tolist(), graph._edge_dst.tolist(), graph._edge_arcs)
+        )
+    }
+    return np.asarray([ids[edge] for edge in order.edges], dtype=np.int64)
+
+
+def public(graph: TimingGraph, values: np.ndarray) -> np.ndarray:
+    """Rows of a per-vertex array in build (public) pin order."""
+    vertex = {name: index for index, name in enumerate(graph._vertex_names)}
+    rows = [vertex[name] for name in build_order(graph).pins]
+    return values[np.asarray(rows, dtype=np.int64)]
+
+
+def in_edge_list(graph: TimingGraph, vertex: int) -> np.ndarray:
+    """Indices of the edges into ``vertex``, in edge order."""
+    return np.flatnonzero(graph._edge_dst == vertex)
+
+
+def trace_path(
+    graph: TimingGraph, endpoint: int, arrival: np.ndarray, delay: np.ndarray
+) -> List[PathSegment]:
+    """Walk one critical path backwards over 1-D arrival/delay columns."""
+    path: List[PathSegment] = []
+    vertex = endpoint
+    while True:
+        value = float(arrival[vertex])
+        best_edge = None
+        for edge in in_edge_list(graph, vertex):
+            candidate = arrival[graph._edge_src[edge]] + delay[edge]
+            if candidate == value:
+                best_edge = edge
+                break
+        if best_edge is None:
+            path.append(
+                PathSegment(
+                    location=graph._vertex_names[vertex],
+                    arc="startpoint",
+                    incremental_delay=0.0,
+                    arrival=value,
+                )
+            )
+            break
+        path.append(
+            PathSegment(
+                location=graph._vertex_names[vertex],
+                arc=graph._edge_arcs[best_edge],
+                incremental_delay=float(delay[best_edge]),
+                arrival=value,
+            )
+        )
+        vertex = int(graph._edge_src[best_edge])
+    path.reverse()
+    return path
 
 
 def kahn_levels(graph: TimingGraph) -> np.ndarray:
@@ -153,31 +279,58 @@ def scenario_bound_matrix(
 
 
 def scenario_edge_delays(
-    graph: TimingGraph, table: ScenarioSinkTable, thresholds: np.ndarray
+    graph: TimingGraph,
+    table: ScenarioSinkTable,
+    thresholds: np.ndarray,
+    order: Optional[BuildOrder] = None,
 ) -> np.ndarray:
-    """``(edges, S, 3)`` delay tensor: scenario wire delays, shared cell arcs."""
-    s = table.scenario_count
+    """``(edges, S, 3)`` delay tensor in build edge order.
+
+    Scenario wire delays on timed net arcs; cell arcs carry their cell's
+    intrinsic delay and clock-net arcs zero, in every scenario.  ``order``
+    is :func:`build_order`'s result, rebuilt when not given.
+    """
+    if order is None:
+        order = build_order(graph)
+    rows = order.rows
+    net = rows >= 0
     delays = np.broadcast_to(
-        graph._edge_delay[:, np.newaxis, :], (graph._edge_count, s, 3)
+        order.fixed[:, np.newaxis, np.newaxis], (len(rows), table.scenario_count, 3)
     ).copy()
-    edges, rows = graph._net_edge_rows
-    if len(edges):
-        delays[edges, :, MODEL_COLUMN[DelayModel.ELMORE]] = table.tde[:, rows].T
+    if np.any(net):
+        delays[net, :, MODEL_COLUMN[DelayModel.ELMORE]] = table.tde[:, rows[net]].T
         for model in (DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND):
-            delays[edges, :, MODEL_COLUMN[model]] = scenario_bound_matrix(
+            delays[net, :, MODEL_COLUMN[model]] = scenario_bound_matrix(
                 table, thresholds, model
-            )[:, rows].T
+            )[:, rows[net]].T
+    return delays
+
+
+def graph_edge_delays(
+    graph: TimingGraph,
+    table: ScenarioSinkTable,
+    thresholds: np.ndarray,
+    order: Optional[BuildOrder] = None,
+) -> np.ndarray:
+    """:func:`scenario_edge_delays` in the graph's own edge order."""
+    if order is None:
+        order = build_order(graph)
+    build = scenario_edge_delays(graph, table, thresholds, order)
+    delays = np.empty(build.shape)
+    delays[graph_edges(graph, order)] = build
     return delays
 
 
 def arrivals_matrix(graph: TimingGraph) -> np.ndarray:
-    """``(pins, 3)`` arrivals under the graph's current edge delays."""
-    return propagate_tensor(graph, graph._edge_delay)
+    """``(pins, 3)`` arrivals under the graph's current edge delays, public order."""
+    return public(graph, propagate_tensor(graph, graph._edge_delay))
 
 
 def required_matrix(graph: TimingGraph) -> np.ndarray:
     """``(pins, 3)`` required times under the graph's current edge delays."""
-    return required_tensor(graph, graph._edge_delay, graph._clock_period)
+    return public(
+        graph, required_tensor(graph, graph._edge_delay, graph._clock_period)
+    )
 
 
 def analyze_scenarios(
@@ -189,9 +342,7 @@ def analyze_scenarios(
     """``(S, 3)`` worst slack and one critical path per scenario."""
     table = graph._db.solve_scenarios(scenarios, engine=engine)
     periods = scenarios.clock_periods(graph._clock_period)
-    delays = scenario_edge_delays(
-        graph, table, scenarios.thresholds(graph._threshold)
-    )
+    delays = graph_edge_delays(graph, table, scenarios.thresholds(graph._threshold))
     arrivals = propagate_tensor(graph, delays)
     ends = graph._endpoint_vertices
     if not len(ends):
@@ -204,8 +355,8 @@ def analyze_scenarios(
     for index in range(table.scenario_count):
         endpoint = int(ends[np.argmax(arrivals[ends, index, column])])
         paths.append(
-            graph._trace_path(
-                endpoint, arrivals[:, index, column], delays[:, index, column]
+            trace_path(
+                graph, endpoint, arrivals[:, index, column], delays[:, index, column]
             )
         )
     return worst_slack, paths
@@ -217,11 +368,12 @@ def scenario_pin_slacks(
     model: DelayModel = DelayModel.UPPER_BOUND,
     engine: Optional[str] = None,
 ) -> np.ndarray:
-    """``(pins, S)`` slack under one model, both sweeps bucketed."""
+    """``(pins, S)`` slack under one model, both sweeps bucketed, public order."""
     table = graph._db.solve_scenarios(scenarios, engine=engine)
     thresholds = scenarios.thresholds(graph._threshold)
     periods = scenarios.clock_periods(graph._clock_period)
-    delays = scenario_edge_delays(graph, table, thresholds)[
-        :, :, MODEL_COLUMN[model]
-    ]
-    return required_tensor(graph, delays, periods) - propagate_tensor(graph, delays)
+    delays = graph_edge_delays(graph, table, thresholds)[:, :, MODEL_COLUMN[model]]
+    return public(
+        graph,
+        required_tensor(graph, delays, periods) - propagate_tensor(graph, delays),
+    )

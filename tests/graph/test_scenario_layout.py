@@ -38,6 +38,7 @@ from repro.scenarios import Scenario, ScenarioSet, scaled_parasitics
 from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.parasitics import lumped, rc_tree_parasitics
+from tests.graph import relax_oracle
 from tests.graph.stage_oracle import compile_stage
 from tests.graph.whatif_oracle import full_forest_whatif
 
@@ -122,6 +123,16 @@ def stored_preorder(store):
         parent, *rest = store.materialize(shard)._preorder()[:5]
         parts.append((np.where(parent >= 0, parent + node_lo, -1), *rest))
     return [np.concatenate(column) for column in zip(*parts)]
+
+
+def assert_oracle_parity(graph, scenarios):
+    """Sweeps, scenario tensor and critical paths equal the bucketed oracle."""
+    assert_bitwise(graph.arrivals_matrix, relax_oracle.arrivals_matrix(graph), "arrivals")
+    assert_bitwise(graph.required_matrix, relax_oracle.required_matrix(graph), "required")
+    report = graph.analyze_scenarios(scenarios)
+    worst, paths = relax_oracle.analyze_scenarios(graph, scenarios)
+    assert_bitwise(report.worst_slack, worst, "worst slack")
+    assert report.critical_paths == paths
 
 
 def assert_matches_fresh(graph, fresh_graph, read):
@@ -320,6 +331,7 @@ class TestEcoSequences:
         assert_tables_close(
             db.solve_scenarios(scenarios), fresh.solve_scenarios(scenarios)
         )
+        assert_oracle_parity(graph, scenarios)
         instances = sorted(db.instances)
         swaps = []
         for i in range(3):
@@ -368,6 +380,7 @@ class TestEcoSequences:
                 fresh.store.close()
             scenarios = scenario_set(db, design_seed)
             got = db.solve_scenarios(scenarios)
+            assert_oracle_parity(graph, scenarios)
             db.store.close()
         fresh = DesignDB(design, parasitics, input_drive_resistance=INPUT_DRIVE)
         assert_tables_close(got, fresh.solve_scenarios(scenarios))

@@ -121,7 +121,7 @@ def full_forest_whatif(
     if len(edges):
         delays[edges] = wire[:, rows].T
     for index, (instance, cell) in enumerate(swaps):
-        for edge in graph._cell_edges.get(instance, []):
+        for edge in graph._edges(graph._cell_spans, [instance]):
             delays[edge, index] = cell.intrinsic_delay
     arrivals = propagate_tensor(graph, delays)
     if len(graph._endpoint_vertices):
