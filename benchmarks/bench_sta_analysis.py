@@ -1,8 +1,9 @@
 """Benchmark of the downstream STA flow built on the bounds.
 
-Times a full timing run (graph construction, stage delay calculation over RC
-trees, arrival propagation) on a synthetic pipeline of inverter chains with
-extracted interconnect, in each of the three delay models.  This is the
+Times a full :class:`~repro.graph.TimingGraph` timing run (stage compile and
+solve over RC trees, graph construction, arrival propagation) on a synthetic
+pipeline of inverter chains with extracted interconnect, read out in each of
+the three delay models, and the design's ternary verdict.  This is the
 "downstream adoption" benchmark: it shows the bounds being consumed at the
 scale of a (small) digital block rather than a single net.
 """
@@ -10,8 +11,7 @@ scale of a (small) digital block rather than a single net.
 import pytest
 
 from repro.apps.nets import daisy_chain_net
-from repro.mos.drivers import DriverModel
-from repro.sta.analysis import TimingAnalyzer
+from repro.graph import TimingGraph
 from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import Design
@@ -43,17 +43,19 @@ def build_design_and_parasitics():
 DESIGN, PARASITICS = build_design_and_parasitics()
 
 
+def _graph():
+    return TimingGraph(DESIGN, PARASITICS, clock_period=20e-9)
+
+
 @pytest.mark.parametrize("model", [DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND])
 def test_sta_run(benchmark, model):
-    analyzer = TimingAnalyzer(DESIGN, PARASITICS, clock_period=20e-9)
-    report = benchmark(analyzer.run, model)
+    report = benchmark(lambda: _graph().run(model))
     assert len(report.endpoint_slacks) >= 2
 
 
 def test_sta_certification(benchmark, report):
-    analyzer = TimingAnalyzer(DESIGN, PARASITICS, clock_period=20e-9)
-    verdict = benchmark(analyzer.certify)
-    elmore = analyzer.run(DelayModel.ELMORE)
+    verdict = benchmark(lambda: _graph().certify())
+    elmore = _graph().run(DelayModel.ELMORE)
     report(
         "STA on a 40-stage pipeline",
         f"verdict at 20 ns period : {verdict.name}\n"

@@ -1,4 +1,4 @@
-"""Benchmark: design-scale TimingGraph vs the legacy networkx TimingAnalyzer.
+"""Benchmark: design-scale TimingGraph vs the networkx TimingAnalyzer oracle.
 
 The workload is a seed-stable 5000-instance random design
 (:func:`repro.generators.random_design`) with per-net parasitics -- a mix of
@@ -7,8 +7,9 @@ lumped caps and RC trees.  Three measurements:
 * **full analysis** -- everything a design sign-off needs: ingest the
   parasitics, build the engine and produce arrivals for *all three delay
   models* (Elmore + both bounds -- what the paper's ternary ``OK`` verdict
-  consumes).  Legacy: ``TimingAnalyzer`` with its shared stage cache, three
-  ``run()`` calls.  New: ``DesignDB`` (one batched FlatForest solve) plus
+  consumes).  Legacy: ``TimingAnalyzer`` (:mod:`tests.graph.analyzer_oracle`,
+  one vertex at a time) with its shared stage cache, three ``run()``
+  calls.  New: ``DesignDB`` (one batched FlatForest solve) plus
   ``TimingGraph`` (one levelization, per-level vectorized relaxations for all
   models at once).  Asserted **>= 10x**.
 * **incremental ECO re-timing** -- a sequence of random per-net parasitic
@@ -35,12 +36,12 @@ import pytest
 
 from repro.generators import random_design
 from repro.graph import DesignDB, TimingGraph
-from repro.sta.analysis import TimingAnalyzer
 from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import design_from_dict, design_to_dict
 from repro.sta.parasitics import lumped
 from repro.utils.tables import format_table
+from tests.graph.analyzer_oracle import TimingAnalyzer
 
 N_INSTANCES = 5_000
 PERIOD = 2e-9

@@ -4,7 +4,7 @@
 The Penfield-Rubinstein bounds are the ancestor of every interconnect delay
 model used in static timing analysis.  This example closes that loop: a small
 pipelined datapath is described as a gate-level netlist, its heavier nets get
-extracted RC-tree parasitics, and the mini STA engine then
+extracted RC-tree parasitics, and the design-scale timing graph then
 
 1. reports the critical path with Elmore interconnect delays,
 2. re-runs timing with the guaranteed upper/lower bound delays, and
@@ -15,8 +15,7 @@ Run with:  python examples/sta_critical_path.py
 """
 
 from repro.apps.nets import comb_bus_net, daisy_chain_net
-from repro.mos.drivers import DriverModel
-from repro.sta.analysis import TimingAnalyzer
+from repro.graph import TimingGraph
 from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import Design
@@ -66,29 +65,29 @@ def main() -> None:
     parasitics = build_parasitics()
     clock_period = 2.2e-9
 
-    analyzer = TimingAnalyzer(design, parasitics, clock_period=clock_period, threshold=0.5)
+    graph = TimingGraph(design, parasitics, clock_period=clock_period, threshold=0.5)
 
     print(f"design {design.name!r}: {len(design.instances)} cells, clock period "
           f"{clock_period * 1e9:.2f} ns\n")
 
-    elmore = analyzer.run(DelayModel.ELMORE)
+    elmore = graph.run(DelayModel.ELMORE)
     print(elmore.describe())
     print()
 
-    upper = analyzer.run(DelayModel.UPPER_BOUND)
-    lower = analyzer.run(DelayModel.LOWER_BOUND)
+    upper = graph.run(DelayModel.UPPER_BOUND)
+    lower = graph.run(DelayModel.LOWER_BOUND)
     print("worst slack by interconnect delay model:")
     print(f"  guaranteed latest (upper bound) : {upper.worst_slack * 1e9:+.4f} ns")
     print(f"  Elmore estimate                 : {elmore.worst_slack * 1e9:+.4f} ns")
     print(f"  guaranteed earliest (lower bound): {lower.worst_slack * 1e9:+.4f} ns")
     print()
 
-    verdict = analyzer.certify()
+    verdict = graph.certify()
     print(f"certification at {clock_period * 1e9:.2f} ns: {verdict.name}")
 
     # Tighten the clock until certification becomes indeterminate, then fails.
     for period in (2.0e-9, 1.9e-9, 1.8e-9, 1.5e-9):
-        tightened = TimingAnalyzer(design, parasitics, clock_period=period, threshold=0.5)
+        tightened = TimingGraph(design, parasitics, clock_period=period, threshold=0.5)
         print(f"certification at {period * 1e9:.2f} ns: {tightened.certify().name}")
     print()
     print("PASS means even the guaranteed-latest arrivals meet the period;")

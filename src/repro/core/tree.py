@@ -461,27 +461,8 @@ class RCTree:
         return clone
 
     # ------------------------------------------------------------------
-    # Interop / display
+    # Display
     # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export the tree as a ``networkx.DiGraph`` (edges carry ``resistance`` /
-        ``capacitance`` attributes, nodes carry ``capacitance`` / ``is_output``)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for name in self._order:
-            node = self._nodes[name]
-            graph.add_node(name, capacitance=node.capacitance, is_output=node.is_output)
-        for edge in self.edges:
-            graph.add_edge(
-                edge.parent,
-                edge.child,
-                resistance=edge.resistance,
-                capacitance=edge.capacitance,
-                distributed=edge.is_distributed,
-            )
-        return graph
-
     def describe(self) -> str:
         """Human-readable multi-line summary of the tree."""
         lines = [

@@ -105,8 +105,7 @@ def random_design(
         :func:`~repro.sta.cells.standard_cell_library`).
 
     Returns ``(design, parasitics)`` ready for
-    :class:`~repro.graph.TimingGraph`, :class:`~repro.sta.analysis.TimingAnalyzer`
-    or :class:`~repro.graph.DesignDB`.
+    :class:`~repro.graph.TimingGraph` or :class:`~repro.graph.DesignDB`.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")

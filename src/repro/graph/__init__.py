@@ -12,17 +12,18 @@ Two layers:
   (:meth:`~TimingGraph.update_net`, :meth:`~TimingGraph.resize_instance`)
   that re-solves one stage tree and re-propagates only the downstream cone.
 
-The legacy :class:`~repro.sta.analysis.TimingAnalyzer` (networkx, one vertex
-at a time) is kept as the parity oracle; property tests pin the engines
-together at 1e-12 relative tolerance, and
-``benchmarks/bench_timing_graph.py`` asserts the speedups.
+:meth:`TimingGraph.run` reports one delay model as a :class:`TimingReport`
+(arrivals, endpoint slacks and the critical path as :class:`PathSegment`
+hops); :meth:`TimingGraph.certify` is the ternary verdict.
 """
 
 from repro.graph.designdb import DesignDB, NetModel, ScenarioSinkTable, SinkTable
 from repro.graph.timinggraph import (
     DesignTimingSummary,
+    PathSegment,
     ScenarioTimingReport,
     TimingGraph,
+    TimingReport,
 )
 
 __all__ = [
@@ -33,4 +34,6 @@ __all__ = [
     "DesignTimingSummary",
     "ScenarioTimingReport",
     "TimingGraph",
+    "TimingReport",
+    "PathSegment",
 ]

@@ -9,8 +9,7 @@ with the net's parasitics, with every sink pin's input capacitance attached at
 its node.  All stage trees are concatenated into a single
 :class:`~repro.flat.FlatForest` and solved together, so the characteristic
 times of **every sink pin of every net** come out of one set of vectorized
-level sweeps -- this is what replaces the per-net, per-model dict walks of the
-legacy :class:`~repro.sta.analysis.TimingAnalyzer`.
+level sweeps.
 
 The database is also the incremental substrate for ECO loops:
 :meth:`update_net` re-compiles and re-solves exactly one stage tree (O(net

@@ -29,10 +29,7 @@ batch reads the sink table as ``(rows, S)`` and builds its ``(edges, S,
 3)`` delay tensor with no masks: rows whose stage carries no capacitance
 pass through the bound functions as zero delay (:func:`_bound_tp`).  Cell
 arcs carry the cell's intrinsic delay in every column, and clock-net arcs
-are zero (ideal clock network), exactly as
-:class:`~repro.sta.analysis.TimingAnalyzer` -- which is kept, unchanged, as
-the parity oracle; the property tests pin the two engines together at
-1e-12 relative tolerance.
+are zero (ideal clock network).
 
 Incremental ECO re-timing
 -------------------------
@@ -63,18 +60,80 @@ from repro.core.certify import Verdict
 from repro.core.exceptions import AnalysisError
 from repro.flat import delay_lower_bound_batch, delay_upper_bound_batch
 from repro.graph.designdb import DesignDB, NetModel, ScenarioSinkTable
-from repro.sta.analysis import PathSegment, TimingReport
 from repro.sta.cells import Cell
 from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import Design, PinRef
 from repro.sta.parasitics import NetParasitics
 from repro.utils.checks import require_in_unit_interval
 
-__all__ = ["TimingGraph", "DesignTimingSummary", "ScenarioTimingReport"]
+__all__ = [
+    "TimingGraph",
+    "TimingReport",
+    "PathSegment",
+    "DesignTimingSummary",
+    "ScenarioTimingReport",
+]
 
 #: Column order of the per-edge / per-vertex model axes.
 _MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)
 _MODEL_COLUMN = {model: column for column, model in enumerate(_MODELS)}
+
+
+@dataclass(frozen=True)
+class PathSegment:
+    """One hop of a reported timing path."""
+
+    location: str
+    arc: str
+    incremental_delay: float
+    arrival: float
+
+
+@dataclass
+class TimingReport:
+    """Result of one timing run (:meth:`TimingGraph.run`)."""
+
+    delay_model: DelayModel
+    clock_period: float
+    #: Arrival time at every graph vertex (seconds).
+    arrivals: Dict[str, float]
+    #: Slack at every endpoint (seconds).
+    endpoint_slacks: Dict[str, float]
+    #: The worst (most negative) slack endpoint and its critical path.
+    critical_path: List[PathSegment] = field(default_factory=list)
+
+    @property
+    def worst_slack(self) -> float:
+        """Most negative endpoint slack (or +clock_period when there are no endpoints)."""
+        if not self.endpoint_slacks:
+            return self.clock_period
+        return min(self.endpoint_slacks.values())
+
+    @property
+    def worst_endpoint(self) -> Optional[str]:
+        """Endpoint with the worst slack."""
+        if not self.endpoint_slacks:
+            return None
+        return min(self.endpoint_slacks, key=self.endpoint_slacks.get)
+
+    @property
+    def meets_timing(self) -> bool:
+        """True when every endpoint has non-negative slack."""
+        return self.worst_slack >= 0.0
+
+    def describe(self) -> str:
+        """Multi-line text report in the style of classic STA tools."""
+        lines = [
+            f"timing report ({self.delay_model.value} delays, period {self.clock_period * 1e9:.3f} ns)",
+            f"  worst slack: {self.worst_slack * 1e9:+.4f} ns at {self.worst_endpoint}",
+            "  critical path:",
+        ]
+        for segment in self.critical_path:
+            lines.append(
+                f"    {segment.arrival * 1e9:9.4f} ns  (+{segment.incremental_delay * 1e9:.4f} ns)"
+                f"  {segment.location}  [{segment.arc}]"
+            )
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -568,7 +627,7 @@ class TimingGraph:
                 )
         self._backward_plan = backward[::-1]
 
-        # Endpoints: primary-output ports and flip-flop D pins, legacy order.
+        # Endpoints: primary-output ports, then flip-flop D pins.
         endpoints: List[str] = list(self._db.design.primary_outputs)
         for instance in self._db.instances.values():
             if instance.cell.is_sequential:
@@ -843,7 +902,8 @@ class TimingGraph:
         )[0]
 
     def run(self, model: DelayModel = DelayModel.ELMORE) -> TimingReport:
-        """A legacy-shaped :class:`~repro.sta.analysis.TimingReport` for one model."""
+        """A :class:`TimingReport` for one model: arrivals, endpoint slacks and
+        the worst endpoint's critical path."""
         report = TimingReport(
             delay_model=model,
             clock_period=self._clock_period,
@@ -858,9 +918,8 @@ class TimingGraph:
 
         PASS when the guaranteed-latest arrivals (upper-bound delays) meet the
         clock period; FAIL when even the guaranteed-earliest arrivals
-        (lower-bound delays) miss it; INDETERMINATE in between.  Unlike the
-        legacy analyzer, all three models were already propagated together, so
-        this reads two numbers instead of running two analyses.
+        (lower-bound delays) miss it; INDETERMINATE in between.  All three
+        models were propagated together, so this reads two worst slacks.
         """
         if self.worst_slack(DelayModel.UPPER_BOUND) >= 0.0:
             return Verdict.PASS

@@ -11,20 +11,16 @@ analysis.  This subpackage demonstrates that downstream use end to end:
   I/O;
 * :mod:`repro.sta.parasitics` -- per-net interconnect: lumped capacitance or
   a full :class:`~repro.core.tree.RCTree` with pin-to-node bindings;
-* :mod:`repro.sta.delaycalc` -- stage delay calculation: gate delay from the
-  cell model plus interconnect delay from Elmore / the PR bounds;
-* :mod:`repro.sta.analysis` -- the timing graph, arrival/required times,
-  slacks and critical-path extraction, in three delay modes (``elmore``,
-  ``upper_bound``, ``lower_bound``) so a design can be *certified* fast
-  enough exactly in the sense of the paper's ``OK`` function.
+* :mod:`repro.sta.delaycalc` -- stage delay calculation: the three delay
+  models (``elmore``, ``upper_bound``, ``lower_bound``) and the vectorized
+  compile of stage trees (drive resistance + net parasitics + sink pin
+  loads), many nets at a time.
 
-``TimingAnalyzer`` walks a networkx pin graph one vertex at a time and is
-kept as the readable reference (and parity oracle); design-scale runs and
-incremental ECO loops live in the array-native :mod:`repro.graph` engine,
-which builds its stages with the same
-:func:`~repro.sta.delaycalc.compile_stage_block` that
-:func:`~repro.sta.delaycalc.stage_characteristic_times` runs on one net, so
-the two engines agree to rounding.
+The timing analysis itself -- arrival/required times, slacks, critical
+paths, and the certification of a design exactly in the sense of the
+paper's ``OK`` function -- is the array-native :mod:`repro.graph` engine
+(:class:`~repro.graph.TimingGraph`), which compiles every stage through
+:func:`~repro.sta.delaycalc.compile_stage_block`.
 """
 
 from repro.sta.cells import Cell, standard_cell_library
@@ -39,14 +35,7 @@ from repro.sta.netlist import (
     write_design,
 )
 from repro.sta.parasitics import NetParasitics, lumped, rc_tree_parasitics
-from repro.sta.delaycalc import (
-    DelayModel,
-    StageDelay,
-    StageTimes,
-    stage_characteristic_times,
-    stage_delays,
-)
-from repro.sta.analysis import TimingAnalyzer, TimingReport, PathSegment
+from repro.sta.delaycalc import DelayModel
 
 __all__ = [
     "Cell",
@@ -63,11 +52,4 @@ __all__ = [
     "lumped",
     "rc_tree_parasitics",
     "DelayModel",
-    "StageDelay",
-    "StageTimes",
-    "stage_characteristic_times",
-    "stage_delays",
-    "TimingAnalyzer",
-    "TimingReport",
-    "PathSegment",
 ]

@@ -22,25 +22,21 @@ its abstract:
 * ``DelayModel.LOWER_BOUND`` -- the guaranteed-earliest crossing (eq. 14/15),
   what hold-style "certainly too slow" conclusions use.
 
-The interconnect analysis itself is model-independent, so it is performed
-once per stage -- through the vectorized :mod:`repro.flat` engine -- and the
-three models merely extract different numbers from the same
-:class:`StageTimes` (see :func:`stage_characteristic_times`).
+The interconnect analysis itself is model-independent: every stage is
+compiled here (:class:`StageGather` into :func:`compile_stage_block`) and
+solved once by the vectorized :mod:`repro.flat` engine, and the three models
+merely extract different numbers from the same characteristic times (see
+:class:`repro.graph.TimingGraph`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.timeconstants import CharacteristicTimes
-from repro.flat import FlatTree, delay_lower_bound_batch, delay_upper_bound_batch
-from repro.sta.cells import Cell
-from repro.sta.parasitics import NetParasitics
-from repro.utils.checks import require_in_unit_interval, require_non_negative
+from repro.flat import FlatTree
 
 
 class DelayModel(enum.Enum):
@@ -49,25 +45,6 @@ class DelayModel(enum.Enum):
     ELMORE = "elmore"
     UPPER_BOUND = "upper_bound"
     LOWER_BOUND = "lower_bound"
-
-
-@dataclass(frozen=True)
-class StageDelay:
-    """Delays of one stage (one driver, one net)."""
-
-    net: str
-    gate_delay: float
-    #: Interconnect delay (driver output to sink pin), per sink pin name.
-    wire_delays: Dict[str, float]
-
-    def total(self, pin: str) -> float:
-        """Total stage delay (gate + wire) to ``pin``."""
-        return self.gate_delay + self.wire_delays[pin]
-
-    @property
-    def worst_sink(self) -> str:
-        """Sink pin with the largest total delay."""
-        return max(self.wire_delays, key=self.wire_delays.get)
 
 
 #: Stage-local node the drive-resistance edge runs into from the source
@@ -181,12 +158,11 @@ _LUMPED_ZERO = np.zeros(1, dtype=np.float64)
 class StageGather:
     """Per-net inputs of one :func:`compile_stage_block` call.
 
-    Every stage compile -- a bulk build, an ECO's nets, the legacy
-    :func:`stage_characteristic_times` -- gathers its nets here.  The
-    per-net work is bookkeeping only (base arrays by reference, sink pins
-    bound to stage-local nodes); :meth:`compile` builds the block.  With
-    ``keep_names`` the stage node names are collected too (a store keeps
-    none).
+    Every stage compile -- a bulk build, an ECO's nets -- gathers its nets
+    here.  The per-net work is bookkeeping only (base arrays by reference,
+    sink pins bound to stage-local nodes); :meth:`compile` builds the block.
+    With ``keep_names`` the stage node names are collected too (a store
+    keeps none).
     """
 
     def __init__(self, keep_names: bool):
@@ -279,161 +255,3 @@ class StageGather:
             np.asarray(self.sink_local, dtype=np.int64),
             np.asarray(self.sink_c, dtype=np.float64),
         )
-
-
-@dataclass(frozen=True)
-class StageTimes:
-    """Model-independent analysis of one stage (one driver, one net).
-
-    The characteristic times of a stage do not depend on the delay model --
-    only the number finally *extracted* from them does -- so one compiled
-    :class:`~repro.flat.FlatTree` solve serves the Elmore run and both bound
-    runs.  :class:`~repro.sta.analysis.TimingAnalyzer` caches one of these per
-    net, which is what makes ``certify()`` (three delay models) cost one
-    interconnect analysis instead of three.
-    """
-
-    net: str
-    gate_delay: float
-    #: Characteristic times per sink pin; empty when the net has no capacitance.
-    pin_times: Dict[str, CharacteristicTimes] = field(default_factory=dict)
-
-    def delays(self, model: DelayModel, threshold: float) -> Dict[str, float]:
-        """Extract the wire delay per sink pin for one delay model."""
-        if not self.pin_times:
-            return {}
-        if model is DelayModel.ELMORE:
-            return {pin: times.tde for pin, times in self.pin_times.items()}
-        pins = list(self.pin_times)
-        records = [self.pin_times[pin] for pin in pins]
-        bound = (
-            delay_upper_bound_batch
-            if model is DelayModel.UPPER_BOUND
-            else delay_lower_bound_batch
-        )
-        values = bound(
-            np.asarray([t.tp for t in records]),
-            np.asarray([t.tde for t in records]),
-            np.asarray([t.tre for t in records]),
-            [threshold],
-        )[:, 0]
-        return dict(zip(pins, values.tolist()))
-
-
-def stage_characteristic_times(
-    driver_cell: Optional[Cell],
-    parasitics: NetParasitics,
-    sink_capacitance: Mapping[str, float],
-    *,
-    drive_resistance_override: Optional[float] = None,
-    _base: Optional[FlatTree] = None,
-) -> StageTimes:
-    """Analyse one stage once, for every delay model.
-
-    Compiles the stage as a one-net block (:class:`StageGather`,
-    :func:`compile_stage_block`) -- the path the design-scale
-    :class:`~repro.graph.DesignDB` runs over a whole netlist -- and returns
-    the characteristic times of every sink pin.  A stage with no capacitance
-    anywhere settles instantaneously in the linear model and yields an empty
-    ``pin_times``.  ``_base`` lets callers that already compiled the net's
-    parasitic tree skip the per-call compile.
-    """
-    if drive_resistance_override is not None:
-        require_non_negative("drive_resistance_override", drive_resistance_override)
-        resistance = drive_resistance_override
-    elif driver_cell is not None:
-        resistance = driver_cell.drive_resistance
-    else:
-        resistance = 0.0
-    intrinsic = driver_cell.intrinsic_delay if driver_cell is not None else 0.0
-
-    base = _base
-    if base is None and parasitics.tree is not None:
-        base = FlatTree.from_tree(parasitics.tree)
-    gather = StageGather(keep_names=True)
-    pin_index = gather.add(
-        base,
-        parasitics.lumped_capacitance,
-        parasitics.pin_nodes,
-        resistance,
-        sink_capacitance,
-    )
-    block = gather.compile()
-    # A one-stage block is the stage tree; caller loads get validated.
-    flat = FlatTree(
-        gather.names,
-        block.parent,
-        block.edge_r,
-        block.edge_c,
-        block.node_c,
-        block.is_output,
-        _depth=block.depth,
-    )
-    if flat.total_capacitance <= 0.0:
-        # Nothing to charge: the net settles instantaneously in the linear
-        # model, whichever bound is requested.
-        return StageTimes(net=parasitics.net, gate_delay=intrinsic)
-
-    times = flat.solve()
-    pin_times = {
-        pin: CharacteristicTimes(
-            output=flat.name_of(index),
-            tp=times.tp,
-            tde=float(times.tde[index]),
-            tre=float(times.tre[index]),
-            ree=float(times.ree[index]),
-            total_capacitance=times.total_capacitance,
-        )
-        for pin, index in pin_index.items()
-    }
-    return StageTimes(net=parasitics.net, gate_delay=intrinsic, pin_times=pin_times)
-
-
-def stage_delays(
-    driver_cell: Optional[Cell],
-    parasitics: NetParasitics,
-    sink_capacitance: Mapping[str, float],
-    *,
-    model: DelayModel = DelayModel.ELMORE,
-    threshold: float = 0.5,
-    drive_resistance_override: Optional[float] = None,
-) -> StageDelay:
-    """Compute the delays of one stage.
-
-    Parameters
-    ----------
-    driver_cell:
-        The driving cell (supplies intrinsic delay and drive resistance).
-        ``None`` models an ideal primary-input driver.
-    parasitics:
-        The net's interconnect description.
-    sink_capacitance:
-        Mapping sink pin name -> input capacitance (farads).
-    model:
-        Which delay number to extract (Elmore or one of the PR bounds).
-    threshold:
-        Voltage threshold used by the bound models (ignored for Elmore).
-    drive_resistance_override:
-        Use this resistance instead of the cell's (for input-port drivers).
-
-    Callers that need several delay models of the same stage should use
-    :func:`stage_characteristic_times` once and extract per model.
-    """
-    threshold = require_in_unit_interval("threshold", threshold)
-    stage = stage_characteristic_times(
-        driver_cell,
-        parasitics,
-        sink_capacitance,
-        drive_resistance_override=drive_resistance_override,
-    )
-    if not stage.pin_times:
-        return StageDelay(
-            net=parasitics.net,
-            gate_delay=stage.gate_delay,
-            wire_delays={pin: 0.0 for pin in sink_capacitance},
-        )
-    return StageDelay(
-        net=parasitics.net,
-        gate_delay=stage.gate_delay,
-        wire_delays=stage.delays(model, threshold),
-    )

@@ -233,13 +233,6 @@ class TestValidationAndTransforms:
         with pytest.raises(ElementValueError):
             tree.lumped(3, style="T")
 
-    def test_to_networkx(self):
-        graph = small_tree().to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 3
-        assert graph.nodes["b"]["is_output"]
-        assert graph.edges["a", "b"]["resistance"] == 20.0
-
     def test_describe_mentions_elements(self):
         text = small_tree().describe()
         assert "total resistance" in text

@@ -1,30 +1,28 @@
-"""Timing-graph construction, arrival/required times, slack, critical paths.
+"""The networkx timing analyzer and the per-stage analysis, kept only as the
+parity oracle.
 
-The :class:`TimingAnalyzer` turns a :class:`~repro.sta.netlist.Design`, its
-per-net parasitics and a clock period into a timing report:
+Before :class:`repro.graph.TimingGraph` timed whole designs on levelized
+arrays, :class:`TimingAnalyzer` below turned a
+:class:`~repro.sta.netlist.Design`, its per-net parasitics and a clock
+period into a timing report:
 
 * the timing graph has one vertex per pin (plus one per primary port), a
   *cell arc* from each input pin of a combinational cell to its output pin,
   and a *net arc* from each net's driver pin to each of its load pins;
 * cell arcs carry the cell's intrinsic delay; net arcs carry the
-  interconnect delay computed by :mod:`repro.sta.delaycalc` (which already
-  includes the ``R_drive * C_load`` loading term);
+  interconnect delay of the net's stage tree (which already includes the
+  ``R_drive * C_load`` loading term);
 * flip-flop D pins and primary outputs are endpoints; flip-flop Q pins and
   primary inputs are startpoints (an ideal clock network is assumed);
 * slack is ``clock_period - arrival`` at every endpoint.
 
-Running the analysis in the three delay models and combining
-``UPPER_BOUND`` / ``LOWER_BOUND`` worst slacks yields exactly the paper's
-ternary ``OK`` verdict for a whole digital block: PASS when even the
-guaranteed-latest arrivals meet the period, FAIL when even the
-guaranteed-earliest arrivals miss it, INDETERMINATE otherwise.
-
-This engine walks a networkx graph one vertex at a time and is kept as the
-readable reference and the **parity oracle** for the design-scale
-:class:`~repro.graph.TimingGraph` (levelized arrays, all three models at
-once, incremental ECO re-timing) -- the property tests pin the two engines
-together at 1e-12 relative tolerance, and
-``benchmarks/bench_timing_graph.py`` records the speedups.
+It walks a networkx graph one vertex at a time, one delay model per run.
+Each stage is compiled by the per-net assembler of
+:mod:`tests.graph.stage_oracle` and solved with
+:meth:`repro.flat.FlatTree.solve` (:func:`stage_characteristic_times`), so
+no stage compiler or graph relaxation of the code under test runs here.
+Tests and ``benchmarks/bench_timing_graph.py`` hold the graph to it at
+1e-12 relative tolerance.
 """
 
 from __future__ import annotations
@@ -33,70 +31,112 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.core.certify import Verdict
 from repro.core.exceptions import AnalysisError
-from repro.sta.delaycalc import DelayModel, StageTimes, stage_characteristic_times
+from repro.core.timeconstants import CharacteristicTimes
+from repro.flat import FlatTree, delay_lower_bound_batch, delay_upper_bound_batch
+from repro.graph import PathSegment, TimingReport
+from repro.sta.cells import Cell
+from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import Design, Net, PinRef
 from repro.sta.parasitics import NetParasitics, lumped
-from repro.utils.checks import require_in_unit_interval
+from repro.utils.checks import require_in_unit_interval, require_non_negative
+from tests.graph.stage_oracle import compile_stage
 
 
 @dataclass(frozen=True)
-class PathSegment:
-    """One hop of a reported timing path."""
+class StageTimes:
+    """Model-independent analysis of one stage (one driver, one net).
 
-    location: str
-    arc: str
-    incremental_delay: float
-    arrival: float
+    The characteristic times of a stage do not depend on the delay model --
+    only the number finally *extracted* from them does -- so one compiled
+    :class:`~repro.flat.FlatTree` solve serves the Elmore run and both bound
+    runs.  :class:`TimingAnalyzer` caches one of these per net, which is
+    what makes ``certify()`` (three delay models) cost one interconnect
+    analysis instead of three.
+    """
+
+    net: str
+    gate_delay: float
+    #: Characteristic times per sink pin; empty when the net has no capacitance.
+    pin_times: Dict[str, CharacteristicTimes] = field(default_factory=dict)
+
+    def delays(self, model: DelayModel, threshold: float) -> Dict[str, float]:
+        """Extract the wire delay per sink pin for one delay model."""
+        if not self.pin_times:
+            return {}
+        if model is DelayModel.ELMORE:
+            return {pin: times.tde for pin, times in self.pin_times.items()}
+        pins = list(self.pin_times)
+        records = [self.pin_times[pin] for pin in pins]
+        bound = (
+            delay_upper_bound_batch
+            if model is DelayModel.UPPER_BOUND
+            else delay_lower_bound_batch
+        )
+        values = bound(
+            np.asarray([t.tp for t in records]),
+            np.asarray([t.tde for t in records]),
+            np.asarray([t.tre for t in records]),
+            [threshold],
+        )[:, 0]
+        return dict(zip(pins, values.tolist()))
 
 
-@dataclass
-class TimingReport:
-    """Result of one timing run."""
+def stage_characteristic_times(
+    driver_cell: Optional[Cell],
+    parasitics: NetParasitics,
+    sink_capacitance: Mapping[str, float],
+    *,
+    drive_resistance_override: Optional[float] = None,
+) -> StageTimes:
+    """Analyse one stage once, for every delay model.
 
-    delay_model: DelayModel
-    clock_period: float
-    #: Arrival time at every graph vertex (seconds).
-    arrivals: Dict[str, float]
-    #: Slack at every endpoint (seconds).
-    endpoint_slacks: Dict[str, float]
-    #: The worst (most negative) slack endpoint and its critical path.
-    critical_path: List[PathSegment] = field(default_factory=list)
+    Compiles the stage with the per-net :func:`compile_stage` and returns
+    the characteristic times of every sink pin from its
+    :meth:`~repro.flat.FlatTree.solve`.  A stage with no capacitance
+    anywhere settles instantaneously in the linear model and yields an
+    empty ``pin_times``.
+    """
+    if drive_resistance_override is not None:
+        require_non_negative("drive_resistance_override", drive_resistance_override)
+        resistance = drive_resistance_override
+    elif driver_cell is not None:
+        resistance = driver_cell.drive_resistance
+    else:
+        resistance = 0.0
+    intrinsic = driver_cell.intrinsic_delay if driver_cell is not None else 0.0
 
-    @property
-    def worst_slack(self) -> float:
-        """Most negative endpoint slack (or +clock_period when there are no endpoints)."""
-        if not self.endpoint_slacks:
-            return self.clock_period
-        return min(self.endpoint_slacks.values())
+    base = None
+    if parasitics.tree is not None:
+        base = FlatTree.from_tree(parasitics.tree)
+    flat, pin_index, _ = compile_stage(
+        resistance,
+        sink_capacitance,
+        lumped_capacitance=parasitics.lumped_capacitance,
+        base=base,
+        pin_nodes=parasitics.pin_nodes,
+    )
+    if flat.total_capacitance <= 0.0:
+        # Nothing to charge: the net settles instantaneously in the linear
+        # model, whichever bound is requested.
+        return StageTimes(net=parasitics.net, gate_delay=intrinsic)
 
-    @property
-    def worst_endpoint(self) -> Optional[str]:
-        """Endpoint with the worst slack."""
-        if not self.endpoint_slacks:
-            return None
-        return min(self.endpoint_slacks, key=self.endpoint_slacks.get)
-
-    @property
-    def meets_timing(self) -> bool:
-        """True when every endpoint has non-negative slack."""
-        return self.worst_slack >= 0.0
-
-    def describe(self) -> str:
-        """Multi-line text report in the style of classic STA tools."""
-        lines = [
-            f"timing report ({self.delay_model.value} delays, period {self.clock_period * 1e9:.3f} ns)",
-            f"  worst slack: {self.worst_slack * 1e9:+.4f} ns at {self.worst_endpoint}",
-            "  critical path:",
-        ]
-        for segment in self.critical_path:
-            lines.append(
-                f"    {segment.arrival * 1e9:9.4f} ns  (+{segment.incremental_delay * 1e9:.4f} ns)"
-                f"  {segment.location}  [{segment.arc}]"
-            )
-        return "\n".join(lines)
+    times = flat.solve()
+    pin_times = {
+        pin: CharacteristicTimes(
+            output=flat.name_of(index),
+            tp=times.tp,
+            tde=float(times.tde[index]),
+            tre=float(times.tre[index]),
+            ree=float(times.ree[index]),
+            total_capacitance=times.total_capacitance,
+        )
+        for pin, index in pin_index.items()
+    }
+    return StageTimes(net=parasitics.net, gate_delay=intrinsic, pin_times=pin_times)
 
 
 class TimingAnalyzer:

@@ -22,8 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.flat import delay_lower_bound_batch, delay_upper_bound_batch
-from repro.graph import ScenarioSinkTable, TimingGraph
-from repro.sta.analysis import PathSegment
+from repro.graph import PathSegment, ScenarioSinkTable, TimingGraph
 from repro.sta.delaycalc import DelayModel
 
 MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)

@@ -2,10 +2,11 @@
 
 Before every stage went through :func:`repro.sta.delaycalc.compile_stage_block`,
 a stage tree (drive resistance + net + sink loads) was also assembled one
-net at a time, and that copy served single-net ECOs and the legacy
-per-stage API.  :func:`compile_stage` below is that assembler verbatim.
-Tests hold the block compile, the database's ECO recompiles and
-:func:`repro.sta.delaycalc.stage_characteristic_times` bit for bit to it.
+net at a time, and that copy served single-net ECOs and the per-stage
+API.  :func:`compile_stage` below is that assembler verbatim.  Tests hold
+the block compile and the database's ECO recompiles bit for bit to it, and
+the timing oracle of :mod:`tests.graph.analyzer_oracle` builds every stage
+with it.
 """
 
 from typing import Dict, Mapping, Optional, Tuple

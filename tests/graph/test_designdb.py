@@ -8,9 +8,9 @@ from repro.core.networks import rc_ladder
 from repro.graph import DesignDB, NetModel
 from repro.spef.writer import tree_to_spef
 from repro.sta.cells import standard_cell_library
-from repro.sta.delaycalc import stage_characteristic_times
 from repro.sta.netlist import Design
 from repro.sta.parasitics import lumped, rc_tree_parasitics
+from tests.graph.analyzer_oracle import stage_characteristic_times
 
 
 @pytest.fixture

@@ -7,9 +7,7 @@ per-net assembler kept in ``tests/graph/stage_oracle.py``:
 ``ShardStoreWriter.add_flat_tree`` per stage for a store.  The forest
 arrays, the scenario layout's wire-only capacitances, every ``pin_index``
 and every ``SinkTable`` column must match it bit for bit, for dict and
-SPEF ingest and for in-RAM and store-backed databases.  The legacy
-per-stage API (:func:`repro.sta.delaycalc.stage_characteristic_times`),
-a one-net block, must return bitwise the oracle stage's solve.
+SPEF ingest and for in-RAM and store-backed databases.
 """
 
 import tempfile
@@ -21,13 +19,12 @@ from hypothesis import strategies as st
 
 import repro.graph.designdb as designdb
 from repro.core.tree import RCTree
-from repro.flat import FlatForest, FlatTree
+from repro.flat import FlatForest
 from repro.generators import random_design
 from repro.graph import DesignDB
 from repro.spef.reader import iter_spef_nets
 from repro.spef.writer import tree_to_spef
 from repro.sta.cells import standard_cell_library
-from repro.sta.delaycalc import stage_characteristic_times
 from repro.sta.netlist import Design
 from repro.sta.parasitics import lumped, rc_tree_parasitics
 from repro.store import ShardStoreWriter, StoredForest
@@ -393,82 +390,3 @@ class TestDesignScale:
         assert db.store.shard_count > 1
         check_store(db, 4096)
         db.store.close()
-
-
-# ----------------------------------------------------------------------
-# The legacy per-stage API runs the block path
-# ----------------------------------------------------------------------
-def design_stages(seed):
-    """``(driver_cell, parasitics, sinks)`` of every driven, loaded net."""
-    design, parasitics = random_design(120, seed=seed)
-    instances = design.instances
-    stages = []
-    for name, net in design.connectivity().items():
-        if net.driver is None or not net.loads:
-            continue
-        driver = None if net.driver.is_port else instances[net.driver.instance].cell
-        sinks = {
-            str(load): 0.0
-            if load.instance is None
-            else instances[load.instance].cell.input_capacitance
-            for load in net.loads
-        }
-        stages.append((driver, parasitics.get(name, lumped(name, 0.0)), sinks))
-    return stages
-
-
-def named_stages():
-    tree = _chain(["r", "m", "e"])
-    sinks = {"u1/A": 2e-15, "u2/A": 3e-15}
-    return [
-        (LIBRARY["INV_X1"], lumped("n", 5e-15), sinks),
-        # Unbound pins take the last leaf; one is bound to the base root.
-        (LIBRARY["BUF_X2"], rc_tree_parasitics("n", tree, {}), sinks),
-        (LIBRARY["INV_X4"], rc_tree_parasitics("n", tree, {"u2/A": "r"}), sinks),
-        # No driver cell: drive resistance 0, clamped to 1e-6.
-        (None, rc_tree_parasitics("n", tree, {"u1/A": "m"}), sinks),
-        (None, lumped("n", 1e-15), sinks),
-    ]
-
-
-STAGE_CASES = {
-    "seed1": lambda: design_stages(1),
-    "seed2": lambda: design_stages(2),
-    "seed3": lambda: design_stages(3),
-    "named": named_stages,
-}
-
-
-class TestLegacyStageApi:
-    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
-    def test_pin_times_match_the_oracle_stage_solve(self, case):
-        stages = STAGE_CASES[case]()
-        assert stages
-        for driver, parasitics, sinks in stages:
-            got = stage_characteristic_times(driver, parasitics, sinks)
-            base = None
-            if parasitics.tree is not None:
-                base = FlatTree.from_tree(parasitics.tree)
-            flat, pin_index, _ = compile_stage(
-                0.0 if driver is None else driver.drive_resistance,
-                sinks,
-                lumped_capacitance=parasitics.lumped_capacitance,
-                base=base,
-                pin_nodes=parasitics.pin_nodes,
-            )
-            if flat.total_capacitance <= 0.0:
-                assert got.pin_times == {}
-                continue
-            times = flat.solve()
-            assert list(got.pin_times) == list(pin_index)
-            for pin, index in pin_index.items():
-                record = got.pin_times[pin]
-                assert record.output == flat.name_of(index)
-                for name, want in (
-                    ("tp", times.tp),
-                    ("tde", times.tde[index]),
-                    ("tre", times.tre[index]),
-                    ("ree", times.ree[index]),
-                    ("total_capacitance", times.total_capacitance),
-                ):
-                    assert_bitwise(np.float64(getattr(record, name)), np.float64(want))

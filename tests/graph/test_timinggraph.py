@@ -1,4 +1,4 @@
-"""Tests for the levelized array timing engine (vs the legacy oracle)."""
+"""Tests for the levelized array timing engine (vs the per-vertex analyzer oracle)."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,11 @@ from repro.core.exceptions import AnalysisError
 from repro.core.networks import rc_ladder
 from repro.generators import random_design
 from repro.graph import DesignDB, TimingGraph
-from repro.sta.analysis import TimingAnalyzer
 from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import Design
 from repro.sta.parasitics import lumped, rc_tree_parasitics
+from tests.graph.analyzer_oracle import TimingAnalyzer
 
 MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)
 

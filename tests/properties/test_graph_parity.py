@@ -5,9 +5,9 @@ wholesale net-parasitic swaps (lumped <-> tree), and cell resizes -- applied
 through :meth:`TimingGraph.update_net` / :meth:`TimingGraph.resize_instance`.
 After every edit the incrementally maintained arrivals must equal a
 from-scratch :class:`TimingGraph` over the same state at 1e-12 relative
-tolerance, and both must match the legacy networkx
-:class:`~repro.sta.analysis.TimingAnalyzer` -- the paper-faithful oracle --
-in all three delay models.
+tolerance, and both must match the per-vertex networkx
+:class:`~tests.graph.analyzer_oracle.TimingAnalyzer` -- the paper-faithful
+oracle -- in all three delay models.
 """
 
 import random
@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from repro.core.tree import RCTree
 from repro.generators import random_design
 from repro.graph import TimingGraph
-from repro.sta.analysis import TimingAnalyzer
 from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.parasitics import lumped, rc_tree_parasitics
+from tests.graph.analyzer_oracle import TimingAnalyzer
 
 MODELS = (DelayModel.ELMORE, DelayModel.UPPER_BOUND, DelayModel.LOWER_BOUND)
 LIBRARY = standard_cell_library()

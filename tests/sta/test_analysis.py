@@ -1,11 +1,11 @@
-"""Tests for the static-timing analysis engine."""
+"""Tests for static timing analysis of gate-level designs (:class:`TimingGraph`)."""
 
 import pytest
 
 from repro.core.certify import Verdict
 from repro.core.exceptions import AnalysisError
 from repro.core.networks import rc_ladder
-from repro.sta.analysis import TimingAnalyzer
+from repro.graph import TimingGraph
 from repro.sta.cells import standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import Design
@@ -44,41 +44,41 @@ def combinational_design(library):
 
 class TestTimingRun:
     def test_arrival_times_increase_along_path(self, library):
-        analyzer = TimingAnalyzer(pipeline_design(library), clock_period=2e-9)
-        report = analyzer.run()
+        graph = TimingGraph(pipeline_design(library), clock_period=2e-9)
+        report = graph.run()
         assert report.arrivals["u1/A"] < report.arrivals["u1/Y"]
         assert report.arrivals["u1/Y"] < report.arrivals["u2/Y"]
 
     def test_endpoints_are_outputs_and_ff_d_pins(self, library):
-        analyzer = TimingAnalyzer(pipeline_design(library), clock_period=2e-9)
-        report = analyzer.run()
+        graph = TimingGraph(pipeline_design(library), clock_period=2e-9)
+        report = graph.run()
         assert set(report.endpoint_slacks) == {"dout", "q1", "ff_in/D", "ff_out/D"}
 
     def test_worst_slack_matches_minimum(self, library):
-        analyzer = TimingAnalyzer(pipeline_design(library), clock_period=2e-9)
-        report = analyzer.run()
+        graph = TimingGraph(pipeline_design(library), clock_period=2e-9)
+        report = graph.run()
         assert report.worst_slack == pytest.approx(min(report.endpoint_slacks.values()))
         assert report.endpoint_slacks[report.worst_endpoint] == report.worst_slack
 
     def test_critical_path_starts_at_startpoint_and_ends_at_worst_endpoint(self, library):
-        analyzer = TimingAnalyzer(pipeline_design(library), clock_period=2e-9)
-        report = analyzer.run()
+        graph = TimingGraph(pipeline_design(library), clock_period=2e-9)
+        report = graph.run()
         assert report.critical_path[0].arc == "startpoint"
         assert report.critical_path[-1].location == report.worst_endpoint
 
     def test_meets_timing_depends_on_period(self, library):
         design = pipeline_design(library)
-        fast_clock = TimingAnalyzer(design, clock_period=1e-12).run()
-        slow_clock = TimingAnalyzer(design, clock_period=1e-6).run()
+        fast_clock = TimingGraph(design, clock_period=1e-12).run()
+        slow_clock = TimingGraph(design, clock_period=1e-6).run()
         assert not fast_clock.meets_timing
         assert slow_clock.meets_timing
 
     def test_describe_mentions_slack(self, library):
-        report = TimingAnalyzer(pipeline_design(library), clock_period=2e-9).run()
+        report = TimingGraph(pipeline_design(library), clock_period=2e-9).run()
         assert "worst slack" in report.describe()
 
     def test_combinational_design(self, library):
-        report = TimingAnalyzer(combinational_design(library), clock_period=1e-9).run()
+        report = TimingGraph(combinational_design(library), clock_period=1e-9).run()
         assert set(report.endpoint_slacks) == {"y"}
         assert report.meets_timing
 
@@ -86,15 +86,15 @@ class TestTimingRun:
 class TestParasiticsEffect:
     def test_heavier_net_lowers_slack(self, library):
         design = pipeline_design(library)
-        light = TimingAnalyzer(design, {"n2": lumped("n2", 1e-15)}, clock_period=2e-9).run()
-        heavy = TimingAnalyzer(design, {"n2": lumped("n2", 500e-15)}, clock_period=2e-9).run()
+        light = TimingGraph(design, {"n2": lumped("n2", 1e-15)}, clock_period=2e-9).run()
+        heavy = TimingGraph(design, {"n2": lumped("n2", 500e-15)}, clock_period=2e-9).run()
         assert heavy.worst_slack < light.worst_slack
 
     def test_rc_tree_parasitics_used(self, library):
         design = pipeline_design(library)
         tree = rc_ladder(5, 500.0, 20e-15)
         parasitics = {"n2": rc_tree_parasitics("n2", tree, {"u3/A": "out", "ff_out/D": "s1"})}
-        report = TimingAnalyzer(design, parasitics, clock_period=2e-9).run()
+        report = TimingGraph(design, parasitics, clock_period=2e-9).run()
         # u3 is bound to the far end of the ladder, ff_out to the near end.
         net_delay_to_u3 = report.arrivals["u3/A"] - report.arrivals["u2/Y"]
         net_delay_to_ff = report.arrivals["ff_out/D"] - report.arrivals["u2/Y"]
@@ -102,8 +102,8 @@ class TestParasiticsEffect:
 
     def test_default_wire_capacitance_applied(self, library):
         design = pipeline_design(library)
-        without = TimingAnalyzer(design, clock_period=2e-9).run()
-        with_default = TimingAnalyzer(
+        without = TimingGraph(design, clock_period=2e-9).run()
+        with_default = TimingGraph(
             design, clock_period=2e-9, default_wire_capacitance=100e-15
         ).run()
         assert with_default.worst_slack < without.worst_slack
@@ -113,9 +113,9 @@ class TestDelayModels:
     def test_upper_bound_never_faster_than_lower_bound(self, library):
         design = pipeline_design(library)
         parasitics = {"n2": rc_tree_parasitics("n2", rc_ladder(5, 500.0, 20e-15), {"u3/A": "out"})}
-        analyzer = TimingAnalyzer(design, parasitics, clock_period=2e-9)
-        upper = analyzer.run(DelayModel.UPPER_BOUND)
-        lower = analyzer.run(DelayModel.LOWER_BOUND)
+        graph = TimingGraph(design, parasitics, clock_period=2e-9)
+        upper = graph.run(DelayModel.UPPER_BOUND)
+        lower = graph.run(DelayModel.LOWER_BOUND)
         assert upper.worst_slack <= lower.worst_slack + 1e-15
 
 
@@ -123,30 +123,30 @@ class TestCertification:
     def test_pass_fail_and_indeterminate(self, library):
         design = pipeline_design(library)
         parasitics = {"n2": rc_tree_parasitics("n2", rc_ladder(5, 2000.0, 100e-15), {"u3/A": "out"})}
-        assert TimingAnalyzer(design, parasitics, clock_period=1e-6).certify() is Verdict.PASS
-        assert TimingAnalyzer(design, parasitics, clock_period=1e-12).certify() is Verdict.FAIL
+        assert TimingGraph(design, parasitics, clock_period=1e-6).certify() is Verdict.PASS
+        assert TimingGraph(design, parasitics, clock_period=1e-12).certify() is Verdict.FAIL
 
     def test_indeterminate_when_bounds_straddle_period(self, library):
         design = pipeline_design(library)
         parasitics = {
             "n2": rc_tree_parasitics("n2", rc_ladder(8, 5000.0, 300e-15), {"u3/A": "out"})
         }
-        analyzer = TimingAnalyzer(design, parasitics, clock_period=1e-9, threshold=0.5)
-        upper = analyzer.run(DelayModel.UPPER_BOUND)
-        lower = analyzer.run(DelayModel.LOWER_BOUND)
+        graph = TimingGraph(design, parasitics, clock_period=1e-9, threshold=0.5)
+        upper = graph.run(DelayModel.UPPER_BOUND)
+        lower = graph.run(DelayModel.LOWER_BOUND)
         # Pick a period strictly between the two worst arrivals to force the
         # indeterminate verdict.
-        worst_upper_arrival = analyzer._clock_period - upper.worst_slack
-        worst_lower_arrival = analyzer._clock_period - lower.worst_slack
+        worst_upper_arrival = graph.clock_period - upper.worst_slack
+        worst_lower_arrival = graph.clock_period - lower.worst_slack
         period = 0.5 * (worst_upper_arrival + worst_lower_arrival)
-        middle = TimingAnalyzer(design, parasitics, clock_period=period, threshold=0.5)
+        middle = TimingGraph(design, parasitics, clock_period=period, threshold=0.5)
         assert middle.certify() is Verdict.INDETERMINATE
 
 
 class TestValidation:
     def test_zero_period_rejected(self, library):
         with pytest.raises(AnalysisError):
-            TimingAnalyzer(combinational_design(library), clock_period=0.0)
+            TimingGraph(combinational_design(library), clock_period=0.0)
 
     def test_combinational_loop_detected(self, library):
         design = Design("loop")
@@ -154,6 +154,5 @@ class TestValidation:
         design.add_instance("g1", library["INV_X1"], A="n2", Y="n1")
         design.add_instance("g2", library["INV_X1"], A="n1", Y="n2")
         design.add_instance("g3", library["INV_X1"], A="n2", Y="y")
-        analyzer = TimingAnalyzer(design, clock_period=1e-9)
         with pytest.raises(AnalysisError):
-            analyzer.run()
+            TimingGraph(design, clock_period=1e-9)

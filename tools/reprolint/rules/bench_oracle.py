@@ -1,7 +1,7 @@
 """RL006 -- oracle pinning: benchmarks must assert parity where they measure.
 
 Every layer of this repository is pinned to its slower predecessor as a
-parity oracle (flat <-> dict, graph <-> networkx, sharded <-> serial),
+parity oracle (flat <-> dict, graph <-> per-vertex analyzer, sharded <-> serial),
 and the benchmarks are the place where "fast" and "correct" meet: a
 benchmark that measures a speedup without asserting parity *in the same
 run* will happily report a 20x win from a kernel that returns garbage.
