@@ -43,10 +43,10 @@ run once over the in-RAM forest or once per shard.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import (
-    TYPE_CHECKING,
     Dict,
     List,
     Mapping,
@@ -59,16 +59,14 @@ from typing import (
 
 import numpy as np
 
-from repro.core.exceptions import AnalysisError, ElementValueError
+from repro.core.exceptions import AnalysisError
 from repro.flat import FlatForest, FlatTree
+from repro.spef.reader import SpefNet, iter_spef_nets, spef_block
 from repro.sta.cells import Cell
 from repro.sta.delaycalc import DRIVE_NODE, StageBlock, StageGather
 from repro.sta.netlist import Design, Instance, Net
 from repro.sta.parasitics import NetParasitics
 from repro.store import DEFAULT_SHARD_NODES, ShardStoreWriter, StoredForest
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.spef.reader import SpefNet
 
 __all__ = [
     "DesignDB",
@@ -997,15 +995,16 @@ class DesignDB:
         ``RCTree``), matched to the design net of the same name, and its sink
         pins are bound to the parasitic nodes carrying the same
         ``instance/pin`` (or port) name.  Nets absent from the SPEF fall back
-        to the default lumped wire capacitance.
+        to the default lumped wire capacitance.  With ``is_path=True`` the
+        file is streamed line by line.  Malformed SPEF raises
+        :class:`~repro.core.exceptions.ParseError`.
         """
-        from repro.spef.reader import iter_spef_nets
-
-        if is_path:
-            with open(spef, "r", encoding="utf-8") as handle:
-                spef = handle.read()
         nets = design.connectivity()
-        records = [record for record in iter_spef_nets(spef) if record.name in nets]
+        opened = open(spef, "r", encoding="utf-8") if is_path else nullcontext(spef)
+        with opened as source:
+            records = [
+                record for record in iter_spef_nets(source) if record.name in nets
+            ]
         db = cls.__new__(cls)
         db._build(
             design,
@@ -1019,57 +1018,26 @@ class DesignDB:
 
 
 def _spef_models(
-    records: List["SpefNet"], nets: Dict[str, Net]
+    records: List[SpefNet], nets: Dict[str, Net]
 ) -> Dict[str, NetModel]:
-    """Net models over the reader's preorder arrays, validated in one pass.
+    """Net models over the reader's preorder arrays, adopted as they are.
 
-    Every record's element values are checked together (finite and
-    non-negative, naming the first offending net), then each base tree is
-    adopted as is: the reader's walk already emitted preorder parents and
-    depths, so no per-net relabel or re-validation runs.  Outputs follow
-    :meth:`~repro.spef.reader.SpefNet.to_flat_tree`: the net's loads, else
-    its leaves.
+    :func:`~repro.spef.reader.spef_block` checks the values and marks the
+    outputs; this binds design sink pins to parasitic nodes and views each
+    record as a base tree.
     """
     if not records:
         return {}
-    sizes = np.asarray([len(record.parent) for record in records], dtype=np.int64)
-    starts = np.zeros(len(records) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
-    resistance = np.concatenate([record.resistance for record in records])
-    capacitance = np.concatenate([record.capacitance for record in records])
-    valid = np.isfinite(resistance) & np.isfinite(capacitance)
-    valid &= (resistance >= 0.0) & (capacitance >= 0.0)
-    if not valid.all():
-        bad = int(np.flatnonzero(~valid)[0])
-        t = int(np.searchsorted(starts, bad, side="right")) - 1
-        record = records[t]
-        local = bad - int(starts[t])
-        raise ElementValueError(
-            f"net {record.name!r}: element values must be finite and"
-            f" non-negative, got R={float(resistance[bad])!r},"
-            f" C={float(capacitance[bad])!r}"
-            f" at node {record.node_names[local]!r}"
-        )
-    parent = np.concatenate([record.parent for record in records])
-    is_output = np.ones(len(parent), dtype=bool)
-    edge_c = np.zeros(len(parent), dtype=np.float64)
+    starts, _, _, _, _, is_output = spef_block(records)
+    edge_c = np.zeros(len(is_output), dtype=np.float64)
     bounds = starts.tolist()
-    has_loads: List[bool] = []
-    load_nodes: List[int] = []
     models: Dict[str, NetModel] = {}
-    for t, record in enumerate(records):
-        names = record.node_names
-        index = dict(zip(names, range(len(names))))
-        lo, hi = bounds[t], bounds[t + 1]
-        has_loads.append(bool(record.loads))
-        load_nodes += [lo + index[load] for load in record.loads]
-        pin_nodes = {}
-        for load in nets[record.name].loads:
-            pin = str(load)
-            if pin in index:
-                pin_nodes[pin] = pin
+    for record, lo, hi in zip(records, bounds, bounds[1:]):
+        index = record.index
+        loads = map(str, nets[record.name].loads)
+        pin_nodes = {pin: pin for pin in loads if pin in index}
         base = FlatTree(
-            names,
+            record.node_names,
             record.parent,
             record.resistance,
             edge_c[lo:hi],
@@ -1080,8 +1048,4 @@ def _spef_models(
             _index=index,
         )
         models[record.name] = NetModel(net=record.name, base=base, pin_nodes=pin_nodes)
-    # The bases view these outputs: every tree's leaves, or its loads if any.
-    is_output[(parent + np.repeat(starts[:-1], sizes))[parent >= 0]] = False
-    is_output[np.repeat(has_loads, sizes)] = False
-    is_output[load_nodes] = True
     return models

@@ -1,4 +1,4 @@
-"""Read the simplified SPEF subset back into RC trees or flat arrays.
+"""Read the simplified SPEF subset into parent-index arrays, RC trees or forests.
 
 The reader understands the sections emitted by :mod:`repro.spef.writer` --
 header unit statements, ``*D_NET`` with ``*CONN`` / ``*CAP`` / ``*RES`` --
@@ -10,26 +10,30 @@ The tree root for each net is the ``I``-direction connection when present,
 otherwise the first connection that is not an ``O``-direction load -- so a
 file that lists a net's loads before its driver still roots correctly.
 
-Two output forms are offered:
+Every consumer reads through one path.  :func:`iter_spef_nets` streams each
+``*D_NET`` section of a string, a line iterable or an open file into a
+:class:`SpefNet` of preorder parent-index arrays, and :func:`spef_block`
+concatenates records into one block of arrays, applying the outputs rule
+(a net's loads, else its leaves) and the element-value check once.  The
+consumers are :meth:`SpefNet.to_flat_tree` (a block of one),
+:func:`spef_to_forest`, :meth:`repro.graph.DesignDB.from_spef` and
+:func:`repro.store.ingest_spef`; :func:`spef_to_trees` / :func:`read_spef`
+build dict :class:`~repro.core.tree.RCTree` objects from the same records.
 
-* :func:`spef_to_trees` / :func:`read_spef` build dict
-  :class:`~repro.core.tree.RCTree` objects, the reference representation;
-* :func:`iter_spef_nets` streams each ``*D_NET`` section directly into
-  parent-index arrays (:class:`SpefNet`, convertible to a compiled
-  :class:`~repro.flat.FlatTree` with no intermediate dict tree), and
-  :func:`spef_to_forest` batches a whole file into one
-  :class:`~repro.flat.FlatForest` -- the design-scale ingest path used by
-  :meth:`repro.graph.DesignDB.from_spef`.
+There is one parse mode: a net cut short by the next ``*D_NET`` or by the
+end of input, and a net with more than one ``I``-direction driver, raise
+:class:`~repro.core.exceptions.ParseError` from every entry point.  A unit
+statement applies from the line where it appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.exceptions import ParseError, TopologyError
+from repro.core.exceptions import ElementValueError, ParseError, TopologyError
 from repro.core.tree import RCTree
 from repro.utils.units import parse_engineering
 
@@ -56,9 +60,9 @@ SpefSource = Union[str, Iterable[str]]
 _UNIT_KEYWORDS = ("*C_UNIT", "*R_UNIT", "*T_UNIT")
 
 
-def _apply_unit(fields: List[str], units: Dict[str, float]) -> None:
+def _apply_unit(keyword: str, fields: List[str], units: Dict[str, float]) -> None:
     """Fold one ``*?_UNIT`` statement into the running unit table."""
-    if len(fields) >= 3 and fields[0] in _UNIT_KEYWORDS:
+    if len(fields) >= 3:
         value = parse_engineering(fields[1])
         unit_name = fields[2].upper()
         scale = {
@@ -74,69 +78,32 @@ def _apply_unit(fields: List[str], units: Dict[str, float]) -> None:
         }.get(unit_name)
         if scale is None:
             raise ParseError(f"unsupported SPEF unit {unit_name!r}")
-        units[fields[0][1]] = value * scale
+        units[keyword[1]] = value * scale
 
 
-def _default_units() -> Dict[str, float]:
-    return {"C": 1e-12, "R": 1.0, "T": 1e-9}
-
-
-def _parse_units(lines: List[str]) -> Dict[str, float]:
-    units = _default_units()
-    for line in lines:
-        # Only unit statements need splitting; _apply_unit still checks
-        # the exact first field.
-        if line.startswith(_UNIT_KEYWORDS):
-            _apply_unit(line.split(), units)
-    return units
-
-
-def _count_drivers(net: _NetSection) -> int:
-    return sum(1 for _, _, direction in net.connections if direction.upper() == "I")
-
-
-def _iter_net_sections(
-    source: SpefSource, *, strict: bool = False
-) -> Iterator[_NetSection]:
+def _iter_net_sections(source: SpefSource) -> Iterator[_NetSection]:
     """Stream the ``*D_NET`` sections of a SPEF source, one at a time.
 
-    ``source`` is a whole SPEF string or any iterable of lines -- an open
-    file handle streams a multi-gigabyte extraction without ever holding
-    the text.  String input keeps the historical whole-file unit scan
-    (unit statements anywhere apply to every net); line-iterable input
-    applies unit statements as they are encountered, which is identical
-    for well-formed files (units live in the header).
-
-    ``strict=True`` turns the malformations the lenient reader tolerates
-    into clean :class:`ParseError`\\ s: a net truncated by end-of-input
-    before its ``*END``, a new ``*D_NET`` opening mid-net, and duplicate
-    ``I``-direction ``*CONN`` drivers.  Transactional ingest
-    (:mod:`repro.store.ingest`) relies on strict mode so a broken stream
-    aborts before partial shard files can survive.
+    ``source`` is a whole SPEF string (read as its lines) or any iterable
+    of lines -- an open file handle streams a multi-gigabyte extraction
+    without ever holding the text.  Unit statements apply from the line
+    where they appear.  A net not terminated by ``*END`` (cut short by the
+    next ``*D_NET`` or by the end of input) and a net with more than one
+    ``I``-direction ``*CONN`` driver raise :class:`ParseError`, which is
+    what lets transactional store ingest (:mod:`repro.store.ingest`) abort
+    before partial shard files can survive.
     """
-    if isinstance(source, str):
-        stripped = [line.strip() for line in source.splitlines() if line.strip()]
-        units = _parse_units(stripped)
-        lines: Iterable[str] = stripped
-        incremental_units = False
-    else:
-        lines = (line.strip() for line in source)
-        units = _default_units()
-        incremental_units = True
-
+    lines = source.splitlines() if isinstance(source, str) else source
+    units = {"C": 1e-12, "R": 1.0, "T": 1e-9}
     current: Optional[_NetSection] = None
     mode = None
-    number = 0
-    for line in lines:
-        if not line:
-            continue
-        number += 1
+    for number, line in enumerate(lines, 1):
         fields = line.split()
+        if not fields:
+            continue
         keyword = fields[0].upper()
-        if incremental_units:
-            _apply_unit(fields, units)
         if keyword == "*D_NET":
-            if strict and current is not None:
+            if current is not None:
                 raise ParseError(
                     f"net {current.name!r} not terminated by *END before the"
                     " next *D_NET",
@@ -154,10 +121,11 @@ def _iter_net_sections(
             mode = "res"
         elif keyword == "*END":
             if current is not None:
-                if strict and _count_drivers(current) > 1:
+                drivers = [d for _, _, d in current.connections if d.upper() == "I"]
+                if len(drivers) > 1:
                     raise ParseError(
-                        f"net {current.name!r} has {_count_drivers(current)}"
-                        " I-direction *CONN drivers; a net has exactly one",
+                        f"net {current.name!r} has {len(drivers)} I-direction *CONN"
+                        " drivers; a net has exactly one",
                         line=number,
                     )
                 yield current
@@ -178,23 +146,40 @@ def _iter_net_sections(
                 if len(fields) < 4:
                     raise ParseError("malformed *RES entry", line=number)
                 current.resistors.append((fields[1], fields[2], float(fields[3]) * units["R"]))
-        # Header lines and anything outside a net section are ignored.
+        elif keyword in _UNIT_KEYWORDS:
+            _apply_unit(keyword, fields, units)
+        # Other header lines and anything else outside a net are ignored.
     if current is not None:
-        if strict:
-            raise ParseError(
-                f"truncated SPEF: net {current.name!r} not terminated by *END"
-                " before end of input"
-            )
-        # Tolerate a missing trailing *END.
-        yield current
+        raise ParseError(
+            f"truncated SPEF: net {current.name!r} not terminated by *END"
+            " before end of input"
+        )
 
 
-def spef_to_trees(text: str, *, root_name: str = "in") -> Dict[str, RCTree]:
-    """Parse a SPEF string into a mapping net name -> :class:`RCTree`."""
-    return {
-        net.name: _net_to_tree(net, root_name=root_name)
-        for net in _iter_net_sections(text)
-    }
+def spef_to_trees(source: SpefSource, *, root_name: str = "in") -> Dict[str, RCTree]:
+    """Parse SPEF into a mapping net name -> :class:`RCTree`.
+
+    Each tree is built from the net's :class:`SpefNet` record: nodes are
+    added level by level (a stable sort of the preorder by depth, so every
+    node keeps its child order), the driver is renamed ``root_name``, and
+    the net's loads -- else its leaves -- are marked as outputs.
+    """
+    trees: Dict[str, RCTree] = {}
+    for record in iter_spef_nets(source):
+        names = [root_name] + record.node_names[1:]
+        parent = record.parent.tolist()
+        resistance = record.resistance.tolist()
+        tree = RCTree(root_name)
+        for node in np.argsort(record.depth, kind="stable").tolist()[1:]:
+            tree.add_resistor(names[parent[node]], names[node], resistance[node])
+        for name, value in zip(names, record.capacitance.tolist()):
+            if value:
+                tree.add_capacitor(name, value)
+        loads = [names[record.index[load]] for load in record.loads]
+        for name in loads or tree.leaves():
+            tree.mark_output(name)
+        trees[record.name] = tree
+    return trees
 
 
 def _strip_net_prefix(pin: str, prefixes: Tuple[str, str]) -> str:
@@ -255,67 +240,15 @@ def _resolve_driver(net: _NetSection, adjacency: Dict[str, List[Tuple[str, float
     return driver
 
 
-def _net_to_tree(net: _NetSection, *, root_name: str) -> RCTree:
-    adjacency = _net_adjacency(net)
-    driver = _resolve_driver(net, adjacency)
-
-    tree = RCTree(root_name)
-    rename = {driver: root_name}
-
-    def node_name(node: str) -> str:
-        return rename.get(node, node)
-
-    visited = {driver}
-    queue = [driver]
-    while queue:
-        currentnode = queue.pop(0)
-        for neighbour, value in adjacency.get(currentnode, []):
-            if neighbour in visited:
-                continue
-            visited.add(neighbour)
-            tree.add_resistor(node_name(currentnode), node_name(neighbour), value)
-            queue.append(neighbour)
-
-    # Loop detection: a tree with V nodes has V-1 edges.
-    if adjacency and len(net.resistors) != len(visited) - 1:
-        raise TopologyError(
-            f"net {net.name!r} has {len(net.resistors)} resistors over {len(visited)} nodes; "
-            "the parasitic network is not a tree"
-        )
-
-    for n1, n2, value in net.caps:
-        if n2 is not None:
-            raise TopologyError(
-                f"net {net.name!r} contains a coupling capacitor ({n1} to {n2}); "
-                "RC-tree analysis only supports grounded capacitors"
-            )
-        node = _strip_net_prefix(n1, net.prefixes)
-        if node not in visited:
-            raise TopologyError(
-                f"capacitor node {node!r} of net {net.name!r} is not connected to the driver"
-            )
-        tree.add_capacitor(node_name(node), value)
-
-    for kind, pin, direction in net.connections:
-        if direction.upper() == "O":
-            node = _strip_net_prefix(pin, net.prefixes)
-            if node in visited:
-                tree.mark_output(node_name(node))
-    if not tree.outputs:
-        for leaf in tree.leaves():
-            tree.mark_output(leaf)
-    return tree
-
-
 @dataclass(frozen=True)
 class SpefNet:
     """One ``*D_NET`` section parsed straight into parent-index arrays.
 
-    ``node_names`` is in depth-first preorder from the driver (index 0);
-    ``parent`` / ``resistance`` describe the edge *into* each node (root
-    entries ``-1`` / 0), ``capacitance`` the grounded cap per node and
-    ``depth`` the node depth the preorder walk assigned (``None`` when the
-    record was built by hand).  ``loads`` lists the ``O``-direction
+    ``node_names`` is in depth-first preorder from the driver (index 0) and
+    ``index`` maps each name back to its position; ``parent`` /
+    ``resistance`` describe the edge *into* each node (root entries ``-1``
+    / 0), ``capacitance`` the grounded cap per node and ``depth`` the node
+    depth the preorder walk assigned.  ``loads`` lists the ``O``-direction
     connection pins (net prefix stripped) -- the sink pins a
     :class:`~repro.graph.DesignDB` binds to design loads.
     """
@@ -325,33 +258,35 @@ class SpefNet:
     parent: np.ndarray
     resistance: np.ndarray
     capacitance: np.ndarray
+    depth: np.ndarray
+    index: Dict[str, int] = field(repr=False, compare=False)
     loads: List[str] = field(default_factory=list)
     total_capacitance: float = 0.0
-    depth: Optional[np.ndarray] = None
 
     def to_flat_tree(self) -> "FlatTree":
         """Compile to a :class:`~repro.flat.FlatTree` (loads, else leaves, as outputs)."""
         from repro.flat import FlatTree
 
-        outputs = None
-        loads = set(self.loads)
-        marked = [
-            index for index, name in enumerate(self.node_names) if name in loads
-        ]
-        if marked:
-            outputs = marked
-        return FlatTree.from_arrays(
-            self.parent,
-            self.resistance,
-            np.zeros(len(self.parent)),
-            self.capacitance,
-            names=self.node_names,
-            outputs=outputs,
+        _, parent, resistance, capacitance, depth, is_output = spef_block([self])
+        return FlatTree(
+            self.node_names,
+            parent,
+            resistance,
+            np.zeros(len(parent)),
+            capacitance,
+            is_output,
+            _depth=depth,
+            _trusted=True,
+            _index=self.index,
         )
 
 
 def _net_to_flat(net: _NetSection) -> SpefNet:
-    """Convert one parsed section to arrays, with the same validation as the tree path."""
+    """Convert one parsed section to preorder arrays, checking its topology.
+
+    A negative or NaN ``*CAP`` line is rejected here, line by line, since
+    summing a node's lines could hide it from the block check.
+    """
     adjacency = _net_adjacency(net)
     driver = _resolve_driver(net, adjacency)
 
@@ -395,6 +330,11 @@ def _net_to_flat(net: _NetSection) -> SpefNet:
             raise TopologyError(
                 f"capacitor node {node!r} of net {net.name!r} is not connected to the driver"
             )
+        if not value >= 0.0:
+            raise ElementValueError(
+                f"net {net.name!r}: element values must be finite and"
+                f" non-negative, got C={value!r} at node {node!r}"
+            )
         capacitance[index[node]] += value
 
     loads = [
@@ -408,13 +348,14 @@ def _net_to_flat(net: _NetSection) -> SpefNet:
         parent=np.asarray(parent, dtype=np.int64),
         resistance=np.asarray(resistance, dtype=np.float64),
         capacitance=np.asarray(capacitance, dtype=np.float64),
+        depth=np.asarray(depth, dtype=np.int64),
+        index=index,
         loads=[pin for pin in loads if pin in index],
         total_capacitance=net.total_cap,
-        depth=np.asarray(depth, dtype=np.int64),
     )
 
 
-def iter_spef_nets(source: SpefSource, *, strict: bool = False) -> Iterator[SpefNet]:
+def iter_spef_nets(source: SpefSource) -> Iterator[SpefNet]:
     """Stream a SPEF source as :class:`SpefNet` records, one per ``*D_NET``.
 
     No dict :class:`~repro.core.tree.RCTree` is ever built -- each section
@@ -422,14 +363,62 @@ def iter_spef_nets(source: SpefSource, *, strict: bool = False) -> Iterator[Spef
     which is what keeps design-scale ingest
     (:meth:`repro.graph.DesignDB.from_spef`) linear with a small constant.
     ``source`` may be a whole string or any iterable of lines (e.g. an open
-    file handle), and ``strict=True`` rejects truncated or duplicate-driver
-    sections instead of tolerating them -- see :func:`_iter_net_sections`.
+    file handle); malformed sections raise -- see :func:`_iter_net_sections`.
     """
-    for section in _iter_net_sections(source, strict=strict):
+    for section in _iter_net_sections(source):
         yield _net_to_flat(section)
 
 
-def spef_to_forest(text: str):
+#: One block of records: ``(starts, parent, resistance, capacitance, depth,
+#: is_output)``, the layout :meth:`repro.flat.FlatForest.from_block` and
+#: :meth:`repro.store.ShardStoreWriter.add_block` take.
+SpefBlock = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def spef_block(records: Sequence[SpefNet]) -> SpefBlock:
+    """Concatenate records into one block of preorder arrays.
+
+    ``starts`` holds each net's first node plus the node-count sentinel and
+    ``parent`` is block-local with ``-1`` at every net's driver.  Every
+    element value is checked in one pass (finite and non-negative; the
+    :class:`~repro.core.exceptions.ElementValueError` names the first
+    offending net and node), and ``is_output`` marks each net's loads, or
+    its leaves when it has none.
+    """
+    sizes = np.asarray([len(record.parent) for record in records], dtype=np.int64)
+    starts = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    resistance = np.concatenate([record.resistance for record in records])
+    capacitance = np.concatenate([record.capacitance for record in records])
+    valid = np.isfinite(resistance) & np.isfinite(capacitance)
+    valid &= (resistance >= 0.0) & (capacitance >= 0.0)
+    if not valid.all():
+        bad = int(np.flatnonzero(~valid)[0])
+        t = int(np.searchsorted(starts, bad, side="right")) - 1
+        record = records[t]
+        raise ElementValueError(
+            f"net {record.name!r}: element values must be finite and"
+            f" non-negative, got R={float(resistance[bad])!r},"
+            f" C={float(capacitance[bad])!r}"
+            f" at node {record.node_names[bad - int(starts[t])]!r}"
+        )
+    parent = np.concatenate([record.parent for record in records])
+    np.add(parent, np.repeat(starts[:-1], sizes), out=parent, where=parent >= 0)
+    depth = np.concatenate([record.depth for record in records])
+    bounds = starts.tolist()
+    load_nodes = [
+        lo + record.index[load]
+        for lo, record in zip(bounds, records)
+        for load in record.loads
+    ]
+    is_output = np.ones(len(parent), dtype=bool)
+    is_output[parent[parent >= 0]] = False
+    is_output[np.repeat([bool(record.loads) for record in records], sizes)] = False
+    is_output[load_nodes] = True
+    return starts, parent, resistance, capacitance, depth, is_output
+
+
+def spef_to_forest(source: SpefSource):
     """Parse a whole SPEF file into one batched :class:`~repro.flat.FlatForest`.
 
     Returns ``(forest, nets)`` where ``nets`` is the list of
@@ -440,13 +429,24 @@ def spef_to_forest(text: str):
     """
     from repro.flat import FlatForest
 
-    nets = list(iter_spef_nets(text))
+    nets = list(iter_spef_nets(source))
     if not nets:
         raise ParseError("the SPEF text contains no *D_NET sections")
-    return FlatForest([net.to_flat_tree() for net in nets]), nets
+    starts, parent, resistance, capacitance, depth, is_output = spef_block(nets)
+    forest = FlatForest.from_block(
+        starts,
+        parent,
+        resistance,
+        np.zeros(len(parent)),
+        capacitance,
+        depth=depth,
+        is_output=is_output,
+        names=[name for net in nets for name in net.node_names],
+    )
+    return forest, nets
 
 
 def read_spef(path, **kwargs) -> Dict[str, RCTree]:
-    """Read a SPEF file from ``path``."""
+    """Read a SPEF file from ``path``, streaming its lines."""
     with open(path, "r", encoding="utf-8") as handle:
-        return spef_to_trees(handle.read(), **kwargs)
+        return spef_to_trees(handle, **kwargs)

@@ -423,10 +423,10 @@ class StoredForest:
         )
         os.close(handle)
         scratch = _ScratchFile(scratch_path)
-        _allocate_file(scratch_path, result_nbytes(total_nodes, 0, s))
         tp = np.empty((total_trees, s), dtype=np.float64)
         total = np.empty((total_trees, s), dtype=np.float64)
         try:
+            _allocate_file(scratch_path, result_nbytes(total_nodes, 0, s))
             for shard in range(self.shard_count):
                 node_lo, node_hi, tree_lo, tree_hi = self.shard_bounds(shard)
                 hot = self.materialize(shard)

@@ -1,31 +1,50 @@
 """Streaming ingest: SPEF and generated netlists straight into shard files.
 
 Nothing here ever materializes a concatenated forest.  SPEF sections flow
-``file handle -> iter_spef_nets -> ShardStoreWriter`` one net at a time;
-generator blocks flow ``stream_random_nets -> add_block`` one numpy batch
-at a time.  Peak RSS is O(shard) either way, which is the property the
-``tests-out-of-core`` CI job pins.
+``file handle -> iter_spef_nets -> spef_block -> add_block`` about one
+shard of nets at a time; generator blocks flow ``stream_random_nets ->
+add_block`` one numpy batch at a time.  Peak RSS is O(shard) either way,
+which is the property the ``tests-out-of-core`` CI job pins.
 
 Ingest is transactional: every entry point runs the writer as a context
-manager, so a malformed stream (strict SPEF errors included) aborts the
-writer and deletes every shard file written so far -- no partial store is
-ever left behind.  JSON netlists take the same path through
-:class:`repro.graph.DesignDB` with ``store_dir=``, which streams its
-compiled stage trees through this writer.
+manager, so a malformed stream (a SPEF parse error or a bad element value
+included) aborts the writer and deletes every shard file written so far --
+no partial store is ever left behind.  JSON netlists take the same path
+through :class:`repro.graph.DesignDB` with ``store_dir=``, which streams
+its compiled stage trees through this writer.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.spef.reader import SpefSource, iter_spef_nets
-from repro.store.format import INDEX_DTYPE, Manifest
+from repro.spef.reader import SpefNet, SpefSource, iter_spef_nets, spef_block
+from repro.store.format import Manifest
 from repro.store.writer import DEFAULT_SHARD_NODES, ShardStoreWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (no runtime cycle)
     from repro.generators.random_designs import NetBlock
+
+
+def _batches(records: Iterable[SpefNet], nodes: int) -> Iterator[List[SpefNet]]:
+    """Group streamed records into runs of at least ``nodes`` nodes.
+
+    One :func:`~repro.spef.reader.spef_block` and one writer call per run
+    keep the per-net numpy overhead off million-net ingests, and a run of
+    about one shard keeps the buffered records O(shard).
+    """
+    batch: List[SpefNet] = []
+    count = 0
+    for record in records:
+        batch.append(record)
+        count += len(record.parent)
+        if count >= nodes:
+            yield batch
+            batch, count = [], 0
+    if batch:
+        yield batch
 
 
 def ingest_spef(
@@ -38,27 +57,29 @@ def ingest_spef(
     """Stream SPEF nets into a shard store at ``directory``.
 
     ``source`` is a whole SPEF string or any iterable of lines (pass an
-    open file handle to ingest without holding the text).  Parsing runs
-    strict -- truncated nets, duplicate drivers and unterminated sections
-    raise :class:`~repro.core.exceptions.ParseError` and roll the store
-    back.  Returns the written manifest and the net names in tree order
-    (tree ``i`` of the store is net ``names[i]``).
+    open file handle to ingest without holding the text).  Nets reach the
+    writer about one shard at a time, as :func:`~repro.spef.reader.spef_block`
+    blocks with their depths.  A malformed net (a
+    :class:`~repro.core.exceptions.ParseError` from the reader, or an
+    :class:`~repro.core.exceptions.ElementValueError` naming the net) rolls
+    the store back.  Returns the written manifest and the net names in
+    tree order (tree ``i`` of the store is net ``names[i]``).
     """
     names: List[str] = []
     with ShardStoreWriter(
         directory, shard_nodes=shard_nodes, overwrite=overwrite
     ) as writer:
-        for net in iter_spef_nets(source, strict=True):
-            parent = np.asarray(net.parent, dtype=INDEX_DTYPE).copy()
-            if parent.shape[0]:
-                parent[0] = -1  # SpefNet keeps the root's self-entry at 0
-            writer.add_tree(
+        for batch in _batches(iter_spef_nets(source), shard_nodes):
+            starts, parent, resistance, capacitance, depth, _ = spef_block(batch)
+            writer.add_block(
+                starts,
                 parent,
-                net.resistance,
-                np.zeros(parent.shape[0]),
-                net.capacitance,
+                resistance,
+                np.zeros(len(parent)),
+                capacitance,
+                depth=depth,
             )
-            names.append(net.name)
+            names += [net.name for net in batch]
         manifest = writer.close()
     return manifest, names
 

@@ -9,7 +9,7 @@ own right -- so every downstream kernel consumes shard files unchanged.
 
 The writer is a context manager with transactional semantics: leaving the
 ``with`` block on an exception calls :meth:`abort`, which deletes every
-file written so far.  Ingest paths (e.g. strict SPEF streaming) rely on
+file written so far.  Ingest paths (e.g. SPEF streaming) rely on
 this to guarantee that a malformed input leaves no partial shard files
 behind.
 """
@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.flat.flattree import FlatTree
 from repro.store.format import (
     INDEX_DTYPE,
@@ -54,9 +54,17 @@ def _as_index(values: Sequence[int], name: str) -> np.ndarray:
 
 
 def _as_value(values: Sequence[float], name: str, nodes: int) -> np.ndarray:
+    """One element plane, checked for shape and for finite, non-negative values."""
     array = np.ascontiguousarray(values, dtype=VALUE_DTYPE)
     if array.shape != (nodes,):
         raise AnalysisError(f"{name} has shape {array.shape}, expected ({nodes},)")
+    # NaN fails both comparisons, so two reductions cover NaN, inf and < 0.
+    if nodes and not (array.min() >= 0.0 and array.max() < np.inf):
+        bad = int(np.flatnonzero(~((array >= 0.0) & (array < np.inf)))[0])
+        raise ElementValueError(
+            f"{name}[{bad}] = {float(array[bad])!r}: element values must be"
+            " finite and non-negative"
+        )
     return array
 
 

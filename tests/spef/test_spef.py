@@ -236,43 +236,51 @@ class TestFlatIngest:
 
 
 class TestStrictStreaming:
-    """Strict mode turns tolerated malformations into clean ParseErrors --
+    """Malformed sections raise clean ParseErrors from every entry point --
     the contract transactional store ingest relies on."""
 
     def _ladder(self, **overrides):
         return _ladder_spef(["*I n1/in I", "*P n1/out O"])
 
-    def test_lenient_tolerates_missing_trailing_end(self):
+    def test_missing_trailing_end_raises_from_every_entry_point(self, tmp_path):
         text = self._ladder().rsplit("*END", 1)[0]
-        records = list(iter_spef_nets(text))
-        assert [r.name for r in records] == ["n1"]
+        path = tmp_path / "cut.spef"
+        path.write_text(text, encoding="utf-8")
+        for parse in (
+            lambda: list(iter_spef_nets(text)),
+            lambda: spef_to_trees(text),
+            lambda: read_spef(path),
+            lambda: spef_to_forest(text),
+        ):
+            with pytest.raises(ParseError, match="end of input"):
+                parse()
 
     def test_strict_rejects_missing_trailing_end(self):
         text = self._ladder().rsplit("*END", 1)[0]
         with pytest.raises(ParseError, match="not terminated"):
-            list(iter_spef_nets(text, strict=True))
+            list(iter_spef_nets(text))
 
     def test_strict_rejects_mid_net_eof_on_line_stream(self):
         lines = self._ladder().splitlines()[:-3]  # cut inside *RES
         with pytest.raises(ParseError, match="end of input"):
-            list(iter_spef_nets(iter(lines), strict=True))
+            list(iter_spef_nets(iter(lines)))
 
     def test_strict_rejects_new_net_mid_net(self):
         text = self._ladder().replace("*END", "*D_NET n2 1\n*END", 1)
         with pytest.raises(ParseError, match="before the next"):
-            list(iter_spef_nets(text, strict=True))
+            list(iter_spef_nets(text))
 
     def test_strict_rejects_duplicate_drivers(self):
         text = self._ladder().replace("*I n1/in I", "*I n1/in I\n*I n9/in I")
         with pytest.raises(ParseError, match="exactly one"):
-            list(iter_spef_nets(text, strict=True))
+            list(iter_spef_nets(text))
 
     def test_strict_accepts_well_formed_stream(self):
         text = self._ladder()
-        lenient = list(iter_spef_nets(text))
-        strict = list(iter_spef_nets(iter(text.splitlines()), strict=True))
-        assert [r.name for r in strict] == [r.name for r in lenient]
-        assert np.array_equal(strict[0].parent, lenient[0].parent)
+        from_string = list(iter_spef_nets(text))
+        from_lines = list(iter_spef_nets(iter(text.splitlines())))
+        assert [r.name for r in from_lines] == [r.name for r in from_string]
+        assert np.array_equal(from_lines[0].parent, from_string[0].parent)
 
     def test_line_stream_applies_units_incrementally(self):
         text = self._ladder()

@@ -1,6 +1,6 @@
 """Tests for streaming ingest: SPEF and generator blocks into shard
 stores, with the transactional no-partial-store guarantee on malformed
-input (strict-mode parse errors roll every shard file back)."""
+input (parse errors and bad element values roll every shard file back)."""
 
 import io
 import os

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.generators import RandomTreeConfig, random_design, random_flat_tree
 from repro.graph import DesignDB
 from repro.store import MANIFEST_NAME, Manifest, ShardStoreWriter
@@ -217,6 +217,19 @@ class TestValidation:
         writer = ShardStoreWriter(str(tmp_path / "s"))
         with pytest.raises(AnalysisError):
             writer.add_tree([-1, 0], [0.0], [0.0, 0.0], [1.0, 1.0])
+        writer.abort()
+
+    @pytest.mark.parametrize(
+        "edge_r, node_c",
+        [([0.0, -5.0], [1.0, 1.0]), ([0.0, 1.0], [1.0, np.inf]), ([0.0, np.nan], [1.0, 1.0])],
+    )
+    def test_rejects_bad_element_values(self, tmp_path, edge_r, node_c):
+        writer = ShardStoreWriter(str(tmp_path / "s"))
+        with pytest.raises(ElementValueError, match="finite and non-negative"):
+            writer.add_tree([-1, 0], edge_r, [0.0, 0.0], node_c)
+        with pytest.raises(ElementValueError, match="finite and non-negative"):
+            writer.add_block([0, 2], [-1, 0], edge_r, [0.0, 0.0], node_c)
+        assert writer.tree_count == 0
         writer.abort()
 
     def test_rejects_empty_tree(self, tmp_path):

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.flat import FlatForest
 from repro.generators import RandomTreeConfig, random_flat_tree
 from repro.store import ShardStoreWriter, StoredForest
@@ -271,6 +271,20 @@ class TestEco:
             _preorder(ram, ram.solve(), "tde"),
             rtol=RTOL,
         )
+
+    @pytest.mark.parametrize("plane, value", [(1, -5.0), (3, np.inf), (3, np.nan)])
+    def test_bad_value_is_rejected_before_any_splice(self, workload, plane, value):
+        _, stored = workload
+        before = TestEcoWriteFault._rows(stored)
+        tree = random_flat_tree(57, RandomTreeConfig(nodes=9))
+        arrays = [tree._parent, tree._edge_r, tree._edge_c, tree._node_c]
+        arrays[plane] = arrays[plane].copy()
+        arrays[plane][-1] = value
+        with pytest.raises(ElementValueError, match="finite and non-negative"):
+            stored.replace_tree(1, tuple(arrays))
+        after = TestEcoWriteFault._rows(stored)
+        for name, row in before.items():
+            assert after[name].tobytes() == row.tobytes(), name
 
     def test_materialized_shard_has_no_member_trees(self, workload):
         _, stored = workload
